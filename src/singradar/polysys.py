@@ -9,6 +9,7 @@ Three homotopy forms share one evaluation interface:
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 from dataclasses import dataclass
@@ -333,11 +334,25 @@ def _mono_to_json(mono: Monomial) -> dict:
     return {"re": c.real, "im": c.imag, "exp": list(mono.exponents)}
 
 
+def _coefficient_from_json(re, im) -> complex:
+    c = complex(re, im)
+    if not cmath.isfinite(c):
+        raise InvalidArgument("homotopy coefficients must be finite")
+    return c
+
+
 def _mono_from_json(d: dict, dim: int) -> Monomial:
     exps = tuple(d["exp"])
     if len(exps) != dim:
         raise InvalidArgument("exponent vector length != dim")
-    return Monomial(complex(d["re"], d.get("im", 0.0)), exps)
+    return Monomial(_coefficient_from_json(d["re"], d.get("im", 0.0)), exps)
+
+
+def _tmono_from_json(d: dict) -> TMonomial:
+    if not d["t_coeffs"]:
+        raise InvalidArgument("t_coeffs must not be empty")
+    return TMonomial(tuple(_coefficient_from_json(re, im)
+                           for re, im in d["t_coeffs"]), tuple(d["exp"]))
 
 
 def system_to_json(f: PolySystem) -> dict:
@@ -371,16 +386,14 @@ def homotopy_to_json(h: Homotopy) -> dict:
 def homotopy_from_json(d: dict) -> Homotopy:
     form = d["form"]
     dim = int(d["dim"])
-    gamma = complex(d["gamma"]["re"], d["gamma"]["im"]) if "gamma" in d else 1.0
+    gamma = (_coefficient_from_json(d["gamma"]["re"], d["gamma"]["im"])
+             if "gamma" in d else 1.0)
     target = system_from_json(d["target"]) if "target" in d else None
     start = system_from_json(d["start"]) if "start" in d else None
     t_equations = None
     if "equations" in d:
-        t_equations = [
-            [TMonomial(tuple(complex(re, im) for re, im in m["t_coeffs"]),
-                       tuple(m["exp"])) for m in eq]
-            for eq in d["equations"]
-        ]
+        t_equations = [[_tmono_from_json(m) for m in eq]
+                       for eq in d["equations"]]
     if form == GAMMA_CONVEX:
         if target is None or start is None:
             raise InvalidArgument("gamma_convex homotopy needs target and start")

@@ -3,13 +3,18 @@
 Two lanes share one set of algorithms downstream: native ``float`` /
 ``complex``, and an extended ~32-digit lane built from pairs of doubles
 (``ExtReal`` / ``ExtComplex``).  The extended types overload the arithmetic
-operators and promote native operands, so series, Newton and DFT kernels are
-written once and run in either lane.
+operators and promote native operands, so series and Newton kernels are
+written once and run in either lane.  The DFT kernels run the same
+double-double arithmetic element-wise on float64 arrays (``dd_*`` /
+``cdd_*``), with twiddles from a per-size table of ``root_of_unity``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 from .errors import DivisionByZero, InvalidArgument
 
@@ -489,9 +494,7 @@ def complex_op(a, b, kind: str) -> ExtComplex:
 
 def root_of_unity(n: int, k: int) -> ExtComplex:
     """exp(2*pi*i*k/n) to extended accuracy; k is reduced mod n first."""
-    if n == 0:
-        raise InvalidArgument("root_of_unity needs n >= 1")
-    if n < 0:
+    if n < 1:
         raise InvalidArgument("root_of_unity needs n >= 1")
     k = k % n
     if (4 * k) % n == 0:
@@ -506,6 +509,79 @@ def root_of_unity(n: int, k: int) -> ExtComplex:
     angle = _TWO_PI * _dd_div(ExtReal(float(k)), ExtReal(float(n)))
     s, c = _dd_sincos(angle)
     return ExtComplex(c, s)
+
+
+# 16 sizes cover every transform length one run uses; the bound keeps a
+# long-lived caller that tries many lengths from growing without limit
+@functools.lru_cache(maxsize=16)
+def roots_of_unity(n: int) -> tuple:
+    """Twiddle table of root_of_unity(n, k), k = 0..n-1, as read-only
+    float64 arrays (re.hi, re.lo, im.hi, im.lo); built on first use."""
+    table = np.empty((4, n))
+    for k in range(n):
+        w = root_of_unity(n, k)
+        table[:, k] = (w.re.hi, w.re.lo, w.im.hi, w.im.lo)
+    table.flags.writeable = False
+    return tuple(table)
+
+
+# ---------------------------------------------------------------------------
+# element-wise double-double on float64 arrays
+# ---------------------------------------------------------------------------
+# A complex array is the 4-tuple (re.hi, re.lo, im.hi, im.lo).  Each function
+# repeats the matching ExtReal/ExtComplex operator step for step, so every
+# element carries the same bits the operator would give.
+
+def dd_add(a_hi, a_lo, b_hi, b_lo):
+    """ExtReal.__add__ element-wise."""
+    s1, s2 = two_sum(a_hi, b_hi)
+    t1, t2 = two_sum(a_lo, b_lo)
+    s1, s2 = quick_two_sum(s1, s2 + t1)
+    return quick_two_sum(s1, s2 + t2)
+
+
+def dd_mul(a_hi, a_lo, b_hi, b_lo):
+    """ExtReal.__mul__ element-wise."""
+    p1, p2 = two_prod(a_hi, b_hi)
+    return quick_two_sum(p1, p2 + (a_hi * b_lo + a_lo * b_hi))
+
+
+def dd_div_float(a_hi, a_lo, b: float):
+    """ExtReal.__truediv__ by a nonzero float, element-wise."""
+    q1 = a_hi / b
+    r_hi, r_lo = _sub_float_product(a_hi, a_lo, b, q1)
+    q2 = r_hi / b
+    r_hi, r_lo = _sub_float_product(r_hi, r_lo, b, q2)
+    q3 = r_hi / b
+    s, e = quick_two_sum(q1, q2)
+    s1, s2 = two_sum(s, q3)
+    return quick_two_sum(s1, s2 + e)
+
+
+def _sub_float_product(a_hi, a_lo, b: float, q):
+    """a - _dd_mul_float(ExtReal(b), q); the 0.0 is ExtReal(b).lo."""
+    p1, p2 = two_prod(b, q)
+    p1, p2 = quick_two_sum(p1, p2 + 0.0 * q)
+    return dd_add(a_hi, a_lo, -p1, -p2)
+
+
+def cdd_add(a, b):
+    """ExtComplex.__add__ element-wise."""
+    return dd_add(a[0], a[1], b[0], b[1]) + dd_add(a[2], a[3], b[2], b[3])
+
+
+def cdd_sub(a, b):
+    """ExtComplex.__sub__ element-wise."""
+    return cdd_add(a, tuple(-p for p in b))
+
+
+def cdd_mul(a, b):
+    """ExtComplex.__mul__ element-wise."""
+    ii_hi, ii_lo = dd_mul(a[2], a[3], b[2], b[3])
+    re = dd_add(*dd_mul(a[0], a[1], b[0], b[1]), -ii_hi, -ii_lo)
+    im = dd_add(*dd_mul(a[0], a[1], b[2], b[3]),
+                *dd_mul(a[2], a[3], b[0], b[1]))
+    return re + im
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +629,6 @@ def is_extended(value) -> bool:
 
 def magnitude(z):
     """|z| in the lane's real type."""
-    if isinstance(z, (ExtReal, ExtComplex)):
-        return abs(z)
     return abs(z)
 
 

@@ -431,6 +431,17 @@ def test_bad_invocations_exit_two(tmp_path):
     code, out, err = run_cli(["radius", "--file", str(tmp_path / "no.json")])
     assert code == 2
     assert "error:" in err
+    # malformed homotopies are rejected at load time, not mid-run
+    nan_coeff = homotopy_to_json(branch_point_homotopy())
+    nan_coeff["equations"][0][0]["t_coeffs"][0][0] = float("nan")
+    no_coeffs = homotopy_to_json(branch_point_homotopy())
+    no_coeffs["equations"][0][1]["t_coeffs"] = []
+    for name, bad in (("nan.json", nan_coeff), ("empty.json", no_coeffs)):
+        path = tmp_path / name
+        path.write_text(json.dumps(bad))
+        code, out, err = run_cli(["radius", "--file", str(path)])
+        assert code == 2
+        assert err.startswith("error:")
 
 
 def test_radius_out_writes_report(tmp_path):

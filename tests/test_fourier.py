@@ -1,10 +1,12 @@
 """Circle sampling and inverse-DFT coefficient extraction."""
 
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from singradar.errors import BranchJump, InvalidArgument
@@ -18,7 +20,14 @@ from singradar.fourier import (
     taylor_coefficients,
 )
 from singradar.polysys import fixture
-from singradar.scalars import EXTENDED, is_extended, promote
+from singradar.scalars import (
+    EXTENDED,
+    ExtComplex,
+    ExtReal,
+    is_extended,
+    promote,
+    root_of_unity,
+)
 from singradar.tracker import PathState, default_config
 
 
@@ -44,6 +53,74 @@ def direct_idft_oracle(values):
 def random_vector(n, seed):
     rng = random.Random(seed)
     return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+
+
+def random_ext_vector(n, seed):
+    """Extended values whose lo parts are nonzero and normalised."""
+    rng = random.Random(seed)
+
+    def part():
+        hi = rng.uniform(-1, 1)
+        return ExtReal(hi, rng.uniform(-0.5, 0.5) * math.ulp(hi))
+
+    return [ExtComplex(part(), part()) for _ in range(n)]
+
+
+# Reference kernels: the object-per-scalar transforms the array kernels
+# replaced.  Caching the twiddles changes no bits, only the test's run time.
+_twiddle = functools.lru_cache(maxsize=None)(root_of_unity)
+
+
+def reference_fft(vals, sign):
+    n = len(vals)
+    if n == 1:
+        return [vals[0]]
+    even = reference_fft(vals[0::2], sign)
+    odd = reference_fft(vals[1::2], sign)
+    out = [None] * n
+    half = n // 2
+    for k in range(half):
+        term = _twiddle(n, sign * k) * odd[k]
+        out[k] = even[k] + term
+        out[k + half] = even[k] - term
+    return out
+
+
+def reference_inverse_dft(values):
+    n = float(len(values))
+    out = reference_fft([promote(v, EXTENDED) for v in values], -1)
+    return [ExtComplex(v.re / n, v.im / n) for v in out]
+
+
+def reference_forward_dft(values):
+    return reference_fft([promote(v, EXTENDED) for v in values], +1)
+
+
+def reference_direct_inverse_dft(values):
+    m = len(values)
+    work = [promote(v, EXTENDED) for v in values]
+    out = []
+    for k in range(m):
+        acc = ExtComplex(ExtReal.from_value(0.0), ExtReal.from_value(0.0))
+        for j in range(m):
+            acc = acc + work[j] * _twiddle(m, -j * k)
+        out.append(ExtComplex(acc.re / float(m), acc.im / float(m)))
+    return out
+
+
+def bits(v):
+    """Every double of a lane value, signed zeros told apart."""
+    if isinstance(v, ExtComplex):
+        parts = (v.re.hi, v.re.lo, v.im.hi, v.im.lo)
+    else:
+        parts = (v.real, v.imag)
+    return tuple(float.hex(p) for p in parts)
+
+
+def assert_bit_identical(got, want_ext, extended):
+    want = want_ext if extended else [complex(v) for v in want_ext]
+    assert all(is_extended(v) == extended for v in got)
+    assert [bits(v) for v in got] == [bits(v) for v in want]
 
 
 def sqrt_base():
@@ -108,6 +185,51 @@ def test_direct_transform_agrees_with_fft():
     a = inverse_dft(v)
     b = direct_inverse_dft(v)
     assert max(abs(p - q) for p, q in zip(a, b)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2 ** p for p in range(9)])
+def test_radix2_bit_identical_to_object_kernel(n):
+    for seed, extended in ((100 + n, False), (200 + n, True)):
+        v = random_ext_vector(n, seed) if extended else random_vector(n, seed)
+        assert_bit_identical(inverse_dft(v), reference_inverse_dft(v),
+                             extended)
+        assert_bit_identical(forward_dft(v), reference_forward_dft(v),
+                             extended)
+
+
+@pytest.mark.parametrize("m", [1, 3, 17, 65])
+def test_direct_bit_identical_to_object_kernel(m):
+    for seed, extended in ((300 + m, False), (400 + m, True)):
+        v = random_ext_vector(m, seed) if extended else random_vector(m, seed)
+        assert_bit_identical(direct_inverse_dft(v),
+                             reference_direct_inverse_dft(v), extended)
+
+
+def mp_value(v):
+    return mpmath.mpc(mpmath.mpf(v.re.hi) + mpmath.mpf(v.re.lo),
+                      mpmath.mpf(v.im.hi) + mpmath.mpf(v.im.lo))
+
+
+def test_root_of_unity_mpmath_oracle():
+    with mpmath.workdps(50):
+        for n, k in ((3, 1), (5, 2), (7, 3), (12, 5), (17, 4), (64, 9),
+                     (100, 37), (1024, 1), (1024, 511), (2048, 1),
+                     (2048, 1365), (2048, -3)):
+            exact = mpmath.expjpi(mpmath.mpf(2 * k) / n)
+            assert abs(mp_value(root_of_unity(n, k)) - exact) <= 1e-30
+
+
+def test_inverse_dft_mpmath_oracle():
+    n = 64
+    v = random_ext_vector(n, 17)
+    got = inverse_dft(v)
+    with mpmath.workdps(50):
+        x = [mp_value(a) for a in v]
+        g = [mpmath.fsum(x[j] * mpmath.expjpi(mpmath.mpf(-2 * j * k) / n)
+                         for j in range(n)) / n for k in range(n)]
+        scale = max(abs(c) for c in g)
+        err = max(abs(mp_value(a) - b) for a, b in zip(got, g))
+        assert err <= 1e-30 * scale
 
 
 # ---------------------------------------------------------------------------
