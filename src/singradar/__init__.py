@@ -17,7 +17,6 @@ from .errors import (
     InvalidArgument,
     NoConvergence,
     NotApplicable,
-    NotInvertible,
     OverflowRisk,
     SingradarError,
     SingularExponentMatrix,
@@ -61,6 +60,7 @@ from .radar import (
     COEFFICIENTS_VANISH,
     CONVERGED,
     INCONCLUSIVE,
+    RadarRun,
     RadiusEstimate,
     RichardsonTable,
     detect_last_pole,
@@ -106,10 +106,10 @@ __all__ = [
     "NoConvergence",
     "NormalFormResult",
     "NotApplicable",
-    "NotInvertible",
     "OverflowRisk",
     "PathState",
     "PolySystem",
+    "RadarRun",
     "RadiusEstimate",
     "RichardsonTable",
     "SingradarError",

@@ -1,8 +1,8 @@
 """Command-line driver: reference tables, radius reports, path dumps.
 
-Subcommands: table (regenerate the reference tables as CSV), radius (full
-radar pipeline with a JSON report), track (CSV dump of one tracked path),
-solve-binomial (all solutions of a binomial system).
+Subcommands: table (regenerate the reference tables as CSV), radius (the
+record of one locate_singularity run as JSON), track (CSV dump of one
+tracked path), solve-binomial (all solutions of a binomial system).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     SingularJacobian,
     StepUnderflow,
 )
-from .fourier import direct_inverse_dft, taylor_coefficients
+from .fourier import direct_inverse_dft
 from .monomial import IntMatrix, solve_binomial
 from .polysys import (
     GAMMA_CONVEX,
@@ -36,16 +36,15 @@ from .polysys import (
     homotopy_from_json,
     make_gamma_homotopy,
 )
-from .radar import (
-    COEFFICIENTS_VANISH,
-    CONVERGED,
-    detect_last_pole,
-    fabry_estimate,
-    recondition,
-    richardson,
-)
+from .radar import CONVERGED, locate_singularity, richardson
 from .scalars import DOUBLE, EXTENDED, imag_part, is_extended, promote, real_part
-from .tracker import PathState, default_config, newton_correct, track_to
+from .tracker import (
+    PathState,
+    default_config,
+    estimate_inverse_condition,
+    newton_correct,
+    track_to,
+)
 
 _START_POINTS = {
     "sqrt": (1.0,),
@@ -231,32 +230,7 @@ def cmd_radius(cfg: RunConfig):
     tcfg = default_config(cfg.precision)
     h, x0 = _load_homotopy(cfg)
     start = _start_state(h, x0, cfg, tcfg)
-    rho = None
-    t_star = None
-    if cfg.t0 is None:
-        rho, t_star, t0 = detect_last_pole(h, start, tcfg)
-    else:
-        t0 = cfg.t0
-    t_detect = time.perf_counter()
-    state = track_to(h, start, t0, tcfg)
-    hs = recondition(h, t0)
-    base = PathState.from_point(hs, 0.0, state.x)
-    t_track = time.perf_counter()
-    series = taylor_coefficients(hs, base, cfg.step, 2 * cfg.n, tcfg)
-    coord = max(range(len(series)),
-                key=lambda i: abs(complex(series[i].coeffs[-1])))
-    est = fabry_estimate(series[coord])
-    t_series = time.perf_counter()
-    diagonal = []
-    if est.status != COEFFICIENTS_VANISH:
-        c = series[coord].coeffs
-        levels = int(math.floor(math.log2(series[coord].order - 1)))
-        ratios = [c[2 ** k] / c[2 ** k + 1] for k in range(1, levels + 1)]
-        diagonal = [_pair(v) for v in richardson(ratios).diagonal]
-    if est.status == COEFFICIENTS_VANISH:
-        z = complex(0.0)
-    else:
-        z = complex(t0) + (1.0 - t0) * complex(*_pair(est.z))
+    run = locate_singularity(h, start, cfg.n, tcfg, t0=cfg.t0, step=cfg.step)
     report = {
         "command": "radius",
         "fixture": cfg.fixture,
@@ -265,26 +239,21 @@ def cmd_radius(cfg: RunConfig):
         "precision": cfg.precision,
         "gamma": _pair(h.gamma),
         "seed": cfg.seed,
-        "t0": t0,
-        "r": 1.0 - t0,
-        "rho": None if rho is None else _pair(rho),
-        "t_star": t_star,
-        "coordinate": coord,
-        "raw_ratio": _pair(est.raw_ratio),
-        "diagonal": diagonal,
-        "z": _pair(z),
-        "n_used": est.n_used,
-        "status": est.status,
-        "timings": {
-            "detect": t_detect - t_begin,
-            "track": t_track - t_detect,
-            "series": t_series - t_track,
-            "total": time.perf_counter() - t_begin,
-        },
+        "t0": run.t0,
+        "r": 1.0 - run.t0,
+        "rho": None if run.rho is None else _pair(run.rho),
+        "t_star": run.t_star,
+        "coordinate": run.coordinate,
+        "raw_ratio": _pair(run.raw_ratio),
+        "diagonal": [_pair(v) for v in run.diagonal],
+        "z": _pair(run.z),
+        "n_used": run.n_used,
+        "status": run.status,
+        "timings": dict(run.timings, total=time.perf_counter() - t_begin),
     }
-    code = 0 if est.status == CONVERGED else 1
+    code = 0 if run.status == CONVERGED else 1
     if code != 0:
-        sys.stderr.write("radius did not converge: status %s\n" % est.status)
+        sys.stderr.write("radius did not converge: status %s\n" % run.status)
     return json.dumps(report, indent=2) + "\n", code
 
 
@@ -314,7 +283,7 @@ def cmd_track(cfg: RunConfig):
         for v in state.x:
             z = complex(v)
             row.extend([z.real, z.imag])
-        row.extend([state.residual, state.inv_condition])
+        row.extend([state.residual, estimate_inverse_condition(h, state)])
         rows.append(row)
     return _csv_text(header, rows), code
 

@@ -13,10 +13,6 @@ class DivisionByZero(SingradarError):
     """Division by an exact zero scalar."""
 
 
-class NotInvertible(SingradarError):
-    """Series has a zero constant term and admits no inverse."""
-
-
 class EvaluationSingular(SingradarError):
     """Negative exponent evaluated at a zero coordinate."""
 

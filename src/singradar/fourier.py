@@ -19,6 +19,7 @@ only at the edges: lists of complex / ExtComplex in, the same types out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import BranchJump, InvalidArgument, NoConvergence
@@ -101,8 +102,8 @@ def _bit_reversal(n: int):
     return order
 
 
-def _radix2(parts, sign: int) -> tuple:
-    """sum_j x_j w^{sign*jk}, w = exp(2*pi*i/n): decimation in time, the
+def _radix2(parts) -> tuple:
+    """sum_j x_j w^{-jk}, w = exp(2*pi*i/n): decimation in time, the
     butterfly even + w^k * odd, even - w^k * odd of each stage done at once
     over all blocks."""
     n = len(parts[0])
@@ -112,7 +113,7 @@ def _radix2(parts, sign: int) -> tuple:
     half = 1
     while half < n:
         size = 2 * half
-        idx = (sign * (n // size) * np.arange(half)) % n
+        idx = (-(n // size) * np.arange(half)) % n
         twiddle = tuple(t[idx] for t in table)
         blocks = tuple(p.reshape(-1, size) for p in x)
         even = tuple(b[:, :half] for b in blocks)
@@ -133,15 +134,8 @@ def inverse_dft(values) -> list:
     """Coefficients g with values_j = sum_k g_k w^{jk}, w = exp(2*pi*i/n)."""
     _check_power_of_two(len(values))
     extended = any(is_extended(v) for v in values)
-    out = _divide(_radix2(_to_arrays(values), -1), len(values))
+    out = _divide(_radix2(_to_arrays(values)), len(values))
     return _from_arrays(out, extended)
-
-
-def forward_dft(coefficients) -> list:
-    """Evaluations values_j = sum_k g_k w^{jk} of coefficient vector g."""
-    _check_power_of_two(len(coefficients))
-    extended = any(is_extended(v) for v in coefficients)
-    return _from_arrays(_radix2(_to_arrays(coefficients), +1), extended)
 
 
 def direct_inverse_dft(values) -> list:
@@ -220,8 +214,8 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     _check_power_of_two(n)
     if cfg is None:
         cfg = default_config()
-    if not (step > 0.0):
-        raise InvalidArgument("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise InvalidArgument("step must be positive and finite")
     lane_extended = any(is_extended(v) for v in base.x) or is_extended(base.t)
     polish_cfg = default_config(EXTENDED)
     t0_ext = _as_ext(base.t)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import json
 from dataclasses import dataclass
 
 from .errors import EvaluationSingular, InvalidArgument
@@ -404,14 +403,3 @@ def homotopy_from_json(d: dict) -> Homotopy:
         raise InvalidArgument(f"{form} homotopy needs equations with t_coeffs")
     return Homotopy(form=form, dim=dim, target=target, start=start,
                     gamma=gamma, t_equations=t_equations)
-
-
-def load_homotopy(path: str) -> Homotopy:
-    with open(path, "r", encoding="utf-8") as fp:
-        return homotopy_from_json(json.load(fp))
-
-
-def dump_homotopy(h: Homotopy, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(homotopy_to_json(h), fp, indent=2)
-        fp.write("\n")

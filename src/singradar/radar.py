@@ -10,7 +10,8 @@ singularity dominant so the limit is clean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 from .errors import (
     BranchJump,
@@ -29,14 +30,7 @@ from .polysys import (
     PolySystem,
     TMonomial,
 )
-from .scalars import (
-    DOUBLE,
-    EXTENDED,
-    float_magnitude,
-    is_extended,
-    magnitude,
-    scalar_eps,
-)
+from .scalars import DOUBLE, EXTENDED, float_magnitude, is_extended, scalar_eps
 from .series import TruncatedSeries
 from .tracker import PathState, TrackerConfig, default_config, track_to
 
@@ -79,6 +73,29 @@ class RadiusEstimate:
     raw_ratio: object
     n_used: int
     status: str
+    diagonal: list
+
+
+@dataclass
+class RadarRun:
+    """One locate_singularity run: the base point, what the ratios gave, and
+    the estimate z in original t units and in the lane's scalar type.
+
+    rho and t_star come from the pole sweep and are None when t0 was given;
+    diagonal is the Richardson diagonal in reconditioned s units ([] when
+    the coefficients vanish); timings holds the detect / track / series
+    stage times in seconds."""
+
+    t0: float
+    rho: complex | None
+    t_star: float | None
+    coordinate: int
+    z: object
+    raw_ratio: object
+    diagonal: list
+    n_used: int
+    status: str
+    timings: dict
 
 
 def richardson(values) -> RichardsonTable:
@@ -116,7 +133,8 @@ def fabry_estimate(series: TruncatedSeries) -> RadiusEstimate:
         denom = coeffs[n + 1]
         if float_magnitude(denom) < floor:
             return RadiusEstimate(z=complex(0.0), raw_ratio=complex(0.0),
-                                  n_used=n, status=COEFFICIENTS_VANISH)
+                                  n_used=n, status=COEFFICIENTS_VANISH,
+                                  diagonal=[])
         ratios.append(coeffs[n] / denom)
     tab = richardson(ratios)
     diag = tab.diagonal
@@ -131,12 +149,12 @@ def fabry_estimate(series: TruncatedSeries) -> RadiusEstimate:
         if float_magnitude(diag[-1] - diag[-2]) == 0.0:
             status = CONVERGED
     return RadiusEstimate(z=z, raw_ratio=ratios[-1], n_used=2 ** n_levels,
-                          status=status)
+                          status=status, diagonal=diag)
 
 
 def scale_to_unit(series: TruncatedSeries, z) -> TruncatedSeries:
     """Coefficients of the series in t = |z| s, unit convergence radius."""
-    radius = magnitude(z)
+    radius = abs(z)
     if float(radius) == 0.0:
         raise InvalidArgument("cannot rescale by a zero radius")
     out = [series.coeffs[0]]
@@ -224,8 +242,8 @@ def _checkpoint_estimate(h: Homotopy, state: PathState, radius: float,
     """Fabry estimate at one checkpoint, shrinking the circle on failure.
 
     The series is rescaled by the sampling radius before the ratio test so
-    the vanish floor compares well-scaled coefficients; the estimate comes
-    back in absolute t units together with the radius that produced it.
+    the vanish floor compares well-scaled coefficients; z comes back in
+    absolute t units, the other fields in the rescaled ones.
     """
     for _ in range(_SWEEP_RETRIES):
         try:
@@ -236,10 +254,7 @@ def _checkpoint_estimate(h: Homotopy, state: PathState, radius: float,
             continue
         scaled = [scale_to_unit(s, radius) for s in series]
         est = fabry_estimate(scaled[_dominant_coordinate(scaled)])
-        z_rel = radius * complex(est.z)
-        return RadiusEstimate(z=complex(state.t) + z_rel,
-                              raw_ratio=est.raw_ratio,
-                              n_used=est.n_used, status=est.status)
+        return replace(est, z=complex(state.t) + radius * complex(est.z))
     return None
 
 
@@ -319,23 +334,33 @@ def _next_power_of_two(n: int) -> int:
 def locate_singularity(h: Homotopy, start: PathState, order: int,
                        cfg: TrackerConfig | None = None,
                        t0: float | None = None,
-                       coordinate: int | None = None) -> RadiusEstimate:
+                       coordinate: int | None = None,
+                       step: float | None = None) -> RadarRun:
     """End-to-end radar; the estimate comes back in original t units.
 
     order is the index of the last ratio entering the extrapolation; pass
-    t0 to skip pole detection and recondition at a known base point.
+    t0 in [0, 1) to skip pole detection and recondition at a known base
+    point, and step to override the sampling radius in s units.
     """
     if order < 4:
         raise InvalidArgument("need order at least 4")
+    if t0 is not None and not 0.0 <= t0 < 1.0:
+        raise InvalidArgument("t0 must lie in [0, 1)")
+    if step is not None and not 0.0 < step < math.inf:
+        raise InvalidArgument("step must be positive and finite")
     if cfg is None:
         cfg = default_config()
+    t_begin = time.perf_counter()
+    rho = t_star = None
     if t0 is None:
-        _, _, t0 = detect_last_pole(h, start, cfg)
+        rho, t_star, t0 = detect_last_pole(h, start, cfg)
+    t_detect = time.perf_counter()
     state = track_to(h, start, t0, cfg)
     hs = recondition(h, t0)
     base = PathState.from_point(hs, 0.0, state.x)
+    t_track = time.perf_counter()
     n_samples = _next_power_of_two(order + 2)
-    series = taylor_coefficients(hs, base, None, n_samples, cfg)
+    series = taylor_coefficients(hs, base, step, n_samples, cfg)
     if coordinate is None:
         coordinate = _dominant_coordinate(series)
     est = fabry_estimate(series[coordinate])
@@ -345,5 +370,8 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
         z_out = t0 + (1.0 - t0) * est.z
     else:
         z_out = complex(t0) + (1.0 - t0) * complex(est.z)
-    return RadiusEstimate(z=z_out, raw_ratio=est.raw_ratio,
-                          n_used=est.n_used, status=est.status)
+    timings = {"detect": t_detect - t_begin, "track": t_track - t_detect,
+               "series": time.perf_counter() - t_track}
+    return RadarRun(t0=t0, rho=rho, t_star=t_star, coordinate=coordinate,
+                    z=z_out, raw_ratio=est.raw_ratio, diagonal=est.diagonal,
+                    n_used=est.n_used, status=est.status, timings=timings)

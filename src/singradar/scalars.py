@@ -455,43 +455,6 @@ def _ipow_generic(base, k: int, one):
     return result
 
 
-# ---------------------------------------------------------------------------
-# keyed operation wrappers
-# ---------------------------------------------------------------------------
-
-_KINDS = ("add", "sub", "mul", "div")
-
-
-def ext_op(a, b, kind: str) -> ExtReal:
-    """Dispatch one extended-real operation by name."""
-    if kind not in _KINDS:
-        raise InvalidArgument(f"unknown kind {kind!r}")
-    x = ExtReal.from_value(a)
-    y = ExtReal.from_value(b)
-    if kind == "add":
-        return x + y
-    if kind == "sub":
-        return x - y
-    if kind == "mul":
-        return x * y
-    return x / y
-
-
-def complex_op(a, b, kind: str) -> ExtComplex:
-    """Dispatch one extended-complex operation by name."""
-    if kind not in _KINDS:
-        raise InvalidArgument(f"unknown kind {kind!r}")
-    x = ExtComplex.from_value(a)
-    y = ExtComplex.from_value(b)
-    if kind == "add":
-        return x + y
-    if kind == "sub":
-        return x - y
-    if kind == "mul":
-        return x * y
-    return x / y
-
-
 def root_of_unity(n: int, k: int) -> ExtComplex:
     """exp(2*pi*i*k/n) to extended accuracy; k is reduced mod n first."""
     if n < 1:
@@ -605,31 +568,8 @@ def promote(value, precision: str):
     raise InvalidArgument(f"unknown precision {precision!r}")
 
 
-def promote_real(value, precision: str):
-    """Convert a real number to the lane's real scalar type."""
-    if isinstance(value, complex):
-        value = value.real
-    elif isinstance(value, ExtComplex):
-        value = value.re
-    if precision == DOUBLE:
-        return float(value)
-    if precision == EXTENDED:
-        return ExtReal.from_value(value)
-    raise InvalidArgument(f"unknown precision {precision!r}")
-
-
-def demote(value) -> complex:
-    """Round any lane scalar to a native complex."""
-    return complex(value)
-
-
 def is_extended(value) -> bool:
     return isinstance(value, (ExtReal, ExtComplex))
-
-
-def magnitude(z):
-    """|z| in the lane's real type."""
-    return abs(z)
 
 
 def float_magnitude(z) -> float:
@@ -655,18 +595,3 @@ def imag_part(z):
     if isinstance(z, ExtReal):
         return 0.0
     return complex(z).imag
-
-
-def conjugate(z):
-    if isinstance(z, ExtComplex):
-        return z.conjugate()
-    if isinstance(z, ExtReal):
-        return z
-    return complex(z).conjugate()
-
-
-def real_sqrt(x):
-    """sqrt for the lane's real type."""
-    if isinstance(x, ExtReal):
-        return x.sqrt()
-    return math.sqrt(x)

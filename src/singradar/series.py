@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidArgument, NotInvertible
+from .errors import InvalidArgument
 from .scalars import DOUBLE, EXTENDED, ExtReal, float_magnitude
 
 
@@ -20,11 +20,6 @@ class TruncatedSeries:
             raise InvalidArgument(
                 f"need {self.order + 1} coefficients, got {len(self.coeffs)}")
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "TruncatedSeries":
-        coeffs = list(coeffs)
-        return cls(coeffs=coeffs, order=len(coeffs) - 1)
-
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common order."""
@@ -37,22 +32,6 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         for k in range(m + 1):
             acc = acc + a.coeffs[k] * b.coeffs[m - k]
         out.append(acc)
-    return TruncatedSeries(out, n)
-
-
-def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse modulo t^(N+1)."""
-    c0 = a.coeffs[0]
-    if float_magnitude(c0) == 0.0:
-        raise NotInvertible("zero constant term")
-    n = a.order
-    inv0 = 1 / c0
-    out = [inv0]
-    for m in range(1, n + 1):
-        acc = 0
-        for k in range(1, m + 1):
-            acc = acc + a.coeffs[k] * out[m - k]
-        out.append(-inv0 * acc)
     return TruncatedSeries(out, n)
 
 

@@ -27,15 +27,13 @@ class PathState:
     t: object
     x: list
     residual: float
-    inv_condition: float
     newton_iterations: int
 
     @classmethod
     def from_point(cls, h: Homotopy, t, x, newton_iterations: int = 0):
-        """Build a state with residual and conditioning recomputed."""
+        """Build a state with the residual recomputed."""
         res = _residual_norm(evaluate(h, list(x), t))
-        inv = _inverse_condition(jacobian(h, list(x), t))
-        return cls(t=t, x=list(x), residual=res, inv_condition=inv,
+        return cls(t=t, x=list(x), residual=res,
                    newton_iterations=newton_iterations)
 
 
@@ -131,13 +129,15 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
         x = [xi - di for xi, di in zip(x, delta)]
         if history is not None:
             history.append(list(x))
-    before = _residual_norm(resid)
-    if before != 0.0:
+    residual = _residual_norm(resid)
+    if residual != 0.0:
         delta = _solve_linear(jacobian(h, x, t), resid, eps)
         polished = [xi - di for xi, di in zip(x, delta)]
-        if _residual_norm(evaluate(h, polished, t)) < before:
-            x = polished
-    return PathState.from_point(h, t, x, newton_iterations=iterations)
+        after = _residual_norm(evaluate(h, polished, t))
+        if after < residual:
+            x, residual = polished, after
+    return PathState(t=t, x=x, residual=residual,
+                     newton_iterations=iterations)
 
 
 def track_to(h: Homotopy, start: PathState, t_target: float,

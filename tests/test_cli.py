@@ -187,16 +187,37 @@ def test_radius_sqrt_defaults():
     assert abs(complex(*rep["diagonal"][-1]) - 1.0) <= 1e-6
 
 
+def serialised_run(name):
+    """The radius report body built straight from locate_singularity."""
+    h = fixture(name)
+    cfg = default_config()
+    start = newton_correct(h, 0.0, [1.0] * h.dim, cfg)
+    run = locate_singularity(h, start, 64, cfg)
+
+    def pair(v):
+        return [complex(v).real, complex(v).imag]
+
+    return {
+        "command": "radius", "fixture": name, "file": None, "n": 64,
+        "precision": "double", "gamma": pair(h.gamma), "seed": None,
+        "t0": run.t0, "r": 1.0 - run.t0,
+        "rho": None if run.rho is None else pair(run.rho),
+        "t_star": run.t_star, "coordinate": run.coordinate,
+        "raw_ratio": pair(run.raw_ratio),
+        "diagonal": [pair(v) for v in run.diagonal],
+        "z": pair(run.z), "n_used": run.n_used, "status": run.status,
+    }
+
+
 def test_radius_agrees_with_library_pipeline():
     code, out, err = run_cli(["radius", "--fixture", "sqrt"])
-    rep = json.loads(out)
-    h = fixture("sqrt")
-    cfg = default_config()
-    start = newton_correct(h, 0.0, [1.0], cfg)
-    est = locate_singularity(h, start, 126, cfg)
-    assert abs(complex(*rep["z"]) - complex(est.z)) <= 1e-15
-    assert rep["n_used"] == est.n_used
-    assert rep["status"] == est.status
+    rep = report_body(out)
+    assert code == 0
+    assert rep == serialised_run("sqrt")
+    code, out, err = run_cli(["radius", "--fixture", "cusp"])
+    rep = report_body(out)
+    assert rep == serialised_run("cusp")
+    assert rep["diagonal"] == [] and rep["z"] == [0.0, 0.0]
 
 
 def test_radius_pinned_base_ojika1():
@@ -440,6 +461,14 @@ def test_bad_invocations_exit_two(tmp_path):
         path = tmp_path / name
         path.write_text(json.dumps(bad))
         code, out, err = run_cli(["radius", "--file", str(path)])
+        assert code == 2
+        assert err.startswith("error:")
+    # a base point outside [0, 1) or an infinite radius is an argument
+    # error, not a numerical failure of the tracker
+    for extra in (["--t0", "1.5"], ["--t0", "nan"],
+                  ["--t0", "0.0", "--step", "inf"]):
+        code, out, err = run_cli(["radius", "--fixture", "sqrt", "--n", "8"]
+                                 + extra)
         assert code == 2
         assert err.startswith("error:")
 

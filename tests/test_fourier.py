@@ -14,7 +14,6 @@ from singradar.fourier import (
     CircleSamples,
     default_step,
     direct_inverse_dft,
-    forward_dft,
     inverse_dft,
     sample_circle,
     taylor_coefficients,
@@ -155,17 +154,15 @@ def test_idft_matches_direct_summation():
 
 def test_forward_inverse_round_trip():
     v = random_vector(1024, 7)
-    back = forward_dft(inverse_dft(v))
+    back = reference_forward_dft(inverse_dft(v))
     scale = max(abs(x) for x in v)
-    assert max(abs(a - b) for a, b in zip(back, v)) <= 1e-13 * scale
+    assert max(abs(complex(a) - b) for a, b in zip(back, v)) <= 1e-13 * scale
 
 
 def test_transform_rejects_bad_lengths():
     for bad in ([], [1.0] * 3, [1.0] * 12):
         with pytest.raises(InvalidArgument):
             inverse_dft(bad)
-        with pytest.raises(InvalidArgument):
-            forward_dft(bad)
 
 
 def test_direct_transform_any_length():
@@ -192,8 +189,6 @@ def test_radix2_bit_identical_to_object_kernel(n):
     for seed, extended in ((100 + n, False), (200 + n, True)):
         v = random_ext_vector(n, seed) if extended else random_vector(n, seed)
         assert_bit_identical(inverse_dft(v), reference_inverse_dft(v),
-                             extended)
-        assert_bit_identical(forward_dft(v), reference_forward_dft(v),
                              extended)
 
 
@@ -253,7 +248,7 @@ def test_sample_conjugate_symmetry():
 
 def test_sample_rejects_nonpositive_step():
     h, base = sqrt_base()
-    for bad in (0.0, -0.5):
+    for bad in (0.0, -0.5, math.inf, math.nan):
         with pytest.raises(InvalidArgument):
             sample_circle(h, base, bad, 8, default_config())
 

@@ -35,7 +35,13 @@ from singradar.scalars import (
     promote,
 )
 from singradar.series import TruncatedSeries
-from singradar.tracker import PathState, default_config, newton_correct, track_to
+from singradar.tracker import (
+    PathState,
+    TrackerConfig,
+    default_config,
+    newton_correct,
+    track_to,
+)
 
 
 def exact_sqrt_coeff(k):
@@ -180,11 +186,16 @@ def test_richardson_extended_lane():
 # ---------------------------------------------------------------------------
 
 def test_fabry_reference_series_order_65():
-    est = fabry_estimate(sqrt_shifted_series(1.0, 65))
+    s = sqrt_shifted_series(1.0, 65)
+    est = fabry_estimate(s)
     assert est.status == CONVERGED
     assert est.n_used == 64
     assert abs(complex(est.z) - 1.0) <= 4e-8
     assert abs(complex(est.raw_ratio) - 130.0 / 127.0) <= 1e-12
+    c = s.coeffs
+    ratios = [c[2 ** k] / c[2 ** k + 1] for k in range(1, 7)]
+    assert est.diagonal == richardson(ratios).diagonal
+    assert est.z == est.diagonal[-1]
 
 
 def test_fabry_grid_capped_by_order():
@@ -202,6 +213,7 @@ def test_fabry_polynomial_tail_vanishes():
     assert complex(est.z) == 0j
     assert complex(est.raw_ratio) == 0j
     assert est.n_used == 2
+    assert est.diagonal == []
 
 
 def test_fabry_geometric_series_is_exact():
@@ -484,3 +496,15 @@ def test_locate_rejects_small_order():
     s = newton_correct(h, 0.0, [1.0], default_config())
     with pytest.raises(InvalidArgument):
         locate_singularity(h, s, 3)
+
+
+def test_locate_rejects_bad_base_and_step_before_tracking():
+    h = fixture("sqrt")
+    s = newton_correct(h, 0.0, [1.0], default_config())
+    # one continuation step at most: any tracking would raise NoConvergence
+    cfg = TrackerConfig(max_steps=1)
+    for bad in ({"t0": 1.5}, {"t0": 1.0}, {"t0": -0.1}, {"t0": math.nan},
+                {"step": math.inf}, {"step": math.nan}, {"step": 0.0},
+                {"t0": 0.5, "step": math.inf}):
+        with pytest.raises(InvalidArgument):
+            locate_singularity(h, s, 64, cfg, **bad)

@@ -12,8 +12,6 @@ from singradar.scalars import (
     EXTENDED,
     ExtComplex,
     ExtReal,
-    complex_op,
-    ext_op,
     root_of_unity,
     scalar_eps,
     two_prod,
@@ -71,17 +69,17 @@ def test_roundoff_recovery():
 
 
 # ---------------------------------------------------------------------------
-# ext_op
+# extended real operators
 # ---------------------------------------------------------------------------
 
 def test_integer_add():
-    r = ext_op(ExtReal(1.0), ExtReal(1.0), "add")
+    r = ExtReal(1.0) + ExtReal(1.0)
     assert r.hi == 2.0 and r.lo == 0.0
 
 
 def test_div_then_mul_recovers_one():
-    third = ext_op(ExtReal(1.0), ExtReal(3.0), "div")
-    back = ext_op(third, ExtReal(3.0), "mul")
+    third = ExtReal(1.0) / ExtReal(3.0)
+    back = third * ExtReal(3.0)
     assert abs(to_mp(back) - 1) <= mp.mpf("1e-30")
 
 
@@ -110,36 +108,31 @@ def test_oracle_relative_error_100k_samples():
     for _ in range(25000):
         a, b = rand_ext(rng), rand_ext(rng)
         ma, mb = to_mp(a), to_mp(b)
-        for kind, exact in (
-            ("add", ma + mb),
-            ("sub", ma - mb),
-            ("mul", ma * mb),
-            ("div", ma / mb),
+        for value, exact in (
+            (a + b, ma + mb),
+            (a - b, ma - mb),
+            (a * b, ma * mb),
+            (a / b, ma / mb),
         ):
-            got = to_mp(ext_op(a, b, kind))
+            got = to_mp(value)
             if exact != 0:
                 assert abs((got - exact) / exact) <= bound
 
 
 def test_division_by_exact_zero():
     with pytest.raises(DivisionByZero):
-        ext_op(ExtReal(1.0), ExtReal(0.0), "div")
+        ExtReal(1.0) / ExtReal(0.0)
     with pytest.raises(DivisionByZero):
-        complex_op(ExtComplex(1.0), ExtComplex(0.0, 0.0), "div")
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(InvalidArgument):
-        ext_op(ExtReal(1.0), ExtReal(1.0), "pow")
+        ExtComplex(1.0) / ExtComplex(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# complex_op
+# extended complex operators
 # ---------------------------------------------------------------------------
 
 def test_i_squared():
     i = ExtComplex(0.0, 1.0)
-    r = complex_op(i, i, "mul")
+    r = i * i
     assert float(r.re) == -1.0 and float(r.im) == 0.0
 
 

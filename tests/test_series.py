@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from singradar.errors import InvalidArgument, NotInvertible
+from singradar.errors import InvalidArgument
 from singradar.series import (
     TruncatedSeries,
     ratio_sequence,
-    series_inverse,
     series_mul,
     sqrt_one_minus_t_reference,
 )
@@ -62,38 +61,6 @@ def test_mul_commutes_and_associates_on_exact_inputs():
 def test_order_mismatch_rejected():
     with pytest.raises(InvalidArgument):
         series_mul(geometric(3), geometric(4))
-
-
-def test_inverse_of_one_minus_t():
-    n = 8
-    s = TruncatedSeries([1.0, -1.0] + [0.0] * (n - 1), n)
-    inv = series_inverse(s)
-    assert inv.coeffs == [1.0] * (n + 1)
-
-
-def test_inverse_of_constant():
-    s = TruncatedSeries([2.0, 0.0, 0.0], 2)
-    assert series_inverse(s).coeffs == [0.5, 0.0, 0.0]
-
-
-def test_inverse_roundtrip_properties():
-    rng = random.Random(13)
-    for _ in range(30):
-        coeffs = [complex(1.0, 0.0)] + [
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(8)
-        ]
-        s = TruncatedSeries(coeffs, 8)
-        inv = series_inverse(s)
-        prod = series_mul(s, inv)
-        assert abs(prod.coeffs[0] - 1.0) <= 1e-14
-        assert all(abs(c) <= 1e-14 for c in prod.coeffs[1:])
-        back = series_inverse(inv)
-        assert all(abs(x - y) <= 1e-13 for x, y in zip(back.coeffs, s.coeffs))
-
-
-def test_zero_constant_term_rejected():
-    with pytest.raises(NotInvertible):
-        series_inverse(TruncatedSeries([0.0, 1.0], 1))
 
 
 # ---------------------------------------------------------------------------

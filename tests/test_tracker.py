@@ -19,7 +19,7 @@ from singradar.polysys import (
     fixture,
     make_gamma_homotopy,
 )
-from singradar.scalars import EXTENDED, ExtReal, promote, real_sqrt
+from singradar.scalars import EXTENDED, ExtReal, promote
 from singradar.tracker import (
     PathState,
     TrackerConfig,
@@ -108,7 +108,7 @@ def test_newton_extended_lane():
     s = newton_correct(h, promote(0.5, EXTENDED), [promote(1.0, EXTENDED)],
                        default_config(EXTENDED))
     assert s.residual <= 1e-26
-    target = real_sqrt(ExtReal.from_value(0.5))
+    target = ExtReal.from_value(0.5).sqrt()
     assert abs(float((s.x[0].re - target).hi)) <= 1e-29
     assert abs(float(s.x[0].im)) <= 1e-29
 
@@ -136,7 +136,7 @@ def test_track_ojika1_stays_regular():
     out = track_to(h, PathState.from_point(h, 0.0, [1.0, 1.0]), 0.9,
                    default_config())
     assert out.residual <= 1e-12
-    assert out.inv_condition > 1e-6
+    assert estimate_inverse_condition(h, out) > 1e-6
 
 
 def test_track_ojika1_pinned_coordinates():
@@ -232,6 +232,19 @@ def test_state_recomputes_residual():
     h = fixture("sqrt")
     s = PathState.from_point(h, 0.0, [2.0])
     assert abs(s.residual - 3.0) <= 1e-15
+    # newton_correct reports the residual of the point it returns, whether
+    # or not the polish step was kept
+    for name, t, x0, lane in (("sqrt", 0.5, [0.7], None),
+                              ("sqrt", 0.0, [1.0], None),
+                              ("ojika1", 0.5, [1.1, 1.3], None),
+                              ("ojika1", 0.9, [1.2, 1.5], None),
+                              ("sqrt", 0.5, [0.7], EXTENDED)):
+        h = fixture(name)
+        cfg = default_config() if lane is None else default_config(lane)
+        if lane is not None:
+            x0 = [promote(v, lane) for v in x0]
+        out = newton_correct(h, t, x0, cfg)
+        assert out.residual == PathState.from_point(h, t, out.x).residual
 
 
 def test_config_rejects_nonpositive_values():
