@@ -43,11 +43,10 @@ from .monomial import (
 from .polysys import (
     DEFAULT_GAMMA,
     EXPLICIT_T,
-    GAMMA_CONVEX,
-    MONOMIAL,
     Homotopy,
     Monomial,
     PolySystem,
+    Term,
     TMonomial,
     binomial_parts,
     evaluate,
@@ -95,13 +94,11 @@ __all__ = [
     "EvaluationSingular",
     "ExtComplex",
     "ExtReal",
-    "GAMMA_CONVEX",
     "Homotopy",
     "INCONCLUSIVE",
     "InconclusiveRadar",
     "IntMatrix",
     "InvalidArgument",
-    "MONOMIAL",
     "Monomial",
     "NoConvergence",
     "NormalFormResult",
@@ -116,6 +113,7 @@ __all__ = [
     "SingularExponentMatrix",
     "SingularJacobian",
     "StepUnderflow",
+    "Term",
     "TMonomial",
     "TrackerConfig",
     "TruncatedSeries",

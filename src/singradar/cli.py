@@ -28,14 +28,7 @@ from .errors import (
 )
 from .fourier import direct_inverse_dft
 from .monomial import IntMatrix, solve_binomial
-from .polysys import (
-    GAMMA_CONVEX,
-    binomial_parts,
-    evalpoly,
-    fixture,
-    homotopy_from_json,
-    make_gamma_homotopy,
-)
+from .polysys import binomial_parts, evalpoly, fixture, homotopy_from_json
 from .radar import CONVERGED, locate_singularity, richardson
 from .scalars import DOUBLE, EXTENDED, imag_part, is_extended, promote, real_part
 from .tracker import (
@@ -128,23 +121,18 @@ def _resolve_gamma(cfg: RunConfig):
 
 
 def _load_homotopy(cfg: RunConfig):
+    gamma = _resolve_gamma(cfg)
     if cfg.fixture is not None:
-        h = fixture(cfg.fixture)
+        h = fixture(cfg.fixture, gamma)
         x0 = list(_START_POINTS[cfg.fixture])
     else:
         with open(cfg.file, "r", encoding="utf-8") as fp:
-            h = homotopy_from_json(json.load(fp))
+            h = homotopy_from_json(json.load(fp), gamma)
         x0 = [1.0] * h.dim
     if cfg.start is not None:
         if len(cfg.start) != h.dim:
             raise InvalidArgument("start point has wrong dimension")
         x0 = list(cfg.start)
-    gamma = _resolve_gamma(cfg)
-    if gamma is not None:
-        if h.form != GAMMA_CONVEX:
-            raise InvalidArgument(
-                "gamma override requires a gamma-convex homotopy")
-        h = make_gamma_homotopy(h.target, h.start, gamma)
     return h, x0
 
 
@@ -304,6 +292,8 @@ def cmd_solve_binomial(cfg: RunConfig):
         cols, rhs = binomial_parts(h)
         a = IntMatrix([list(row) for row in zip(*cols)])
         t = 0.0 if cfg.t0 is None else cfg.t0
+        if not math.isfinite(t):
+            raise InvalidArgument("t0 must be finite")
         c = [evalpoly(p, t) for p in rhs]
     else:
         with open(cfg.file, "r", encoding="utf-8") as fp:
@@ -319,7 +309,9 @@ def cmd_solve_binomial(cfg: RunConfig):
                 e = a.entries[i][j]
                 if e:
                     acc *= complex(x[i]) ** e
-            worst = max(worst, abs(acc - c[j]))
+            residual = abs(acc - c[j])
+            if residual > worst or math.isnan(residual):
+                worst = residual
     if cfg.fmt == "csv":
         header = []
         for i in range(a.n):

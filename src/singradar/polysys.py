@@ -1,23 +1,28 @@
-"""Sparse multivariate polynomial systems and homotopies.
+"""Sparse polynomial homotopies in one form.
 
-Three homotopy forms share one evaluation interface:
+A homotopy h(x, t) is a square system whose every equation is a sum of
+terms q(t)*P(x): q is a coefficient polynomial in t (ascending powers) and
+P a sparse polynomial in x, whose exponents may be negative. The inputs
+lower into terms as follows:
 
-* ``gamma_convex``: gamma*(1-t)*g(x) + t*f(x),
-* ``explicit_t``:   monomials whose coefficients are polynomials in t,
-* ``monomial``:     binomial equations x^a = c(t), exponents may be negative.
+* a monomial whose coefficient is a polynomial in t (``explicit_t``, and
+  the binomial equations x^a = c(t) of ``monomial``) is the one-monomial
+  term q(t)*x^a (``TMonomial``);
+* the gamma-convex blend gamma*(1-t)*g(x) + t*f(x) (``gamma_convex``) is
+  the two terms (gamma - gamma*t)*g_i(x) and t*f_i(x) per equation.
+
+``evaluate`` and ``jacobian`` run one loop over the terms for every input.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 
 from .errors import EvaluationSingular, InvalidArgument
-from .scalars import float_magnitude, root_of_unity
+from .scalars import float_magnitude
 
-GAMMA_CONVEX = "gamma_convex"
-MONOMIAL = "monomial"
+# the tag homotopy_to_json writes; "gamma_convex" and "monomial" are read too
 EXPLICIT_T = "explicit_t"
 
 # Reproducible default for the gamma trick; unit modulus to 15 digits.
@@ -46,25 +51,38 @@ class PolySystem:
 
 
 @dataclass
-class TMonomial:
-    """Monomial with a coefficient polynomial in t (ascending powers)."""
+class Term:
+    """q(t)*P(x): t_coeffs ascending in t, poly a tuple of Monomials in x."""
 
     t_coeffs: tuple
-    exponents: tuple
+    poly: tuple
 
     def __post_init__(self):
         self.t_coeffs = tuple(self.t_coeffs)
-        self.exponents = tuple(int(e) for e in self.exponents)
+        self.poly = tuple(self.poly)
+        if not self.t_coeffs or not self.poly:
+            raise InvalidArgument("a term needs t_coeffs and monomials")
+
+
+def TMonomial(t_coeffs, exponents) -> Term:
+    """The one-monomial term q(t)*x^exponents."""
+    return Term(t_coeffs, (Monomial(1.0, exponents),))
 
 
 @dataclass
 class Homotopy:
-    form: str
     dim: int
-    target: PolySystem | None
-    start: PolySystem | None
     gamma: complex
-    t_equations: list | None = None
+    equations: list
+
+    def __post_init__(self):
+        if len(self.equations) != self.dim:
+            raise InvalidArgument("a homotopy needs one equation per unknown")
+        for eq in self.equations:
+            for term in eq:
+                for mono in term.poly:
+                    if len(mono.exponents) != self.dim:
+                        raise InvalidArgument("exponent vector length != dim")
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +97,8 @@ def ipow(base, e: int):
     return base ** e
 
 
-def _mono_value(exponents, x):
-    acc = 1.0
+def _mono_value(coefficient, exponents, x):
+    acc = coefficient
     for xi, e in zip(x, exponents):
         if e != 0:
             acc = acc * ipow(xi, e)
@@ -88,91 +106,49 @@ def _mono_value(exponents, x):
 
 
 def evalpoly(coeffs, t):
-    acc = 0.0
-    for c in reversed(coeffs):
+    """Horner's rule; coeffs in ascending powers of t."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = acc * t + c
     return acc
-
-
-def evaluate_system(f: PolySystem, x):
-    if len(x) != f.dim:
-        raise InvalidArgument("point dimension mismatch")
-    out = []
-    for eq in f.equations:
-        acc = 0.0
-        for mono in eq:
-            acc = acc + mono.coefficient * _mono_value(mono.exponents, x)
-        out.append(acc)
-    return out
-
-
-def system_jacobian(f: PolySystem, x):
-    if len(x) != f.dim:
-        raise InvalidArgument("point dimension mismatch")
-    n = f.dim
-    rows = []
-    for eq in f.equations:
-        row = [0.0] * n
-        for mono in eq:
-            for j, e in enumerate(mono.exponents):
-                if e == 0:
-                    continue
-                dexp = list(mono.exponents)
-                dexp[j] = e - 1
-                row[j] = row[j] + mono.coefficient * e * _mono_value(dexp, x)
-        rows.append(row)
-    return rows
-
-
-def _t_equations_value(equations, x, t):
-    out = []
-    for eq in equations:
-        acc = 0.0
-        for mono in eq:
-            acc = acc + evalpoly(mono.t_coeffs, t) * _mono_value(mono.exponents, x)
-        out.append(acc)
-    return out
-
-
-def _t_equations_jacobian(equations, x, t, dim):
-    rows = []
-    for eq in equations:
-        row = [0.0] * dim
-        for mono in eq:
-            c = evalpoly(mono.t_coeffs, t)
-            for j, e in enumerate(mono.exponents):
-                if e == 0:
-                    continue
-                dexp = list(mono.exponents)
-                dexp[j] = e - 1
-                row[j] = row[j] + c * e * _mono_value(dexp, x)
-        rows.append(row)
-    return rows
 
 
 def evaluate(h: Homotopy, x, t):
     """Residual vector h(x, t)."""
     if len(x) != h.dim:
         raise InvalidArgument("point dimension mismatch")
-    if h.form == GAMMA_CONVEX:
-        gv = evaluate_system(h.start, x)
-        fv = evaluate_system(h.target, x)
-        w = h.gamma * (1 - t)
-        return [w * gi + t * fi for gi, fi in zip(gv, fv)]
-    return _t_equations_value(h.t_equations, x, t)
+    out = []
+    for eq in h.equations:
+        acc = 0.0
+        for term in eq:
+            p = None
+            for mono in term.poly:
+                v = _mono_value(mono.coefficient, mono.exponents, x)
+                p = v if p is None else p + v
+            acc = acc + evalpoly(term.t_coeffs, t) * p
+        out.append(acc)
+    return out
 
 
 def jacobian(h: Homotopy, x, t):
     """Matrix of partials d h_i / d x_j at (x, t)."""
     if len(x) != h.dim:
         raise InvalidArgument("point dimension mismatch")
-    if h.form == GAMMA_CONVEX:
-        jg = system_jacobian(h.start, x)
-        jf = system_jacobian(h.target, x)
-        w = h.gamma * (1 - t)
-        return [[w * jg[i][j] + t * jf[i][j] for j in range(h.dim)]
-                for i in range(h.dim)]
-    return _t_equations_jacobian(h.t_equations, x, t, h.dim)
+    rows = []
+    for eq in h.equations:
+        row = [0.0] * h.dim
+        for term in eq:
+            c = evalpoly(term.t_coeffs, t)
+            for mono in term.poly:
+                for j, e in enumerate(mono.exponents):
+                    if e == 0:
+                        continue
+                    dexp = list(mono.exponents)
+                    dexp[j] = e - 1
+                    row[j] = row[j] + c * e * _mono_value(mono.coefficient,
+                                                          dexp, x)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -180,54 +156,19 @@ def jacobian(h: Homotopy, x, t):
 # ---------------------------------------------------------------------------
 
 def make_gamma_homotopy(f: PolySystem, g: PolySystem, gamma) -> Homotopy:
+    """gamma*(1-t)*g(x) + t*f(x), from start system g to target f."""
     if f.dim != g.dim or len(f.equations) != len(g.equations):
         raise InvalidArgument("target and start dimensions differ")
     if abs(float_magnitude(gamma) - 1.0) > 1e-14:
         raise InvalidArgument("gamma must have unit modulus")
-    return Homotopy(form=GAMMA_CONVEX, dim=f.dim, target=f, start=g,
-                    gamma=complex(gamma))
+    gamma = complex(gamma)
+    return Homotopy(dim=f.dim, gamma=gamma, equations=[
+        [Term((gamma, -gamma), g_eq), Term((0.0, 1.0), f_eq)]
+        for f_eq, g_eq in zip(f.equations, g.equations)])
 
 
-def equation_degree(eq) -> int:
-    return max(sum(mono.exponents) for mono in eq)
-
-
-def total_degree_start(f: PolySystem):
-    """Start system g_i = x_i^{d_i} - 1 with all its roots-of-unity solutions."""
-    degrees = []
-    for eq in f.equations:
-        d = equation_degree(eq)
-        if d < 1:
-            raise InvalidArgument("zero-degree equation has no start equation")
-        degrees.append(d)
-    n = f.dim
-    equations = []
-    for i, d in enumerate(degrees):
-        exps = [0] * n
-        exps[i] = d
-        equations.append([Monomial(1.0, tuple(exps)),
-                          Monomial(-1.0, (0,) * n)])
-    g = PolySystem(dim=n, equations=equations)
-    axes = [[complex(root_of_unity(d, k)) for k in range(d)] for d in degrees]
-    points = [tuple(p) for p in itertools.product(*axes)]
-    return g, points
-
-
-def cyclic_system(n: int) -> PolySystem:
-    """Cyclic n-roots benchmark system."""
-    if n < 2:
-        raise InvalidArgument("cyclic system needs n >= 2")
-    equations = []
-    for length in range(1, n):
-        eq = []
-        for j in range(n):
-            exps = [0] * n
-            for k in range(j, j + length):
-                exps[k % n] += 1
-            eq.append(Monomial(1.0, tuple(exps)))
-        equations.append(eq)
-    equations.append([Monomial(1.0, (1,) * n), Monomial(-1.0, (0,) * n)])
-    return PolySystem(dim=n, equations=equations)
+def _no_gamma_override():
+    return InvalidArgument("gamma override requires a gamma-convex homotopy")
 
 
 # ---------------------------------------------------------------------------
@@ -242,54 +183,43 @@ MONOMIAL4_MATRIX = (
 )
 
 
-def _sqrt_fixture() -> Homotopy:
+def _sqrt_fixture(gamma=1.0) -> Homotopy:
     f = PolySystem(1, [[Monomial(1.0, (2,))]])
     g = PolySystem(1, [[Monomial(1.0, (2,)), Monomial(-1.0, (0,))]])
-    return make_gamma_homotopy(f, g, 1.0)
+    return make_gamma_homotopy(f, g, gamma)
 
 
 def _cusp_fixture() -> Homotopy:
     # x^2 - (t - 1)^4
     eq = [TMonomial((1.0,), (2,)),
           TMonomial((-1.0, 4.0, -6.0, 4.0, -1.0), (0,))]
-    f = PolySystem(1, [[Monomial(1.0, (2,))]])
-    g = PolySystem(1, [[Monomial(1.0, (2,)), Monomial(-1.0, (0,))]])
-    return Homotopy(form=EXPLICIT_T, dim=1, target=f, start=g, gamma=1.0,
-                    t_equations=[eq])
+    return Homotopy(dim=1, gamma=1.0, equations=[eq])
 
 
 def _monomial4_fixture() -> Homotopy:
-    a_cols = tuple(zip(*MONOMIAL4_MATRIX))
-    equations = []
-    for col in a_cols:
-        equations.append([TMonomial((1.0,), col),
-                          TMonomial((-1.0, 1.0), (0, 0, 0, 0))])
-    return Homotopy(form=MONOMIAL, dim=4, target=None, start=None, gamma=1.0,
-                    t_equations=equations)
+    equations = [[TMonomial((1.0,), col), TMonomial((-1.0, 1.0), (0, 0, 0, 0))]
+                 for col in zip(*MONOMIAL4_MATRIX)]
+    return Homotopy(dim=4, gamma=1.0, equations=equations)
 
 
 def _ojika1_fixture() -> Homotopy:
-    f = PolySystem(2, [
-        [Monomial(1.0, (2, 0)), Monomial(1.0, (0, 1)), Monomial(-3.0, (0, 0))],
-        [Monomial(1.0, (1, 0)), Monomial(0.125, (0, 2)), Monomial(-1.5, (0, 0))],
-    ])
-    g = PolySystem(2, [
-        [Monomial(1.0, (2, 0)), Monomial(-1.0, (0, 0))],
-        [Monomial(1.0, (0, 2)), Monomial(-1.0, (0, 0))],
-    ])
+    # quadratic relaxation gamma*(1-t)^2*g(x) + t^2*f(x) of the target
+    # f = (x^2 + y - 3, x + y^2/8 - 3/2) from the start g = (x^2 - 1, y^2 - 1)
+    f = (((1.0, (2, 0)), (1.0, (0, 1)), (-3.0, (0, 0))),
+         ((1.0, (1, 0)), (0.125, (0, 2)), (-1.5, (0, 0))))
+    g = (((1.0, (2, 0)), (-1.0, (0, 0))),
+         ((1.0, (0, 2)), (-1.0, (0, 0))))
     gamma = DEFAULT_GAMMA
-    # quadratic relaxation weights: gamma*(1-t)^2 on g, t^2 on f
     equations = []
-    for feq, geq in zip(f.equations, g.equations):
+    for f_eq, g_eq in zip(f, g):
         eq = []
-        for mono in geq:
-            c = gamma * mono.coefficient
-            eq.append(TMonomial((c, -2 * c, c), mono.exponents))
-        for mono in feq:
-            eq.append(TMonomial((0.0, 0.0, mono.coefficient), mono.exponents))
+        for a, exps in g_eq:
+            c = gamma * a
+            eq.append(TMonomial((c, -2 * c, c), exps))
+        for a, exps in f_eq:
+            eq.append(TMonomial((0.0, 0.0, a), exps))
         equations.append(eq)
-    return Homotopy(form=EXPLICIT_T, dim=2, target=f, start=g, gamma=gamma,
-                    t_equations=equations)
+    return Homotopy(dim=2, gamma=gamma, equations=equations)
 
 
 _FIXTURES = {
@@ -300,27 +230,40 @@ _FIXTURES = {
 }
 
 
-def fixture(name: str) -> Homotopy:
+def fixture(name: str, gamma=None) -> Homotopy:
+    """The named fixture; gamma replaces the blend constant of the
+    gamma-convex one (sqrt) and is an error for the others."""
     if name not in _FIXTURES:
         raise InvalidArgument(f"unknown fixture {name!r}")
-    return _FIXTURES[name]()
+    if gamma is None:
+        return _FIXTURES[name]()
+    if name != "sqrt":
+        raise _no_gamma_override()
+    return _sqrt_fixture(gamma)
+
+
+def _unit_exponents(term: Term):
+    """a when the term is q(t)*x^a with unit coefficient, else None."""
+    if len(term.poly) == 1 and term.poly[0].coefficient == 1.0:
+        return term.poly[0].exponents
+    return None
 
 
 def binomial_parts(h: Homotopy):
-    """Split a monomial-form homotopy into exponent columns and rhs polys."""
-    if h.form != MONOMIAL:
-        raise InvalidArgument("not a monomial homotopy")
+    """Exponent columns a_i and right-hand sides c_i(t) of the binomial
+    equations x^{a_i} = c_i(t), given as x^{a_i} - c_i(t) = 0."""
     cols = []
     rhs = []
-    for eq in h.t_equations:
-        if len(eq) != 2:
-            raise InvalidArgument("binomial equation must have two monomials")
-        lead = next((m for m in eq if any(m.exponents)), None)
-        const = next((m for m in eq if not any(m.exponents)), None)
-        if lead is None or const is None:
-            raise InvalidArgument("binomial equation must pair x^a with a constant")
-        cols.append(lead.exponents)
-        rhs.append(tuple(-c for c in const.t_coeffs))
+    for eq in h.equations:
+        exps = [_unit_exponents(term) for term in eq]
+        if len(eq) != 2 or None in exps or any(exps[0]) == any(exps[1]):
+            raise InvalidArgument("binomial equation must pair x^a with a "
+                                  "constant")
+        i = 0 if any(exps[0]) else 1
+        if eq[i].t_coeffs != (1.0,):
+            raise InvalidArgument("binomial equation must have x^a unscaled")
+        cols.append(exps[i])
+        rhs.append(tuple(-c for c in eq[1 - i].t_coeffs))
     return cols, rhs
 
 
@@ -328,9 +271,30 @@ def binomial_parts(h: Homotopy):
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-def _mono_to_json(mono: Monomial) -> dict:
-    c = complex(mono.coefficient)
-    return {"re": c.real, "im": c.imag, "exp": list(mono.exponents)}
+def _re_im(c) -> dict:
+    c = complex(c)
+    return {"re": c.real, "im": c.imag}
+
+
+def _term_to_json(term: Term) -> dict:
+    out = {"t_coeffs": [[complex(c).real, complex(c).imag]
+                        for c in term.t_coeffs]}
+    exps = _unit_exponents(term)
+    if exps is not None:
+        out["exp"] = list(exps)
+    else:
+        out["poly"] = [dict(_re_im(m.coefficient), exp=list(m.exponents))
+                       for m in term.poly]
+    return out
+
+
+def homotopy_to_json(h: Homotopy) -> dict:
+    """The explicit_t shape: every term is {"t_coeffs", "exp"} for q(t)*x^a,
+    or {"t_coeffs", "poly"} for q(t)*P(x)."""
+    return {"form": EXPLICIT_T, "dim": h.dim,
+            "gamma": _re_im(h.gamma),
+            "equations": [[_term_to_json(term) for term in eq]
+                          for eq in h.equations]}
 
 
 def _coefficient_from_json(re, im) -> complex:
@@ -340,66 +304,52 @@ def _coefficient_from_json(re, im) -> complex:
     return c
 
 
-def _mono_from_json(d: dict, dim: int) -> Monomial:
-    exps = tuple(d["exp"])
-    if len(exps) != dim:
-        raise InvalidArgument("exponent vector length != dim")
-    return Monomial(_coefficient_from_json(d["re"], d.get("im", 0.0)), exps)
+def _exponents_from_json(exps) -> tuple:
+    if not all(type(e) is int for e in exps):
+        raise InvalidArgument("exponents must be integers")
+    return tuple(exps)
 
 
-def _tmono_from_json(d: dict) -> TMonomial:
-    if not d["t_coeffs"]:
-        raise InvalidArgument("t_coeffs must not be empty")
-    return TMonomial(tuple(_coefficient_from_json(re, im)
-                           for re, im in d["t_coeffs"]), tuple(d["exp"]))
+def _mono_from_json(d: dict) -> Monomial:
+    return Monomial(_coefficient_from_json(d["re"], d.get("im", 0.0)),
+                    _exponents_from_json(d["exp"]))
 
 
-def system_to_json(f: PolySystem) -> dict:
-    return {"dim": f.dim,
-            "equations": [[_mono_to_json(m) for m in eq] for eq in f.equations]}
+def _term_from_json(d: dict) -> Term:
+    t_coeffs = [_coefficient_from_json(re, im) for re, im in d["t_coeffs"]]
+    if "poly" in d:
+        return Term(t_coeffs, [_mono_from_json(m) for m in d["poly"]])
+    return TMonomial(t_coeffs, _exponents_from_json(d["exp"]))
 
 
-def system_from_json(d: dict) -> PolySystem:
-    dim = int(d["dim"])
-    eqs = [[_mono_from_json(m, dim) for m in eq] for eq in d["equations"]]
-    return PolySystem(dim=dim, equations=eqs)
+def _system_from_json(d: dict) -> PolySystem:
+    return PolySystem(int(d["dim"]), [[_mono_from_json(m) for m in eq]
+                                      for eq in d["equations"]])
 
 
-def homotopy_to_json(h: Homotopy) -> dict:
-    out = {"form": h.form, "dim": h.dim,
-           "gamma": {"re": complex(h.gamma).real, "im": complex(h.gamma).imag}}
-    if h.target is not None:
-        out["target"] = system_to_json(h.target)
-    if h.start is not None:
-        out["start"] = system_to_json(h.start)
-    if h.t_equations is not None:
-        out["equations"] = [
-            [{"t_coeffs": [[complex(c).real, complex(c).imag]
-                           for c in m.t_coeffs],
-              "exp": list(m.exponents)} for m in eq]
-            for eq in h.t_equations
-        ]
-    return out
-
-
-def homotopy_from_json(d: dict) -> Homotopy:
+def _homotopy_from_json(d: dict, gamma) -> Homotopy:
     form = d["form"]
-    dim = int(d["dim"])
-    gamma = (_coefficient_from_json(d["gamma"]["re"], d["gamma"]["im"])
-             if "gamma" in d else 1.0)
-    target = system_from_json(d["target"]) if "target" in d else None
-    start = system_from_json(d["start"]) if "start" in d else None
-    t_equations = None
-    if "equations" in d:
-        t_equations = [[_tmono_from_json(m) for m in eq]
-                       for eq in d["equations"]]
-    if form == GAMMA_CONVEX:
-        if target is None or start is None:
-            raise InvalidArgument("gamma_convex homotopy needs target and start")
-        return make_gamma_homotopy(target, start, gamma)
-    if form not in (MONOMIAL, EXPLICIT_T):
+    if gamma is None:
+        gamma = (_coefficient_from_json(d["gamma"]["re"], d["gamma"]["im"])
+                 if "gamma" in d else 1.0)
+    elif form != "gamma_convex":
+        raise _no_gamma_override()
+    if form == "gamma_convex":
+        return make_gamma_homotopy(_system_from_json(d["target"]),
+                                   _system_from_json(d["start"]), gamma)
+    if form not in ("monomial", EXPLICIT_T):
         raise InvalidArgument(f"unknown homotopy form {form!r}")
-    if t_equations is None:
-        raise InvalidArgument(f"{form} homotopy needs equations with t_coeffs")
-    return Homotopy(form=form, dim=dim, target=target, start=start,
-                    gamma=gamma, t_equations=t_equations)
+    return Homotopy(dim=int(d["dim"]), gamma=gamma,
+                    equations=[[_term_from_json(term) for term in eq]
+                               for eq in d["equations"]])
+
+
+def homotopy_from_json(d: dict, gamma=None) -> Homotopy:
+    """Read the explicit_t, monomial or gamma_convex shape; gamma replaces
+    the blend constant of a gamma_convex one and is an error for the others.
+
+    Any malformed input raises InvalidArgument."""
+    try:
+        return _homotopy_from_json(d, gamma)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InvalidArgument(f"malformed homotopy: {exc!r}") from exc

@@ -22,14 +22,7 @@ from .errors import (
     StepUnderflow,
 )
 from .fourier import taylor_coefficients
-from .polysys import (
-    EXPLICIT_T,
-    GAMMA_CONVEX,
-    Homotopy,
-    Monomial,
-    PolySystem,
-    TMonomial,
-)
+from .polysys import Homotopy, TMonomial
 from .scalars import DOUBLE, EXTENDED, float_magnitude, is_extended, scalar_eps
 from .series import TruncatedSeries
 from .tracker import PathState, TrackerConfig, default_config, track_to
@@ -169,23 +162,6 @@ def scale_to_unit(series: TruncatedSeries, z) -> TruncatedSeries:
 # reconditioning
 # ---------------------------------------------------------------------------
 
-def _explicit_equations(h: Homotopy) -> list:
-    if h.form != GAMMA_CONVEX:
-        return h.t_equations
-    gamma = complex(h.gamma)
-    eqs = []
-    for f_eq, g_eq in zip(h.target.equations, h.start.equations):
-        teq = []
-        for m in g_eq:
-            c = gamma * complex(m.coefficient)
-            teq.append(TMonomial((c, -c), tuple(m.exponents)))
-        for m in f_eq:
-            teq.append(TMonomial((0.0, complex(m.coefficient)),
-                                 tuple(m.exponents)))
-        eqs.append(teq)
-    return eqs
-
-
 def _compose_affine(t_coeffs, t0: float, r: float):
     """Coefficients of a(t0 + r s) given those of a(t)."""
     deg = len(t_coeffs) - 1
@@ -201,31 +177,20 @@ def _compose_affine(t_coeffs, t0: float, r: float):
 
 
 def recondition(h: Homotopy, t0: float) -> Homotopy:
-    """The homotopy in s with t = r s + t0, r = 1 - t0."""
+    """The homotopy in s with t = r s + t0, r = 1 - t0, as one-monomial
+    terms: each q(t)*P(x) expands into the terms (a q)(t0 + r s)*x^e over
+    the monomials a x^e of P."""
     if not 0.0 <= t0 < 1.0:
         raise InvalidArgument("t0 must lie in [0, 1)")
     if t0 == 0.0:
         return h
     r = 1.0 - t0
-    eqs = []
-    for teq in _explicit_equations(h):
-        eqs.append([TMonomial(_compose_affine(m.t_coeffs, t0, r),
-                              tuple(m.exponents)) for m in teq])
-
-    def at(s):
-        return PolySystem(h.dim, [[Monomial(_poly_value(m.t_coeffs, s),
-                                            tuple(m.exponents))
-                                   for m in teq] for teq in eqs])
-
-    return Homotopy(form=EXPLICIT_T, dim=h.dim, target=at(1.0), start=at(0.0),
-                    gamma=h.gamma, t_equations=eqs)
-
-
-def _poly_value(coeffs, s: float):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
+    equations = [[TMonomial(_compose_affine([c * m.coefficient
+                                             for c in term.t_coeffs], t0, r),
+                            m.exponents)
+                  for term in eq for m in term.poly]
+                 for eq in h.equations]
+    return Homotopy(dim=h.dim, gamma=h.gamma, equations=equations)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +303,12 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
                        step: float | None = None) -> RadarRun:
     """End-to-end radar; the estimate comes back in original t units.
 
-    order is the index of the last ratio entering the extrapolation; pass
-    t0 in [0, 1) to skip pole detection and recondition at a known base
-    point, and step to override the sampling radius in s units.
+    The path is sampled at P points, P the smallest power of two with
+    P >= order + 2, and the last ratio used is n_used = P / 2. A
+    power-of-two order thus gives n_used == order; any other order rounds
+    down or up to a power of two (order 126 gives 64, order 127 gives 128).
+    Pass t0 in [0, 1) to skip pole detection and recondition at a known
+    base point, and step to override the sampling radius in s units.
     """
     if order < 4:
         raise InvalidArgument("need order at least 4")

@@ -10,15 +10,7 @@ from fractions import Fraction
 import pytest
 
 from singradar.cli import gamma_from_seed, main
-from singradar.polysys import (
-    EXPLICIT_T,
-    Homotopy,
-    Monomial,
-    PolySystem,
-    TMonomial,
-    fixture,
-    homotopy_to_json,
-)
+from singradar.polysys import Homotopy, TMonomial, fixture, homotopy_to_json
 from singradar.radar import locate_singularity, richardson
 from singradar.tracker import default_config, newton_correct
 
@@ -53,10 +45,7 @@ def exact_coeff(k):
 def branch_point_homotopy():
     # x^2 - (t - 0.5) = 0; start roots +-i*sqrt(0.5), real branch point
     eq = [TMonomial((1.0,), (2,)), TMonomial((0.5, -1.0), (0,))]
-    f = PolySystem(1, [[Monomial(1.0, (2,)), Monomial(-0.5, (0,))]])
-    g = PolySystem(1, [[Monomial(1.0, (2,)), Monomial(0.5, (0,))]])
-    return Homotopy(form=EXPLICIT_T, dim=1, target=f, start=g, gamma=1.0,
-                    t_equations=[eq])
+    return Homotopy(dim=1, gamma=1.0, equations=[eq])
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +429,14 @@ def test_solve_binomial_complex_rhs(tmp_path):
     assert abs(complex(*rep["solutions"][0][0]) - 1j) <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_binomial_nan_residual_is_not_zero(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"A": [[2]], "c": [float("nan")]}))
+    code, out, err = run_cli(["solve-binomial", "--file", str(path)])
+    assert math.isnan(json.loads(out)["max_residual"])
+
+
 # ---------------------------------------------------------------------------
 # exit codes and output plumbing
 # ---------------------------------------------------------------------------
@@ -457,7 +454,10 @@ def test_bad_invocations_exit_two(tmp_path):
     nan_coeff["equations"][0][0]["t_coeffs"][0][0] = float("nan")
     no_coeffs = homotopy_to_json(branch_point_homotopy())
     no_coeffs["equations"][0][1]["t_coeffs"] = []
-    for name, bad in (("nan.json", nan_coeff), ("empty.json", no_coeffs)):
+    no_term = homotopy_to_json(branch_point_homotopy())
+    no_term["equations"][0][0] = 2.0
+    for name, bad in (("nan.json", nan_coeff), ("empty.json", no_coeffs),
+                      ("term.json", no_term)):
         path = tmp_path / name
         path.write_text(json.dumps(bad))
         code, out, err = run_cli(["radius", "--file", str(path)])
@@ -471,6 +471,13 @@ def test_bad_invocations_exit_two(tmp_path):
                                  + extra)
         assert code == 2
         assert err.startswith("error:")
+    # a non-finite base point would make every binomial solution NaN
+    for t0 in ("nan", "inf"):
+        code, out, err = run_cli(["solve-binomial", "--fixture", "monomial4",
+                                  "--t0", t0])
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
 
 
 def test_radius_out_writes_report(tmp_path):

@@ -1,39 +1,66 @@
-"""Polynomial systems, homotopy forms, generators, fixtures, JSON format."""
+"""Polynomial homotopies in one form, fixtures, JSON format."""
 
-import cmath
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from singradar.errors import EvaluationSingular, InvalidArgument
 from singradar.polysys import (
-    EXPLICIT_T,
-    GAMMA_CONVEX,
-    MONOMIAL,
     MONOMIAL4_MATRIX,
     DEFAULT_GAMMA,
     Homotopy,
     Monomial,
     PolySystem,
+    Term,
     TMonomial,
     binomial_parts,
-    cyclic_system,
     evaluate,
-    evaluate_system,
     fixture,
     homotopy_from_json,
     homotopy_to_json,
     jacobian,
     make_gamma_homotopy,
-    system_from_json,
-    system_to_json,
-    total_degree_start,
 )
 from singradar.scalars import ExtComplex, ExtReal
+
+PARENT_JSON = Path(__file__).with_name("golden") / "json"
+
+# target and start system of the ojika1 relaxation
+OJIKA1_TARGET = PolySystem(2, [
+    [Monomial(1.0, (2, 0)), Monomial(1.0, (0, 1)), Monomial(-3.0, (0, 0))],
+    [Monomial(1.0, (1, 0)), Monomial(0.125, (0, 2)), Monomial(-1.5, (0, 0))],
+])
+OJIKA1_START = PolySystem(2, [
+    [Monomial(1.0, (2, 0)), Monomial(-1.0, (0, 0))],
+    [Monomial(1.0, (0, 2)), Monomial(-1.0, (0, 0))],
+])
+SQUARE = PolySystem(1, [[Monomial(1.0, (2,))]])
 
 
 def rand_point(rng, n):
     return [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+
+
+def system_value(f, x):
+    out = []
+    for eq in f.equations:
+        acc = 0.0
+        for mono in eq:
+            term = mono.coefficient
+            for xi, e in zip(x, mono.exponents):
+                term = term * xi ** e
+            acc = acc + term
+        out.append(acc)
+    return out
+
+
+def bits(v):
+    if isinstance(v, ExtComplex):
+        return (v.re.hi.hex(), v.re.lo.hex(), v.im.hi.hex(), v.im.lo.hex())
+    v = complex(v)
+    return (v.real.hex(), v.imag.hex())
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +70,8 @@ def rand_point(rng, n):
 def test_ojika1_known_roots():
     h = fixture("ojika1")
     # the displayed system's regular root is (-3, -6); (1, 2) is the triple root
-    assert evaluate_system(h.target, [-3.0, -6.0]) == [0.0, 0.0]
-    assert evaluate_system(h.target, [1.0, 2.0]) == [0.0, 0.0]
+    assert evaluate(h, [-3.0, -6.0], 1.0) == [0.0, 0.0]
+    assert evaluate(h, [1.0, 2.0], 1.0) == [0.0, 0.0]
 
 
 def test_ojika1_triple_root_jacobian():
@@ -83,8 +110,7 @@ def test_dimension_mismatch():
 
 def test_negative_exponent_at_zero():
     eq = [TMonomial((1.0,), (-1,)), TMonomial((-2.0,), (0,))]
-    h = Homotopy(form=MONOMIAL, dim=1, target=None, start=None, gamma=1.0,
-                 t_equations=[eq])
+    h = Homotopy(dim=1, gamma=1.0, equations=[eq])
     assert abs(evaluate(h, [0.5], 0.0)[0]) == 0.0
     with pytest.raises(EvaluationSingular):
         evaluate(h, [0.0], 0.0)
@@ -126,39 +152,66 @@ def test_jacobian_matches_finite_differences(name):
 # ---------------------------------------------------------------------------
 
 def test_make_gamma_homotopy_endpoints():
-    h = fixture("ojika1")
-    gh = make_gamma_homotopy(h.target, h.start, DEFAULT_GAMMA)
+    gh = make_gamma_homotopy(OJIKA1_TARGET, OJIKA1_START, DEFAULT_GAMMA)
     rng = random.Random(5)
     for _ in range(100):
         x = rand_point(rng, 2)
         at0 = evaluate(gh, x, 0.0)
-        gg = [DEFAULT_GAMMA * v for v in evaluate_system(gh.start, x)]
+        gg = [DEFAULT_GAMMA * v for v in system_value(OJIKA1_START, x)]
         assert all(abs(a - b) <= 1e-14 * max(1.0, abs(b))
                    for a, b in zip(at0, gg))
         at1 = evaluate(gh, x, 1.0)
-        ff = evaluate_system(gh.target, x)
+        ff = system_value(OJIKA1_TARGET, x)
         assert all(abs(a - b) <= 2e-16 * max(1.0, abs(b))
                    for a, b in zip(at1, ff))
 
 
+def test_gamma_homotopy_is_two_terms_per_equation():
+    gh = make_gamma_homotopy(OJIKA1_TARGET, OJIKA1_START, DEFAULT_GAMMA)
+    for eq, f_eq, g_eq in zip(gh.equations, OJIKA1_TARGET.equations,
+                              OJIKA1_START.equations):
+        assert eq == [Term((DEFAULT_GAMMA, -DEFAULT_GAMMA), g_eq),
+                      Term((0.0, 1.0), f_eq)]
+
+
 def test_gamma_identity_when_target_equals_start():
-    h = fixture("sqrt")
-    gh = make_gamma_homotopy(h.target, h.target, 1.0)
+    gh = make_gamma_homotopy(SQUARE, SQUARE, 1.0)
     for t in (0.0, 0.3, 0.99):
-        assert evaluate(gh, [1.2], t) == evaluate_system(gh.target, [1.2])
+        assert evaluate(gh, [1.2], t) == system_value(SQUARE, [1.2])
 
 
 def test_non_unit_gamma_rejected():
-    h = fixture("ojika1")
     with pytest.raises(InvalidArgument):
-        make_gamma_homotopy(h.target, h.start, 0.9 + 0.1j)
+        make_gamma_homotopy(OJIKA1_TARGET, OJIKA1_START, 0.9 + 0.1j)
 
 
 def test_dim_mismatch_rejected():
-    a = fixture("ojika1").target
-    b = fixture("sqrt").target
     with pytest.raises(InvalidArgument):
-        make_gamma_homotopy(a, b, 1.0)
+        make_gamma_homotopy(OJIKA1_TARGET, SQUARE, 1.0)
+
+
+def test_fixture_gamma_override():
+    x = [0.7 + 0.2j]
+    assert (evaluate(fixture("sqrt", 1.0), x, 0.4)
+            == evaluate(fixture("sqrt"), x, 0.4))
+    g = complex(0.6, 0.8)
+    assert fixture("sqrt", g).equations == make_gamma_homotopy(
+        SQUARE, PolySystem(1, [[Monomial(1.0, (2,)), Monomial(-1.0, (0,))]]),
+        g).equations
+    for name in ("cusp", "monomial4", "ojika1"):
+        with pytest.raises(InvalidArgument, match="gamma-convex"):
+            fixture(name, g)
+
+
+def test_malformed_homotopy_rejected():
+    with pytest.raises(InvalidArgument):
+        Homotopy(dim=2, gamma=1.0, equations=[[TMonomial((1.0,), (1,))]] * 2)
+    with pytest.raises(InvalidArgument):
+        Homotopy(dim=2, gamma=1.0, equations=[[TMonomial((1.0,), (1, 0))]])
+    with pytest.raises(InvalidArgument):
+        Term((), (Monomial(1.0, (1,)),))
+    with pytest.raises(InvalidArgument):
+        Term((1.0,), ())
 
 
 def test_extended_lane_evaluation_matches_double():
@@ -168,76 +221,6 @@ def test_extended_lane_evaluation_matches_double():
     ext = [complex(v) for v in evaluate(h, x, t)]
     dbl = evaluate(h, [1.1 + 0.3j, 0.7 - 0.2j], 0.625)
     assert all(abs(a - b) <= 1e-15 for a, b in zip(ext, dbl))
-
-
-# ---------------------------------------------------------------------------
-# start systems
-# ---------------------------------------------------------------------------
-
-def test_total_degree_ojika1():
-    h = fixture("ojika1")
-    g, points = total_degree_start(h.target)
-    assert len(points) == 4
-    assert set(points) == {(1 + 0j, 1 + 0j), (1 + 0j, -1 + 0j),
-                           (-1 + 0j, 1 + 0j), (-1 + 0j, -1 + 0j)}
-    for p in points:
-        assert all(abs(v) <= 1e-14 for v in evaluate_system(g, p))
-
-
-def test_total_degree_univariate():
-    f = PolySystem(1, [[Monomial(1.0, (2,)), Monomial(-4.0, (0,))]])
-    g, points = total_degree_start(f)
-    assert sorted([p[0].real for p in points]) == [-1.0, 1.0]
-
-
-def test_total_degree_cyclic4():
-    f = cyclic_system(4)
-    g, points = total_degree_start(f)
-    assert len(points) == 24
-    for p in points:
-        assert all(abs(v) <= 1e-14 for v in evaluate_system(g, p))
-
-
-def test_zero_degree_rejected():
-    f = PolySystem(1, [[Monomial(2.0, (0,))]])
-    with pytest.raises(InvalidArgument):
-        total_degree_start(f)
-
-
-# ---------------------------------------------------------------------------
-# cyclic systems
-# ---------------------------------------------------------------------------
-
-def test_cyclic_two():
-    f = cyclic_system(2)
-    flat = [(m.coefficient, m.exponents) for eq in f.equations for m in eq]
-    assert flat == [(1.0, (1, 0)), (1.0, (0, 1)), (1.0, (1, 1)), (-1.0, (0, 0))]
-
-
-def test_cyclic_nine_shape():
-    f = cyclic_system(9)
-    assert f.dim == 9 and len(f.equations) == 9
-    assert evaluate_system(f, [1.0] * 9)[0] == 9.0
-    for n in range(2, 10):
-        assert evaluate_system(cyclic_system(n), [1.0] * n)[0] == float(n)
-
-
-def test_cyclic_shift_invariance():
-    rng = random.Random(17)
-    for n in (3, 5, 7):
-        f = cyclic_system(n)
-        x = rand_point(rng, n)
-        shifted = x[1:] + x[:1]
-        r0 = evaluate_system(f, x)
-        r1 = evaluate_system(f, shifted)
-        norm0 = max(abs(v) for v in r0)
-        norm1 = max(abs(v) for v in r1)
-        assert abs(norm0 - norm1) <= 1e-14 * max(1.0, norm0)
-
-
-def test_cyclic_n_below_two_rejected():
-    with pytest.raises(InvalidArgument):
-        cyclic_system(1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +243,7 @@ def test_unknown_fixture_rejected():
 @pytest.mark.parametrize("name", ["sqrt", "cusp", "monomial4", "ojika1"])
 def test_homotopy_json_roundtrip(name):
     h = fixture(name)
-    d = homotopy_to_json(h)
-    back = homotopy_from_json(d)
+    back = homotopy_from_json(json.loads(json.dumps(homotopy_to_json(h))))
     rng = random.Random(23)
     for _ in range(20):
         x = rand_point(rng, h.dim)
@@ -269,8 +251,95 @@ def test_homotopy_json_roundtrip(name):
         assert evaluate(back, x, t) == evaluate(h, x, t)
 
 
-def test_system_json_roundtrip():
-    f = fixture("ojika1").target
-    back = system_from_json(system_to_json(f))
-    assert evaluate_system(back, [1.25 + 1j, -0.5j]) == \
-        evaluate_system(f, [1.25 + 1j, -0.5j])
+def test_binomial_parts_checks_shape():
+    cols, rhs = binomial_parts(fixture("cusp"))
+    assert cols == [(2,)]
+    assert rhs == [(1.0, -4.0, 6.0, -4.0, 1.0)]
+    for name in ("sqrt", "ojika1"):
+        with pytest.raises(InvalidArgument):
+            binomial_parts(fixture(name))
+    scaled = Homotopy(dim=1, gamma=1.0, equations=[
+        [TMonomial((1.0, 1.0), (2,)), TMonomial((-1.0,), (0,))]])
+    with pytest.raises(InvalidArgument):
+        binomial_parts(scaled)
+    two_powers = Homotopy(dim=1, gamma=1.0, equations=[
+        [TMonomial((1.0,), (2,)), TMonomial((-1.0,), (1,))]])
+    with pytest.raises(InvalidArgument):
+        binomial_parts(two_powers)
+
+
+@pytest.mark.parametrize("name", ["sqrt", "monomial4", "ojika1"])
+def test_parent_json_still_loads(name):
+    # files written by the three-form format: gamma_convex with target and
+    # start (sqrt), monomial (monomial4), explicit_t (ojika1)
+    h = homotopy_from_json(json.loads((PARENT_JSON / (name + ".json"))
+                                      .read_text()))
+    want = fixture(name)
+    assert h.dim == want.dim and h.gamma == want.gamma
+    rng = random.Random(31)
+    for _ in range(20):
+        x = rand_point(rng, h.dim)
+        xe = [ExtComplex(ExtReal(v.real), ExtReal(v.imag)) for v in x]
+        for t in (rng.uniform(0.0, 1.0),
+                  complex(rng.uniform(-1, 1), rng.uniform(-1, 1))):
+            for point in (x, xe):
+                for fn in (evaluate, jacobian):
+                    got, ref = fn(h, point, t), fn(want, point, t)
+                    if fn is jacobian:
+                        got = [v for row in got for v in row]
+                        ref = [v for row in ref for v in row]
+                    assert [bits(v) for v in got] == [bits(v) for v in ref]
+
+
+def test_json_writes_explicit_t_terms():
+    d = homotopy_to_json(fixture("sqrt"))
+    assert d["form"] == "explicit_t" and set(d) == {"form", "dim", "gamma",
+                                                    "equations"}
+    g_term, f_term = d["equations"][0]
+    assert g_term == {"t_coeffs": [[1.0, 0.0], [-1.0, 0.0]],
+                      "poly": [{"re": 1.0, "im": 0.0, "exp": [2]},
+                               {"re": -1.0, "im": 0.0, "exp": [0]}]}
+    assert f_term == {"t_coeffs": [[0.0, 0.0], [1.0, 0.0]], "exp": [2]}
+
+
+def test_json_gamma_override_needs_gamma_convex_tag():
+    d = json.loads((PARENT_JSON / "sqrt.json").read_text())
+    g = complex(0.6, 0.8)
+    assert homotopy_from_json(d, g).equations == fixture("sqrt", g).equations
+    for name in ("monomial4", "ojika1"):
+        d = json.loads((PARENT_JSON / (name + ".json")).read_text())
+        with pytest.raises(InvalidArgument, match="gamma-convex"):
+            homotopy_from_json(d, g)
+    with pytest.raises(InvalidArgument, match="gamma-convex"):
+        homotopy_from_json(homotopy_to_json(fixture("sqrt")), g)
+
+
+def _explicit(term, dim=1):
+    return {"form": "explicit_t", "dim": dim, "equations": [[term]] * dim}
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"form": "nope", "dim": 1, "equations": [[]]},
+    {"form": "explicit_t", "dim": 1},
+    {"form": "explicit_t", "dim": 1, "equations": 3},
+    {"form": "explicit_t", "dim": 2,
+     "equations": [[{"t_coeffs": [[1.0, 0.0]], "exp": [1, 0]}]]},
+    _explicit(7),
+    _explicit({"t_coeffs": [[1.0, 0.0]]}),
+    _explicit({"t_coeffs": [[1.0]], "exp": [1]}),
+    _explicit({"t_coeffs": [], "exp": [1]}),
+    _explicit({"t_coeffs": [[float("inf"), 0.0]], "exp": [1]}),
+    _explicit({"t_coeffs": [[1.0, 0.0]], "exp": [1.5]}),
+    _explicit({"t_coeffs": [[1.0, 0.0]], "exp": ["2"]}),
+    _explicit({"t_coeffs": [[1.0, 0.0]], "exp": [1, 1]}),
+    _explicit({"t_coeffs": [[1.0, 0.0]], "poly": []}),
+    _explicit({"t_coeffs": [[1.0, 0.0]], "poly": [{"re": 1.0, "exp": 2}]}),
+    {"form": "gamma_convex", "dim": 1,
+     "target": {"dim": 1, "equations": [[{"re": 1.0, "exp": [2]}]]}},
+    {"form": "monomial", "dim": 1, "gamma": {"re": "x", "im": 0.0},
+     "equations": [[{"t_coeffs": [[1.0, 0.0]], "exp": [1]}]]},
+])
+def test_malformed_json_is_invalid_argument(doc):
+    with pytest.raises(InvalidArgument):
+        homotopy_from_json(doc)

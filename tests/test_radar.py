@@ -7,16 +7,7 @@ from fractions import Fraction
 import pytest
 
 from singradar.errors import InconclusiveRadar, InvalidArgument
-from singradar.polysys import (
-    EXPLICIT_T,
-    Homotopy,
-    Monomial,
-    PolySystem,
-    TMonomial,
-    evalpoly,
-    evaluate,
-    fixture,
-)
+from singradar.polysys import Homotopy, TMonomial, evaluate, fixture
 from singradar.radar import (
     COEFFICIENTS_VANISH,
     CONVERGED,
@@ -68,11 +59,7 @@ def model_levels(count):
 
 
 def explicit_homotopy(dim, teqs):
-    def at(s):
-        return PolySystem(dim, [[Monomial(evalpoly(m.t_coeffs, s), m.exponents)
-                                 for m in eq] for eq in teqs])
-    return Homotopy(form=EXPLICIT_T, dim=dim, target=at(1.0), start=at(0.0),
-                    gamma=complex(1.0), t_equations=teqs)
+    return Homotopy(dim=dim, gamma=complex(1.0), equations=teqs)
 
 
 def fmt_error(x):
@@ -324,7 +311,8 @@ def test_recondition_remainder_is_exact():
 def test_recondition_matches_shifted_homotopy(name, t0):
     h = fixture(name)
     hs = recondition(h, t0)
-    assert hs.form == EXPLICIT_T
+    assert all(len(term.poly) == 1 and term.poly[0].coefficient == 1.0
+               for eq in hs.equations for term in eq)
     assert hs.dim == h.dim
     rng = random.Random(hash((name, t0)) % 100000)
     for _ in range(5):
@@ -496,6 +484,15 @@ def test_locate_rejects_small_order():
     s = newton_correct(h, 0.0, [1.0], default_config())
     with pytest.raises(InvalidArgument):
         locate_singularity(h, s, 3)
+
+
+@pytest.mark.parametrize("order,n_used", [(9, 8), (16, 16), (126, 64),
+                                          (127, 128)])
+def test_locate_rounds_order_to_a_power_of_two(order, n_used):
+    # P samples, P the smallest power of two >= order + 2; ratios to P / 2
+    h = fixture("sqrt")
+    s = newton_correct(h, 0.0, [1.0], default_config())
+    assert locate_singularity(h, s, order, t0=0.0).n_used == n_used
 
 
 def test_locate_rejects_bad_base_and_step_before_tracking():

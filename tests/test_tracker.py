@@ -11,7 +11,6 @@ from singradar.errors import (
     StepUnderflow,
 )
 from singradar.polysys import (
-    EXPLICIT_T,
     Homotopy,
     Monomial,
     PolySystem,
@@ -38,18 +37,13 @@ def branch_point_homotopy():
     # x^2 + t - 0.5 = 0: the two real roots collide at t = 0.5 and leave the
     # real axis, so real Newton iterates can never follow the path beyond it
     teqs = [[TMonomial((1.0,), (2,)), TMonomial((-0.5, 1.0), (0,))]]
-    target = PolySystem(1, [[Monomial(1.0, (2,)), Monomial(0.5, (0,))]])
-    start = PolySystem(1, [[Monomial(1.0, (2,)), Monomial(-0.5, (0,))]])
-    return Homotopy(form=EXPLICIT_T, dim=1, target=target, start=start,
-                    gamma=1.0, t_equations=teqs)
+    return Homotopy(dim=1, gamma=1.0, equations=teqs)
 
 
 def explicit_system_homotopy(equations, dim):
-    sys = PolySystem(dim, equations)
     teqs = [[TMonomial((complex(m.coefficient),), tuple(m.exponents))
              for m in eq] for eq in equations]
-    return Homotopy(form=EXPLICIT_T, dim=dim, target=sys, start=sys,
-                    gamma=1.0, t_equations=teqs)
+    return Homotopy(dim=dim, gamma=1.0, equations=teqs)
 
 
 # ---------------------------------------------------------------------------
