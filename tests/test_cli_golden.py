@@ -41,6 +41,8 @@ COMMANDS = (
     ["track", "--fixture", "sqrt"],
     ["track", "--fixture", "cusp"],
     ["track", "--fixture", "ojika1"],
+    ["track", "--fixture", "sqrt", "--precision", "extended"],
+    ["track", "--fixture", "ojika1", "--precision", "extended"],
     ["table", "table1"],
     ["table", "table2"],
     ["table", "table3"],
