@@ -11,9 +11,9 @@ arrays (re.hi, re.lo, im.hi, im.lo): an iterative radix-2 kernel (bit-reversal
 permutation, then log2(n) vectorised butterfly stages) for power-of-two
 lengths, and a direct kernel that loops over samples and vectorises over
 coefficients for any length. Twiddles come from ``scalars.roots_of_unity``,
-one table per size, built on first use from ``root_of_unity``. Every element
-goes through the same operations in the same order as the ExtComplex
-operators would, so results match them bit for bit. Values are converted
+one table per size, built on first use from ``root_of_unity``. The kernels
+are the ``scalars`` ones the ExtComplex operators call, so every element
+matches what the operators would give, bit for bit. Values are converted
 only at the edges: lists of complex / ExtComplex in, the same types out.
 """
 
@@ -31,7 +31,7 @@ from .scalars import (
     cdd_add,
     cdd_mul,
     cdd_sub,
-    dd_div_float,
+    dd_div,
     is_extended,
     promote,
     root_of_unity,
@@ -91,8 +91,8 @@ def _from_arrays(parts, extended: bool) -> list:
 
 
 def _divide(parts, n: int) -> tuple:
-    return (dd_div_float(parts[0], parts[1], float(n))
-            + dd_div_float(parts[2], parts[3], float(n)))
+    return (dd_div(parts[0], parts[1], float(n), 0.0)
+            + dd_div(parts[2], parts[3], float(n), 0.0))
 
 
 def _bit_reversal(n: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,11 @@ class IntMatrix:
 
     def __post_init__(self):
         n = len(self.entries)
-        self.entries = [[int(v) for v in row] for row in self.entries]
+        try:
+            self.entries = [[operator.index(v) for v in row]
+                            for row in self.entries]
+        except TypeError:
+            raise InvalidArgument("matrix entries must be integers") from None
         for row in self.entries:
             if len(row) != n:
                 raise InvalidArgument("matrix must be square")
@@ -279,6 +284,8 @@ def solve_binomial(a: IntMatrix, c) -> list:
     c = [complex(v) for v in c]
     if len(c) != a.n:
         raise InvalidArgument("right-hand side length mismatch")
+    if not all(cmath.isfinite(v) for v in c):
+        raise InvalidArgument("right-hand side must be finite")
     if any(v == 0 for v in c):
         raise NotApplicable("zero right-hand side component")
     nf = smith_normal_form(a)

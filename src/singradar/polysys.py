@@ -12,11 +12,17 @@ lower into terms as follows:
   the two terms (gamma - gamma*t)*g_i(x) and t*f_i(x) per equation.
 
 ``evaluate`` and ``jacobian`` run one loop over the terms for every input.
+Each power x_i^e is computed once per point (``Powers``) and shared by the
+residual and every Jacobian partial, and the q(t) of every term
+(``term_values``) can be computed once per t: a Newton correction, whose t
+is fixed, passes both in. Products keep the order of the unshared
+formulas, so the shared work changes no bit of any value.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 from .errors import EvaluationSingular, InvalidArgument
@@ -35,7 +41,10 @@ class Monomial:
     exponents: tuple
 
     def __post_init__(self):
-        self.exponents = tuple(int(e) for e in self.exponents)
+        try:
+            self.exponents = tuple(operator.index(e) for e in self.exponents)
+        except TypeError:
+            raise InvalidArgument("exponents must be integers") from None
 
 
 @dataclass
@@ -97,11 +106,25 @@ def ipow(base, e: int):
     return base ** e
 
 
-def _mono_value(coefficient, exponents, x):
+class Powers(dict):
+    """The powers ipow(x_i, e) of one point x, keyed (i, e) and computed on
+    first use, so the residual and every Jacobian partial at x share them."""
+
+    def __init__(self, x):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, key):
+        i, e = key
+        value = self[key] = ipow(self.x[i], e)
+        return value
+
+
+def _mono_value(coefficient, exponents, powers: Powers):
     acc = coefficient
-    for xi, e in zip(x, exponents):
+    for i, e in enumerate(exponents):
         if e != 0:
-            acc = acc * ipow(xi, e)
+            acc = acc * powers[i, e]
     return acc
 
 
@@ -113,32 +136,49 @@ def evalpoly(coeffs, t):
     return acc
 
 
-def evaluate(h: Homotopy, x, t):
-    """Residual vector h(x, t)."""
+def term_values(h: Homotopy, t):
+    """q(t) of every term, equation by equation."""
+    return [[evalpoly(term.t_coeffs, t) for term in eq] for eq in h.equations]
+
+
+def evaluate(h: Homotopy, x, t, q=None, powers: Powers | None = None):
+    """Residual vector h(x, t).
+
+    q is term_values(h, t) and powers a Powers(x); a caller that evaluates
+    at one t or one x more than once passes them so they are computed once.
+    """
     if len(x) != h.dim:
         raise InvalidArgument("point dimension mismatch")
+    if q is None:
+        q = term_values(h, t)
+    if powers is None:
+        powers = Powers(x)
     out = []
-    for eq in h.equations:
+    for eq, q_eq in zip(h.equations, q):
         acc = 0.0
-        for term in eq:
+        for term, c in zip(eq, q_eq):
             p = None
             for mono in term.poly:
-                v = _mono_value(mono.coefficient, mono.exponents, x)
+                v = _mono_value(mono.coefficient, mono.exponents, powers)
                 p = v if p is None else p + v
-            acc = acc + evalpoly(term.t_coeffs, t) * p
+            acc = acc + c * p
         out.append(acc)
     return out
 
 
-def jacobian(h: Homotopy, x, t):
-    """Matrix of partials d h_i / d x_j at (x, t)."""
+def jacobian(h: Homotopy, x, t, q=None, powers: Powers | None = None):
+    """Matrix of partials d h_i / d x_j at (x, t); q and powers as in
+    evaluate."""
     if len(x) != h.dim:
         raise InvalidArgument("point dimension mismatch")
+    if q is None:
+        q = term_values(h, t)
+    if powers is None:
+        powers = Powers(x)
     rows = []
-    for eq in h.equations:
+    for eq, q_eq in zip(h.equations, q):
         row = [0.0] * h.dim
-        for term in eq:
-            c = evalpoly(term.t_coeffs, t)
+        for term, c in zip(eq, q_eq):
             for mono in term.poly:
                 for j, e in enumerate(mono.exponents):
                     if e == 0:
@@ -146,7 +186,7 @@ def jacobian(h: Homotopy, x, t):
                     dexp = list(mono.exponents)
                     dexp[j] = e - 1
                     row[j] = row[j] + c * e * _mono_value(mono.coefficient,
-                                                          dexp, x)
+                                                          dexp, powers)
         rows.append(row)
     return rows
 

@@ -4,9 +4,14 @@ Two lanes share one set of algorithms downstream: native ``float`` /
 ``complex``, and an extended ~32-digit lane built from pairs of doubles
 (``ExtReal`` / ``ExtComplex``).  The extended types overload the arithmetic
 operators and promote native operands, so series and Newton kernels are
-written once and run in either lane.  The DFT kernels run the same
-double-double arithmetic element-wise on float64 arrays (``dd_*`` /
-``cdd_*``), with twiddles from a per-size table of ``root_of_unity``.
+written once and run in either lane.
+
+Each double-double formula exists once, as a kernel on plain floats
+(``dd_*`` on (hi, lo) pairs, ``cdd_*`` on (re.hi, re.lo, im.hi, im.lo)
+4-tuples).  The ``ExtReal``/``ExtComplex`` operators unpack their operands
+and call these kernels; the DFT transforms call the same kernels
+element-wise on float64 arrays, with twiddles from a per-size table of
+``root_of_unity``.
 """
 
 from __future__ import annotations
@@ -45,27 +50,182 @@ def quick_two_sum(a: float, b: float):
     return s, b - (s - a)
 
 
-def split(a: float):
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
 def two_prod(a: float, b: float):
-    """Return (p, e) with p = fl(a*b) and a * b = p + e exactly."""
+    """Return (p, e) with p = fl(a*b) and a * b = p + e exactly.
+
+    Both factors are split into 26-bit halves with Dekker's splitter."""
     p = a * b
-    ahi, alo = split(a)
-    bhi, blo = split(b)
+    t = _SPLITTER * a
+    ahi = t - (t - a)
+    alo = a - ahi
+    t = _SPLITTER * b
+    bhi = t - (t - b)
+    blo = b - bhi
     e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, e
 
 
 # ---------------------------------------------------------------------------
-# double-double real arithmetic
+# double-double kernels on floats or float64 arrays
 # ---------------------------------------------------------------------------
 
+def dd_add(a_hi, a_lo, b_hi, b_lo):
+    """(a_hi + a_lo) + (b_hi + b_lo)."""
+    s1, s2 = two_sum(a_hi, b_hi)
+    t1, t2 = two_sum(a_lo, b_lo)
+    s1, s2 = quick_two_sum(s1, s2 + t1)
+    return quick_two_sum(s1, s2 + t2)
+
+
+def dd_mul(a_hi, a_lo, b_hi, b_lo):
+    """(a_hi + a_lo) * (b_hi + b_lo)."""
+    p1, p2 = two_prod(a_hi, b_hi)
+    return quick_two_sum(p1, p2 + (a_hi * b_lo + a_lo * b_hi))
+
+
+def dd_div(a_hi, a_lo, b_hi: float, b_lo: float):
+    """(a_hi + a_lo) / (b_hi + b_lo) for a scalar divisor: three quotient
+    digits, each from the remainder left by the previous ones."""
+    if b_hi == 0.0 and b_lo == 0.0:
+        raise DivisionByZero("extended real division by exact zero")
+    q1 = a_hi / b_hi
+    r_hi, r_lo = _sub_product(a_hi, a_lo, b_hi, b_lo, q1)
+    q2 = r_hi / b_hi
+    r_hi, r_lo = _sub_product(r_hi, r_lo, b_hi, b_lo, q2)
+    q3 = r_hi / b_hi
+    s, e = quick_two_sum(q1, q2)
+    s1, s2 = two_sum(s, q3)
+    return quick_two_sum(s1, s2 + e)
+
+
+def _sub_product(a_hi, a_lo, b_hi, b_lo, q):
+    """a - b * q for a double-double b and a double q."""
+    p1, p2 = two_prod(b_hi, q)
+    p1, p2 = quick_two_sum(p1, p2 + b_lo * q)
+    return dd_add(a_hi, a_lo, -p1, -p2)
+
+
+def dd_sqrt(a_hi: float, a_lo: float):
+    """Square root of a scalar: one Newton step on 1/sqrt(a_hi)."""
+    if a_hi == 0.0 and a_lo == 0.0:
+        return 0.0, 0.0
+    if a_hi < 0.0:
+        raise InvalidArgument("sqrt of negative extended real")
+    x = 1.0 / math.sqrt(a_hi)
+    ax = a_hi * x
+    p, e = two_prod(ax, ax)
+    d_hi, _ = dd_add(a_hi, a_lo, -p, -e)
+    return quick_two_sum(ax, d_hi * x * 0.5)
+
+
+def cdd_add(a, b):
+    """a + b."""
+    return dd_add(a[0], a[1], b[0], b[1]) + dd_add(a[2], a[3], b[2], b[3])
+
+
+def cdd_sub(a, b):
+    """a - b."""
+    return (dd_add(a[0], a[1], -b[0], -b[1])
+            + dd_add(a[2], a[3], -b[2], -b[3]))
+
+
+def cdd_mul(a, b):
+    """a * b: (ar br - ai bi) + (ar bi + ai br) i."""
+    ii_hi, ii_lo = dd_mul(a[2], a[3], b[2], b[3])
+    re = dd_add(*dd_mul(a[0], a[1], b[0], b[1]), -ii_hi, -ii_lo)
+    im = dd_add(*dd_mul(a[0], a[1], b[2], b[3]),
+                *dd_mul(a[2], a[3], b[0], b[1]))
+    return re + im
+
+
+def cdd_div(a, b):
+    """a / b for scalars, with Smith's scaling: divide through by the larger
+    component of b."""
+    if b[0] == 0.0 and b[1] == 0.0 and b[2] == 0.0 and b[3] == 0.0:
+        raise DivisionByZero("extended complex division by exact zero")
+    # exact power-of-two prescale keeps the denominator away from the range edge
+    _, ex = math.frexp(max(abs(b[0]), abs(b[2])))
+    if ex > 500 or ex < -500:
+        q = cdd_div(a, tuple(math.ldexp(p, -ex) for p in b))
+        return tuple(math.ldexp(p, -ex) for p in q)
+    if abs(b[0]) >= abs(b[2]):
+        r = dd_div(b[2], b[3], b[0], b[1])
+        den = dd_add(b[0], b[1], *dd_mul(b[2], b[3], *r))
+        re_hi, re_lo = dd_add(a[0], a[1], *dd_mul(a[2], a[3], *r))
+        im_hi, im_lo = dd_mul(a[0], a[1], *r)
+        im_hi, im_lo = dd_add(a[2], a[3], -im_hi, -im_lo)
+    else:
+        r = dd_div(b[0], b[1], b[2], b[3])
+        den = dd_add(b[2], b[3], *dd_mul(b[0], b[1], *r))
+        re_hi, re_lo = dd_add(*dd_mul(a[0], a[1], *r), a[2], a[3])
+        im_hi, im_lo = dd_add(*dd_mul(a[2], a[3], *r), -a[0], -a[1])
+    return dd_div(re_hi, re_lo, *den) + dd_div(im_hi, im_lo, *den)
+
+
+def _power(mul, one, base, k: int):
+    """base**k for k >= 0 by binary powering over the kernel mul."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
+
+
+def _dd_mul_pairs(a, b):
+    return dd_mul(a[0], a[1], b[0], b[1])
+
+
+# ---------------------------------------------------------------------------
+# double-double real and complex scalars
+# ---------------------------------------------------------------------------
+
+_new = object.__new__
+
+
+def _real(hi: float, lo: float) -> "ExtReal":
+    """ExtReal from two floats, without the constructor's conversions."""
+    r = _new(ExtReal)
+    r.hi = hi
+    r.lo = lo
+    return r
+
+
+def _complex(q) -> "ExtComplex":
+    """ExtComplex from a kernel 4-tuple."""
+    z = _new(ExtComplex)
+    z.re = _real(q[0], q[1])
+    z.im = _real(q[2], q[3])
+    return z
+
+
+def _pair(v):
+    """(hi, lo) of a real operand, or None for any other type."""
+    if isinstance(v, ExtReal):
+        return v.hi, v.lo
+    if isinstance(v, (int, float)):
+        return float(v), 0.0
+    return None
+
+
+def _quad(v):
+    """(re.hi, re.lo, im.hi, im.lo) of any numeric operand, or None."""
+    if isinstance(v, ExtComplex):
+        re, im = v.re, v.im
+        return re.hi, re.lo, im.hi, im.lo
+    if isinstance(v, complex):
+        return float(v.real), 0.0, float(v.imag), 0.0
+    p = _pair(v)
+    return None if p is None else p + (0.0, 0.0)
+
+
 class ExtReal:
-    """Unevaluated sum hi + lo of two doubles, |lo| <= ulp(hi)/2."""
+    """Unevaluated sum hi + lo of two doubles, |lo| <= ulp(hi)/2.
+
+    A real operand (int, float, ExtReal) gives an ExtReal; a complex one
+    (complex, ExtComplex) promotes self to ExtComplex."""
 
     __slots__ = ("hi", "lo")
 
@@ -81,106 +241,88 @@ class ExtReal:
             return cls(float(v), 0.0)
         raise InvalidArgument(f"cannot promote {type(v).__name__} to ExtReal")
 
-    # -- promotion helper ---------------------------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExtReal):
-            return other
-        if isinstance(other, (int, float)):
-            return ExtReal(float(other), 0.0)
-        return None
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (complex, ExtComplex)):
-                return ExtComplex(self, ExtReal()) + other
-            return NotImplemented
-        s1, s2 = two_sum(self.hi, o.hi)
-        t1, t2 = two_sum(self.lo, o.lo)
-        s2 += t1
-        s1, s2 = quick_two_sum(s1, s2)
-        s2 += t2
-        s1, s2 = quick_two_sum(s1, s2)
-        return ExtReal(s1, s2)
+        b = _pair(other)
+        if b is not None:
+            return _real(*dd_add(self.hi, self.lo, *b))
+        if isinstance(other, (complex, ExtComplex)):
+            return _complex(cdd_add(_quad(self), _quad(other)))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtReal(-self.hi, -self.lo)
+        return _real(-self.hi, -self.lo)
 
     def __pos__(self):
         return self
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (complex, ExtComplex)):
-                return ExtComplex(self, ExtReal()) - other
-            return NotImplemented
-        return self.__add__(ExtReal(-o.hi, -o.lo))
+        b = _pair(other)
+        if b is not None:
+            return _real(*dd_add(self.hi, self.lo, -b[0], -b[1]))
+        if isinstance(other, (complex, ExtComplex)):
+            return _complex(cdd_sub(_quad(self), _quad(other)))
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (complex, ExtComplex)):
-                return other - ExtComplex(self, ExtReal())
-            return NotImplemented
-        return o.__add__(ExtReal(-self.hi, -self.lo))
+        a = _pair(other)
+        if a is not None:
+            return _real(*dd_add(*a, -self.hi, -self.lo))
+        if isinstance(other, (complex, ExtComplex)):
+            return _complex(cdd_sub(_quad(other), _quad(self)))
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (complex, ExtComplex)):
-                return ExtComplex(self, ExtReal()) * other
-            return NotImplemented
-        p1, p2 = two_prod(self.hi, o.hi)
-        p2 += self.hi * o.lo + self.lo * o.hi
-        p1, p2 = quick_two_sum(p1, p2)
-        return ExtReal(p1, p2)
+        b = _pair(other)
+        if b is not None:
+            return _real(*dd_mul(self.hi, self.lo, *b))
+        if isinstance(other, (complex, ExtComplex)):
+            return _complex(cdd_mul(_quad(self), _quad(other)))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (complex, ExtComplex)):
-                return ExtComplex(self, ExtReal()) / other
-            return NotImplemented
-        return _dd_div(self, o)
+        b = _pair(other)
+        if b is not None:
+            return _real(*dd_div(self.hi, self.lo, *b))
+        if isinstance(other, (complex, ExtComplex)):
+            return _complex(cdd_div(_quad(self), _quad(other)))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (complex, ExtComplex)):
-                return other / ExtComplex(self, ExtReal())
-            return NotImplemented
-        return _dd_div(o, self)
+        a = _pair(other)
+        if a is not None:
+            return _real(*dd_div(*a, self.hi, self.lo))
+        if isinstance(other, (complex, ExtComplex)):
+            return _complex(cdd_div(_quad(other), _quad(self)))
+        return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return _ipow_generic(self, k, ExtReal(1.0))
+        p = _power(_dd_mul_pairs, (1.0, 0.0), (self.hi, self.lo), abs(k))
+        return _real(*(dd_div(1.0, 0.0, *p) if k < 0 else p))
 
     def __abs__(self):
         return -self if self.hi < 0.0 or (self.hi == 0.0 and self.lo < 0.0) else self
 
     def sqrt(self) -> "ExtReal":
-        return _dd_sqrt(self)
+        return _real(*dd_sqrt(self.hi, self.lo))
 
     # -- comparisons (hi is the rounded value, so (hi, lo) orders correctly) --
 
     def _cmp(self, other):
-        o = self._coerce(other)
+        o = _pair(other)
         if o is None:
             return None
-        if self.hi != o.hi:
-            return -1 if self.hi < o.hi else 1
-        if self.lo != o.lo:
-            return -1 if self.lo < o.lo else 1
+        if self.hi != o[0]:
+            return -1 if self.hi < o[0] else 1
+        if self.lo != o[1]:
+            return -1 if self.lo < o[1] else 1
         return 0
 
     def __eq__(self, other):
@@ -222,103 +364,9 @@ class ExtReal:
         return f"ExtReal({self.hi!r}, {self.lo!r})"
 
 
-def _dd_add_float(a: ExtReal, b: float) -> ExtReal:
-    s1, s2 = two_sum(a.hi, b)
-    s2 += a.lo
-    s1, s2 = quick_two_sum(s1, s2)
-    return ExtReal(s1, s2)
-
-
-def _dd_mul_float(a: ExtReal, b: float) -> ExtReal:
-    p1, p2 = two_prod(a.hi, b)
-    p2 += a.lo * b
-    p1, p2 = quick_two_sum(p1, p2)
-    return ExtReal(p1, p2)
-
-
-def _dd_div(a: ExtReal, b: ExtReal) -> ExtReal:
-    if b.hi == 0.0 and b.lo == 0.0:
-        raise DivisionByZero("extended real division by exact zero")
-    q1 = a.hi / b.hi
-    r = a - _dd_mul_float(b, q1)
-    q2 = r.hi / b.hi
-    r = r - _dd_mul_float(b, q2)
-    q3 = r.hi / b.hi
-    s, e = quick_two_sum(q1, q2)
-    return _dd_add_float(ExtReal(s, e), q3)
-
-
-def _dd_sqrt(a: ExtReal) -> ExtReal:
-    if a.hi == 0.0 and a.lo == 0.0:
-        return ExtReal()
-    if a.hi < 0.0:
-        raise InvalidArgument("sqrt of negative extended real")
-    x = 1.0 / math.sqrt(a.hi)
-    ax = a.hi * x
-    p, e = two_prod(ax, ax)
-    d = a - ExtReal(p, e)
-    err = d.hi * x * 0.5
-    s, lo = quick_two_sum(ax, err)
-    return ExtReal(s, lo)
-
-
-# ---------------------------------------------------------------------------
-# double-double trigonometry (enough for roots of unity)
-# ---------------------------------------------------------------------------
-
-_TWO_PI = ExtReal(6.283185307179586, 2.4492935982947064e-16)
-_PI_HALF = ExtReal(1.5707963267948966, 6.123233995736766e-17)
-
-
-def _dd_sin_taylor(x: ExtReal) -> ExtReal:
-    # |x| <= pi/4; terms fall below the lane noise floor after ~14 rounds
-    sq = x * x
-    term = x
-    total = x
-    k = 1
-    while abs(term.hi) > 1e-35:
-        term = term * sq
-        term = _dd_div(term, ExtReal(-float((2 * k) * (2 * k + 1))))
-        total = total + term
-        k += 1
-    return total
-
-
-def _dd_cos_taylor(x: ExtReal) -> ExtReal:
-    sq = x * x
-    term = ExtReal(1.0)
-    total = ExtReal(1.0)
-    k = 1
-    while abs(term.hi) > 1e-35:
-        term = term * sq
-        term = _dd_div(term, ExtReal(-float((2 * k - 1) * (2 * k))))
-        total = total + term
-        k += 1
-    return total
-
-
-def _dd_sincos(angle: ExtReal):
-    """sin/cos of angle in [0, 2*pi) via quadrant reduction."""
-    q = int(round(float(_dd_div(angle, _PI_HALF))))
-    r = angle - _PI_HALF * ExtReal(float(q))
-    s = _dd_sin_taylor(r)
-    c = _dd_cos_taylor(r)
-    q &= 3
-    if q == 0:
-        return s, c
-    if q == 1:
-        return c, -s
-    if q == 2:
-        return -s, -c
-    return -c, s
-
-
-# ---------------------------------------------------------------------------
-# double-double complex arithmetic
-# ---------------------------------------------------------------------------
-
 class ExtComplex:
-    """Complex number with ExtReal components."""
+    """Complex number with ExtReal components; any numeric operand is
+    promoted with zero imaginary part."""
 
     __slots__ = ("re", "im")
 
@@ -336,74 +384,72 @@ class ExtComplex:
             return cls(ExtReal.from_value(v), ExtReal())
         raise InvalidArgument(f"cannot promote {type(v).__name__} to ExtComplex")
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExtComplex):
-            return other
-        if isinstance(other, (int, float, complex, ExtReal)):
-            return ExtComplex.from_value(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = _quad(other)
+        if b is None:
             return NotImplemented
-        return ExtComplex(self.re + o.re, self.im + o.im)
+        return _complex(cdd_add(_quad(self), b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtComplex(-self.re, -self.im)
+        re, im = self.re, self.im
+        return _complex((-re.hi, -re.lo, -im.hi, -im.lo))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = _quad(other)
+        if b is None:
             return NotImplemented
-        return ExtComplex(self.re - o.re, self.im - o.im)
+        return _complex(cdd_sub(_quad(self), b))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        a = _quad(other)
+        if a is None:
             return NotImplemented
-        return ExtComplex(o.re - self.re, o.im - self.im)
+        return _complex(cdd_sub(a, _quad(self)))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = _quad(other)
+        if b is None:
             return NotImplemented
-        return ExtComplex(self.re * o.re - self.im * o.im,
-                          self.re * o.im + self.im * o.re)
+        return _complex(cdd_mul(_quad(self), b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = _quad(other)
+        if b is None:
             return NotImplemented
-        return _cdd_div(self, o)
+        return _complex(cdd_div(_quad(self), b))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        a = _quad(other)
+        if a is None:
             return NotImplemented
-        return _cdd_div(o, self)
+        return _complex(cdd_div(a, _quad(self)))
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return _ipow_generic(self, k, ExtComplex(1.0))
+        one = (1.0, 0.0, 0.0, 0.0)
+        p = _power(cdd_mul, one, _quad(self), abs(k))
+        return _complex(cdd_div(one, p) if k < 0 else p)
 
     def __abs__(self) -> ExtReal:
-        return _dd_sqrt(self.re * self.re + self.im * self.im)
+        re, im = self.re, self.im
+        return _real(*dd_sqrt(*dd_add(*dd_mul(re.hi, re.lo, re.hi, re.lo),
+                                      *dd_mul(im.hi, im.lo, im.hi, im.lo))))
 
     def conjugate(self) -> "ExtComplex":
         return ExtComplex(self.re, -self.im)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = _quad(other)
+        if b is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        re, im = self.re, self.im
+        return (re.hi == b[0] and re.lo == b[1]
+                and im.hi == b[2] and im.lo == b[3])
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -415,47 +461,56 @@ class ExtComplex:
         return f"ExtComplex({self.re!r}, {self.im!r})"
 
 
-def _ldexp_ext(x: ExtReal, e: int) -> ExtReal:
-    return ExtReal(math.ldexp(x.hi, e), math.ldexp(x.lo, e))
+# ---------------------------------------------------------------------------
+# double-double trigonometry (enough for roots of unity)
+# ---------------------------------------------------------------------------
+
+_TWO_PI = ExtReal(6.283185307179586, 2.4492935982947064e-16)
+_PI_HALF = ExtReal(1.5707963267948966, 6.123233995736766e-17)
 
 
-def _cdd_div(a: ExtComplex, b: ExtComplex) -> ExtComplex:
-    # Smith's scaling: divide through by the larger component of b
-    if b.re.hi == 0.0 and b.re.lo == 0.0 and b.im.hi == 0.0 and b.im.lo == 0.0:
-        raise DivisionByZero("extended complex division by exact zero")
-    # exact power-of-two prescale keeps the denominator away from the range edge
-    m = max(abs(b.re.hi), abs(b.im.hi))
-    _, ex = math.frexp(m)
-    if ex > 500 or ex < -500:
-        b = ExtComplex(_ldexp_ext(b.re, -ex), _ldexp_ext(b.im, -ex))
-        q = _cdd_div(a, b)
-        return ExtComplex(_ldexp_ext(q.re, -ex), _ldexp_ext(q.im, -ex))
-    if abs(b.re.hi) >= abs(b.im.hi):
-        r = _dd_div(b.im, b.re)
-        den = b.re + b.im * r
-        return ExtComplex(_dd_div(a.re + a.im * r, den),
-                          _dd_div(a.im - a.re * r, den))
-    r = _dd_div(b.re, b.im)
-    den = b.im + b.re * r
-    return ExtComplex(_dd_div(a.re * r + a.im, den),
-                      _dd_div(a.im * r - a.re, den))
+def _dd_sin_taylor(x: ExtReal) -> ExtReal:
+    # |x| <= pi/4; terms fall below the lane noise floor after ~14 rounds
+    sq = x * x
+    term = x
+    total = x
+    k = 1
+    while abs(term.hi) > 1e-35:
+        term = term * sq / -float((2 * k) * (2 * k + 1))
+        total = total + term
+        k += 1
+    return total
 
 
-def _ipow_generic(base, k: int, one):
-    if k < 0:
-        return one / _ipow_generic(base, -k, one)
-    result = one
-    b = base
-    n = k
-    while n:
-        if n & 1:
-            result = result * b
-        b = b * b
-        n >>= 1
-    return result
+def _dd_cos_taylor(x: ExtReal) -> ExtReal:
+    sq = x * x
+    term = ExtReal(1.0)
+    total = ExtReal(1.0)
+    k = 1
+    while abs(term.hi) > 1e-35:
+        term = term * sq / -float((2 * k - 1) * (2 * k))
+        total = total + term
+        k += 1
+    return total
 
 
-def root_of_unity(n: int, k: int) -> ExtComplex:
+def _dd_sincos(angle: ExtReal):
+    """sin/cos of angle in [0, 2*pi) via quadrant reduction."""
+    q = int(round(float(angle / _PI_HALF)))
+    r = angle - _PI_HALF * ExtReal(float(q))
+    s = _dd_sin_taylor(r)
+    c = _dd_cos_taylor(r)
+    q &= 3
+    if q == 0:
+        return s, c
+    if q == 1:
+        return c, -s
+    if q == 2:
+        return -s, -c
+    return -c, s
+
+
+def _root_of_unity(n: int, k: int) -> ExtComplex:
     """exp(2*pi*i*k/n) to extended accuracy; k is reduced mod n first."""
     if n < 1:
         raise InvalidArgument("root_of_unity needs n >= 1")
@@ -469,9 +524,15 @@ def root_of_unity(n: int, k: int) -> ExtComplex:
         if quarter == 2:
             return ExtComplex(-1.0, 0.0)
         return ExtComplex(0.0, -1.0)
-    angle = _TWO_PI * _dd_div(ExtReal(float(k)), ExtReal(float(n)))
+    angle = _TWO_PI * (ExtReal(float(k)) / ExtReal(float(n)))
     s, c = _dd_sincos(angle)
     return ExtComplex(c, s)
+
+
+# The circle walk asks for the same angles on every circle it samples;
+# callers share the cached objects, which are never mutated. The bound keeps
+# a long-lived caller that tries many sizes from growing without limit.
+root_of_unity = functools.lru_cache(maxsize=4096)(_root_of_unity)
 
 
 # 16 sizes cover every transform length one run uses; the bound keeps a
@@ -479,72 +540,13 @@ def root_of_unity(n: int, k: int) -> ExtComplex:
 @functools.lru_cache(maxsize=16)
 def roots_of_unity(n: int) -> tuple:
     """Twiddle table of root_of_unity(n, k), k = 0..n-1, as read-only
-    float64 arrays (re.hi, re.lo, im.hi, im.lo); built on first use."""
+    float64 arrays (re.hi, re.lo, im.hi, im.lo); built on first use, past
+    the cache of single roots, which the table would flood."""
     table = np.empty((4, n))
     for k in range(n):
-        w = root_of_unity(n, k)
-        table[:, k] = (w.re.hi, w.re.lo, w.im.hi, w.im.lo)
+        table[:, k] = _quad(_root_of_unity(n, k))
     table.flags.writeable = False
     return tuple(table)
-
-
-# ---------------------------------------------------------------------------
-# element-wise double-double on float64 arrays
-# ---------------------------------------------------------------------------
-# A complex array is the 4-tuple (re.hi, re.lo, im.hi, im.lo).  Each function
-# repeats the matching ExtReal/ExtComplex operator step for step, so every
-# element carries the same bits the operator would give.
-
-def dd_add(a_hi, a_lo, b_hi, b_lo):
-    """ExtReal.__add__ element-wise."""
-    s1, s2 = two_sum(a_hi, b_hi)
-    t1, t2 = two_sum(a_lo, b_lo)
-    s1, s2 = quick_two_sum(s1, s2 + t1)
-    return quick_two_sum(s1, s2 + t2)
-
-
-def dd_mul(a_hi, a_lo, b_hi, b_lo):
-    """ExtReal.__mul__ element-wise."""
-    p1, p2 = two_prod(a_hi, b_hi)
-    return quick_two_sum(p1, p2 + (a_hi * b_lo + a_lo * b_hi))
-
-
-def dd_div_float(a_hi, a_lo, b: float):
-    """ExtReal.__truediv__ by a nonzero float, element-wise."""
-    q1 = a_hi / b
-    r_hi, r_lo = _sub_float_product(a_hi, a_lo, b, q1)
-    q2 = r_hi / b
-    r_hi, r_lo = _sub_float_product(r_hi, r_lo, b, q2)
-    q3 = r_hi / b
-    s, e = quick_two_sum(q1, q2)
-    s1, s2 = two_sum(s, q3)
-    return quick_two_sum(s1, s2 + e)
-
-
-def _sub_float_product(a_hi, a_lo, b: float, q):
-    """a - _dd_mul_float(ExtReal(b), q); the 0.0 is ExtReal(b).lo."""
-    p1, p2 = two_prod(b, q)
-    p1, p2 = quick_two_sum(p1, p2 + 0.0 * q)
-    return dd_add(a_hi, a_lo, -p1, -p2)
-
-
-def cdd_add(a, b):
-    """ExtComplex.__add__ element-wise."""
-    return dd_add(a[0], a[1], b[0], b[1]) + dd_add(a[2], a[3], b[2], b[3])
-
-
-def cdd_sub(a, b):
-    """ExtComplex.__sub__ element-wise."""
-    return cdd_add(a, tuple(-p for p in b))
-
-
-def cdd_mul(a, b):
-    """ExtComplex.__mul__ element-wise."""
-    ii_hi, ii_lo = dd_mul(a[2], a[3], b[2], b[3])
-    re = dd_add(*dd_mul(a[0], a[1], b[0], b[1]), -ii_hi, -ii_lo)
-    im = dd_add(*dd_mul(a[0], a[1], b[2], b[3]),
-                *dd_mul(a[2], a[3], b[0], b[1]))
-    return re + im
 
 
 # ---------------------------------------------------------------------------

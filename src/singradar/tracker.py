@@ -4,6 +4,10 @@ The predictor is zeroth order on purpose: steps adapt by halving on Newton
 failure and doubling after three straight successes, which is all the
 benchmark systems need. Failure to advance above min_step is the signal the
 caller cares about (a singularity is adjacent) and surfaces as StepUnderflow.
+
+A Newton correction runs at fixed t, so it evaluates the q(t) of every
+homotopy term once and shares the powers of each iterate between its
+residual and its Jacobian.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .errors import (
     SingularJacobian,
     StepUnderflow,
 )
-from .polysys import Homotopy, evaluate, jacobian
+from .polysys import Homotopy, Powers, evaluate, jacobian, term_values
 from .scalars import DOUBLE, EXTENDED, float_magnitude, is_extended, scalar_eps
 
 
@@ -112,28 +116,33 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
     the limiting accuracy of the lane, not just inside the tolerance; the
     reported iteration count excludes that polish step. When a list is passed
     as history, every pre-polish iterate is appended to it.
+
+    t is fixed, so every term's q(t) is evaluated once per call, and the
+    powers of each iterate are shared by its residual and its Jacobian.
     """
     x = list(x0)
     eps = scalar_eps(_lane(x, t))
     if cfg.newton_tol < eps:
         raise InvalidArgument("newton_tol below the active precision floor")
+    q = term_values(h, t)
     iterations = None
     for it in range(cfg.max_newton_iters + 1):
-        resid = evaluate(h, x, t)
+        powers = Powers(x)
+        resid = evaluate(h, x, t, q, powers)
         if _residual_norm(resid) <= cfg.newton_tol:
             iterations = it
             break
         if it == cfg.max_newton_iters:
             raise NoConvergence("newton iteration budget exhausted")
-        delta = _solve_linear(jacobian(h, x, t), resid, eps)
+        delta = _solve_linear(jacobian(h, x, t, q, powers), resid, eps)
         x = [xi - di for xi, di in zip(x, delta)]
         if history is not None:
             history.append(list(x))
     residual = _residual_norm(resid)
     if residual != 0.0:
-        delta = _solve_linear(jacobian(h, x, t), resid, eps)
+        delta = _solve_linear(jacobian(h, x, t, q, powers), resid, eps)
         polished = [xi - di for xi, di in zip(x, delta)]
-        after = _residual_norm(evaluate(h, polished, t))
+        after = _residual_norm(evaluate(h, polished, t, q))
         if after < residual:
             x, residual = polished, after
     return PathState(t=t, x=x, residual=residual,

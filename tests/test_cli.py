@@ -429,14 +429,6 @@ def test_solve_binomial_complex_rhs(tmp_path):
     assert abs(complex(*rep["solutions"][0][0]) - 1j) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_solve_binomial_nan_residual_is_not_zero(tmp_path):
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps({"A": [[2]], "c": [float("nan")]}))
-    code, out, err = run_cli(["solve-binomial", "--file", str(path)])
-    assert math.isnan(json.loads(out)["max_residual"])
-
-
 # ---------------------------------------------------------------------------
 # exit codes and output plumbing
 # ---------------------------------------------------------------------------
@@ -478,6 +470,17 @@ def test_bad_invocations_exit_two(tmp_path):
         assert code == 2
         assert err.startswith("error:")
         assert out == ""
+    # so would a non-finite right-hand side; a fractional exponent would be
+    # truncated to another system
+    for name, bad in (("nan_rhs.json", {"A": [[2]], "c": [float("nan")]}),
+                      ("inf_rhs.json", {"A": [[2]], "c": [[1.0, math.inf]]}),
+                      ("frac_a.json", {"A": [[2.5]], "c": [1.0]})):
+        path = tmp_path / name
+        path.write_text(json.dumps(bad))
+        code, out, err = run_cli(["solve-binomial", "--file", str(path)])
+        assert code == 2, name
+        assert err.startswith("error:"), name
+        assert out == "", name
 
 
 def test_radius_out_writes_report(tmp_path):

@@ -313,6 +313,23 @@ def test_taylor_sqrt_extended_precision():
     assert e64 <= 1e-12
 
 
+def test_taylor_sqrt_extended_mpmath_oracle():
+    # x(t) = sqrt(1 - t): the extended lane must carry its coefficients
+    # scaled by step^k to double-double accuracy, which a polish that
+    # stopped at double accuracy would not
+    h = fixture("sqrt")
+    base = PathState.from_point(h, promote(0.0, EXTENDED),
+                                [promote(1.0, EXTENDED)])
+    s = taylor_coefficients(h, base, 0.5, 128, default_config(EXTENDED))[0]
+    worst = 0
+    with mpmath.workdps(50):
+        for k, c in enumerate(s.coeffs):
+            exact = exact_sqrt_coeff(k)
+            err = abs(mp_value(c) - mpmath.mpf(exact.numerator) / exact.denominator)
+            worst = max(worst, err * mpmath.mpf(0.5) ** k)
+    assert worst <= 1e-30
+
+
 def test_eighth_derivative_recovery():
     h, base = sqrt_base()
     s = taylor_coefficients(h, base, 0.5, 16, default_config())[0]

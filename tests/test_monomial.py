@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from singradar.errors import (
@@ -214,6 +215,20 @@ def test_solve_identity_exponents():
 def test_solve_zero_rhs_rejected():
     with pytest.raises(NotApplicable):
         solve_binomial(IntMatrix([[2]]), (0,))
+
+
+def test_solve_non_finite_rhs_rejected():
+    for bad in (math.nan, math.inf, complex(1.0, math.inf),
+                complex(math.nan, 0.0)):
+        with pytest.raises(InvalidArgument):
+            solve_binomial(IntMatrix([[2]]), (bad,))
+
+
+def test_int_matrix_accepts_only_integers():
+    assert IntMatrix([[True, np.int64(2)], [0, -3]]).entries == [[1, 2], [0, -3]]
+    for bad in (2.5, 2.0, "2", None):
+        with pytest.raises(InvalidArgument):
+            IntMatrix([[1, bad], [0, 1]])
 
 
 def test_solve_singular_rejected():

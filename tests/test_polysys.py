@@ -4,6 +4,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from singradar.errors import EvaluationSingular, InvalidArgument
@@ -22,8 +23,11 @@ from singradar.polysys import (
     homotopy_to_json,
     jacobian,
     make_gamma_homotopy,
+    Powers,
+    term_values,
 )
-from singradar.scalars import ExtComplex, ExtReal
+from singradar.radar import recondition
+from singradar.scalars import ExtComplex, ExtReal, float_magnitude
 
 PARENT_JSON = Path(__file__).with_name("golden") / "json"
 
@@ -98,6 +102,15 @@ def test_cusp_fixture():
     t = 0.625
     x = (t - 1.0) ** 2
     assert abs(evaluate(h, [x], t)[0]) < 1e-16
+
+
+def test_monomial_accepts_only_integer_exponents():
+    assert Monomial(1.0, (np.int64(2), True, -1)).exponents == (2, 1, -1)
+    for bad in ((1.5,), (2.0,), ("2",), (None,)):
+        with pytest.raises(InvalidArgument):
+            Monomial(1.0, bad)
+        with pytest.raises(InvalidArgument):
+            TMonomial((1.0,), bad)
 
 
 def test_dimension_mismatch():
@@ -343,3 +356,144 @@ def _explicit(term, dim=1):
 def test_malformed_json_is_invalid_argument(doc):
     with pytest.raises(InvalidArgument):
         homotopy_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the evaluation before powers and q(t) were shared
+# ---------------------------------------------------------------------------
+# A frozen copy of evaluate / jacobian as they were when every monomial
+# recomputed its powers and every term its q(t): the shared-work versions
+# must give the same bits and the same result types, or raise the same error.
+
+def _ref_ipow(base, e):
+    if e == 0:
+        return 1.0
+    if e < 0 and float_magnitude(base) == 0.0:
+        raise EvaluationSingular("negative exponent at zero coordinate")
+    return base ** e
+
+
+def _ref_mono_value(coefficient, exponents, x):
+    acc = coefficient
+    for xi, e in zip(x, exponents):
+        if e != 0:
+            acc = acc * _ref_ipow(xi, e)
+    return acc
+
+
+def _ref_evalpoly(coeffs, t):
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * t + c
+    return acc
+
+
+def ref_evaluate(h, x, t):
+    out = []
+    for eq in h.equations:
+        acc = 0.0
+        for term in eq:
+            p = None
+            for mono in term.poly:
+                v = _ref_mono_value(mono.coefficient, mono.exponents, x)
+                p = v if p is None else p + v
+            acc = acc + _ref_evalpoly(term.t_coeffs, t) * p
+        out.append(acc)
+    return out
+
+
+def ref_jacobian(h, x, t):
+    rows = []
+    for eq in h.equations:
+        row = [0.0] * h.dim
+        for term in eq:
+            c = _ref_evalpoly(term.t_coeffs, t)
+            for mono in term.poly:
+                for j, e in enumerate(mono.exponents):
+                    if e == 0:
+                        continue
+                    dexp = list(mono.exponents)
+                    dexp[j] = e - 1
+                    row[j] = row[j] + c * e * _ref_mono_value(
+                        mono.coefficient, dexp, x)
+        rows.append(row)
+    return rows
+
+
+def typed_bits(v):
+    if isinstance(v, list):
+        return [typed_bits(u) for u in v]
+    if isinstance(v, ExtComplex):
+        return ("ExtComplex",) + bits(v)
+    if isinstance(v, ExtReal):
+        return ("ExtReal", v.hi.hex(), v.lo.hex())
+    if isinstance(v, float):
+        return ("float", v.hex())
+    return (type(v).__name__,) + bits(v)
+
+
+def outcome(fn, *args):
+    try:
+        return typed_bits(fn(*args))
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _negative_exponent_homotopy():
+    # multi-monomial terms with negative and mixed exponents
+    f = PolySystem(2, [
+        [Monomial(1.5 - 0.5j, (2, -1)), Monomial(-2.0, (0, 3)),
+         Monomial(0.25, (0, 0))],
+        [Monomial(1.0, (-2, 1)), Monomial(3.0 + 1.0j, (1, 1))]])
+    g = PolySystem(2, [[Monomial(1.0, (1, 0)), Monomial(-1.0, (0, 0))],
+                       [Monomial(1.0, (0, -1)), Monomial(-1.0, (0, 0))]])
+    return make_gamma_homotopy(f, g, DEFAULT_GAMMA)
+
+
+def _identity_homotopies():
+    out = []
+    for name in ("sqrt", "cusp", "monomial4", "ojika1"):
+        h = fixture(name)
+        out.append((name, h))
+        for t0 in (0.1, 0.3, 0.955647336181678):
+            out.append(("%s@%r" % (name, t0), recondition(h, t0)))
+    out.append(("negative", _negative_exponent_homotopy()))
+    return out
+
+
+def _lane_points(rng, dim):
+    """(lane, x, t) triples: real doubles, complex doubles, double-double
+    with ExtComplex and ExtReal t, plus points with zero coordinates."""
+    out = []
+    for _ in range(6):
+        xr = [rng.uniform(-2.0, 2.0) for _ in range(dim)]
+        xc = rand_point(rng, dim)
+        tr = rng.uniform(-0.2, 1.1)
+        tc = complex(tr, rng.uniform(-0.5, 0.5))
+        xe = [ExtComplex(ExtReal(z.real, z.real * 1e-17),
+                         ExtReal(z.imag, -z.imag * 3e-17)) for z in xc]
+        te = ExtComplex(ExtReal(tc.real, 1e-18), ExtReal(tc.imag, -2e-18))
+        out += [("double", xr, tr), ("complex", xc, tc), ("complex", xc, tr),
+                ("extended", xe, te), ("extended", xe, ExtReal(tr, 1e-18))]
+    zero = [0.0] + [rng.uniform(0.5, 1.5) for _ in range(dim - 1)]
+    out += [("double", zero, 0.5), ("complex", [complex(v) for v in zero], 0.5j),
+            ("extended", [ExtComplex(v) for v in zero], ExtComplex(0.5))]
+    return out
+
+
+def test_evaluate_and_jacobian_bit_identical_to_unshared_reference():
+    rng = random.Random(20261018)
+    lanes = set()
+    for name, h in _identity_homotopies():
+        for lane, x, t in _lane_points(rng, h.dim):
+            lanes.add(lane)
+            want_f = outcome(ref_evaluate, h, x, t)
+            want_j = outcome(ref_jacobian, h, x, t)
+            assert outcome(evaluate, h, x, t) == want_f, (name, lane)
+            assert outcome(jacobian, h, x, t) == want_j, (name, lane)
+            # shared as newton_correct shares them: one q for the t, one
+            # set of powers for residual and Jacobian at the point
+            q, powers = term_values(h, t), Powers(x)
+            assert outcome(evaluate, h, x, t, q, powers) == want_f, (name, lane)
+            assert outcome(jacobian, h, x, t, q, powers) == want_j, (name, lane)
+    assert lanes == {"double", "complex", "extended"}

@@ -1,7 +1,9 @@
 """Extended scalar arithmetic checked against a 64-digit mpmath oracle."""
 
 import math
+import operator
 import random
+import struct
 
 import mpmath as mp
 import pytest
@@ -220,3 +222,371 @@ def test_mixed_lane_promotion():
     assert complex(z) == complex(2.5, 0.5)
     r = 1.5 * ExtReal(2.0) - 1
     assert float(r) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the object operators the kernels replaced
+# ---------------------------------------------------------------------------
+# RefReal / RefComplex are a frozen copy of the ExtReal / ExtComplex operator
+# bodies as they were before the operators moved onto the float-level dd_* /
+# cdd_* kernels, with their own error-free transformations. Every operator
+# of the library must return the same bits (signed zeros, infinities and NaN
+# payloads included) or raise the same exception.
+
+def _ref_two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _ref_quick_two_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _ref_split(a):
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _ref_two_prod(a, b):
+    p = a * b
+    ahi, alo = _ref_split(a)
+    bhi, blo = _ref_split(b)
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+class RefReal:
+    __slots__ = ("hi", "lo")
+
+    def __init__(self, hi=0.0, lo=0.0):
+        self.hi = float(hi)
+        self.lo = float(lo)
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, RefReal):
+            return other
+        if isinstance(other, (int, float)):
+            return RefReal(float(other), 0.0)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (complex, RefComplex)):
+                return RefComplex(self, RefReal()) + other
+            return NotImplemented
+        s1, s2 = _ref_two_sum(self.hi, o.hi)
+        t1, t2 = _ref_two_sum(self.lo, o.lo)
+        s2 += t1
+        s1, s2 = _ref_quick_two_sum(s1, s2)
+        s2 += t2
+        s1, s2 = _ref_quick_two_sum(s1, s2)
+        return RefReal(s1, s2)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefReal(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (complex, RefComplex)):
+                return RefComplex(self, RefReal()) - other
+            return NotImplemented
+        return self.__add__(RefReal(-o.hi, -o.lo))
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (complex, RefComplex)):
+                return other - RefComplex(self, RefReal())
+            return NotImplemented
+        return o.__add__(RefReal(-self.hi, -self.lo))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (complex, RefComplex)):
+                return RefComplex(self, RefReal()) * other
+            return NotImplemented
+        p1, p2 = _ref_two_prod(self.hi, o.hi)
+        p2 += self.hi * o.lo + self.lo * o.hi
+        p1, p2 = _ref_quick_two_sum(p1, p2)
+        return RefReal(p1, p2)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (complex, RefComplex)):
+                return RefComplex(self, RefReal()) / other
+            return NotImplemented
+        return _ref_div(self, o)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (complex, RefComplex)):
+                return other / RefComplex(self, RefReal())
+            return NotImplemented
+        return _ref_div(o, self)
+
+    def __pow__(self, k):
+        return _ref_ipow(self, k, RefReal(1.0))
+
+    def __abs__(self):
+        return -self if self.hi < 0.0 or (self.hi == 0.0 and self.lo < 0.0) else self
+
+    def sqrt(self):
+        if self.hi == 0.0 and self.lo == 0.0:
+            return RefReal()
+        if self.hi < 0.0:
+            raise InvalidArgument("sqrt of negative extended real")
+        x = 1.0 / math.sqrt(self.hi)
+        ax = self.hi * x
+        p, e = _ref_two_prod(ax, ax)
+        d = self - RefReal(p, e)
+        s, lo = _ref_quick_two_sum(ax, d.hi * x * 0.5)
+        return RefReal(s, lo)
+
+
+def _ref_mul_float(a, b):
+    p1, p2 = _ref_two_prod(a.hi, b)
+    p2 += a.lo * b
+    return RefReal(*_ref_quick_two_sum(p1, p2))
+
+
+def _ref_div(a, b):
+    if b.hi == 0.0 and b.lo == 0.0:
+        raise DivisionByZero("extended real division by exact zero")
+    q1 = a.hi / b.hi
+    r = a - _ref_mul_float(b, q1)
+    q2 = r.hi / b.hi
+    r = r - _ref_mul_float(b, q2)
+    q3 = r.hi / b.hi
+    s, e = _ref_quick_two_sum(q1, q2)
+    s1, s2 = _ref_two_sum(s, q3)
+    s2 += e
+    return RefReal(*_ref_quick_two_sum(s1, s2))
+
+
+class RefComplex:
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0.0, im=0.0):
+        self.re = re if isinstance(re, RefReal) else RefReal(re)
+        self.im = im if isinstance(im, RefReal) else RefReal(im)
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, RefComplex):
+            return other
+        if isinstance(other, complex):
+            return RefComplex(RefReal(other.real), RefReal(other.imag))
+        if isinstance(other, (int, float)):
+            return RefComplex(RefReal(float(other)), RefReal())
+        if isinstance(other, RefReal):
+            return RefComplex(other, RefReal())
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RefComplex(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefComplex(-self.re, -self.im)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RefComplex(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RefComplex(o.re - self.re, o.im - self.im)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RefComplex(self.re * o.re - self.im * o.im,
+                          self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _ref_cdiv(self, o)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _ref_cdiv(o, self)
+
+    def __pow__(self, k):
+        return _ref_ipow(self, k, RefComplex(1.0))
+
+    def __abs__(self):
+        return (self.re * self.re + self.im * self.im).sqrt()
+
+
+def _ref_ldexp(x, e):
+    return RefReal(math.ldexp(x.hi, e), math.ldexp(x.lo, e))
+
+
+def _ref_cdiv(a, b):
+    if b.re.hi == 0.0 and b.re.lo == 0.0 and b.im.hi == 0.0 and b.im.lo == 0.0:
+        raise DivisionByZero("extended complex division by exact zero")
+    m = max(abs(b.re.hi), abs(b.im.hi))
+    _, ex = math.frexp(m)
+    if ex > 500 or ex < -500:
+        b = RefComplex(_ref_ldexp(b.re, -ex), _ref_ldexp(b.im, -ex))
+        q = _ref_cdiv(a, b)
+        return RefComplex(_ref_ldexp(q.re, -ex), _ref_ldexp(q.im, -ex))
+    if abs(b.re.hi) >= abs(b.im.hi):
+        r = _ref_div(b.im, b.re)
+        den = b.re + b.im * r
+        return RefComplex(_ref_div(a.re + a.im * r, den),
+                          _ref_div(a.im - a.re * r, den))
+    r = _ref_div(b.re, b.im)
+    den = b.im + b.re * r
+    return RefComplex(_ref_div(a.re * r + a.im, den),
+                      _ref_div(a.im * r - a.re, den))
+
+
+def _ref_ipow(base, k, one):
+    if k < 0:
+        return one / _ref_ipow(base, -k, one)
+    result = one
+    b = base
+    n = k
+    while n:
+        if n & 1:
+            result = result * b
+        b = b * b
+        n >>= 1
+    return result
+
+
+def _float_bits(x):
+    return struct.pack("<d", x).hex()
+
+
+def _ext_bits(v):
+    """Type tag and the bit pattern of every double, for both families."""
+    if isinstance(v, (ExtReal, RefReal)):
+        return ("real", _float_bits(v.hi), _float_bits(v.lo))
+    if isinstance(v, (ExtComplex, RefComplex)):
+        return ("complex",) + _ext_bits(v.re)[1:] + _ext_bits(v.im)[1:]
+    return (type(v).__name__, repr(v))
+
+
+def _outcome(fn, *args):
+    try:
+        return _ext_bits(fn(*args))
+    except Exception as exc:  # the exception type and message must agree
+        return ("raised", type(exc).__name__, str(exc))
+
+
+_SPECIAL_DOUBLES = (0.0, -0.0, 1.0, -1.0, 3.0, 2.0 ** -53, math.inf, -math.inf,
+                    math.nan, 2.0 ** 520, -2.0 ** 510, 2.0 ** -520, 5e-324,
+                    1.0e308)
+
+
+def _operand_pool():
+    """(library value, reference value) pairs of every operand kind."""
+    rng = random.Random(20261018)
+    reals = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (1.0, 0.0),
+             (-1.0, -0.0), (3.0, 1.2e-16), (2.0 ** 520, 2.0 ** 460),
+             (2.0 ** -520, -2.0 ** -580), (math.inf, 0.0), (math.nan, 0.0),
+             (1.0e308, 1.0e291)]
+    for _ in range(10):
+        hi = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12)
+        reals.append((hi, hi * rng.uniform(-1.0, 1.0) * 1e-17))
+    pool = [(ExtReal(hi, lo), RefReal(hi, lo)) for hi, lo in reals]
+    parts = reals[:9] + reals[12:] + [(1.0e300, -3.0e283)]
+    for i in range(len(parts)):
+        re, im = parts[i], parts[(3 * i + 2) % len(parts)]
+        pool.append((ExtComplex(ExtReal(*re), ExtReal(*im)),
+                     RefComplex(RefReal(*re), RefReal(*im))))
+    pool.append((ExtComplex(2.0 ** 600, -2.0 ** 590),
+                 RefComplex(2.0 ** 600, -2.0 ** 590)))
+    pool.append((ExtComplex(2.0 ** -560, 2.0 ** -570),
+                 RefComplex(2.0 ** -560, 2.0 ** -570)))
+    natives = list(_SPECIAL_DOUBLES) + [0, 2, -7, True]
+    natives += [complex(a, b) for a, b in ((0.0, 0.0), (-0.0, -0.0),
+                                           (1.5, -0.0), (0.0, 1.0),
+                                           (-2.5, 4.0), (math.inf, 1.0),
+                                           (2.0 ** 520, 1.0))]
+    natives += [rng.uniform(-10.0, 10.0) for _ in range(4)]
+    return pool + [(v, v) for v in natives]
+
+
+_BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def test_binary_operators_bit_identical_to_object_reference():
+    pool = _operand_pool()
+    checked = 0
+    for a, ra in pool:
+        for b, rb in pool:
+            if not isinstance(a, (ExtReal, ExtComplex)) and \
+                    not isinstance(b, (ExtReal, ExtComplex)):
+                continue
+            for op in _BINARY:
+                want = _outcome(op, ra, rb)
+                got = _outcome(op, a, b)
+                assert got == want, (op.__name__, a, b)
+                checked += 1
+    # the reflected forms ran with a native left operand
+    assert checked > 4 * 2 * 20 * 20
+
+
+def test_explicit_reflected_operators_bit_identical():
+    pool = [p for p in _operand_pool() if isinstance(p[0], (ExtReal, ExtComplex))]
+    for a, ra in pool:
+        for b, rb in pool:
+            for name in ("__radd__", "__rsub__", "__rmul__", "__rtruediv__"):
+                want = _outcome(getattr(ra, name), rb)
+                got = _outcome(getattr(a, name), b)
+                assert got == want, (name, a, b)
+
+
+def test_unary_operators_and_powers_bit_identical():
+    for a, ra in _operand_pool():
+        if not isinstance(a, (ExtReal, ExtComplex)):
+            continue
+        assert _outcome(operator.neg, a) == _outcome(operator.neg, ra), a
+        assert _outcome(abs, a) == _outcome(abs, ra), a
+        for k in (-3, -2, -1, 0, 1, 2, 3, 5, 8, 13):
+            assert _outcome(pow, a, k) == _outcome(pow, ra, k), (a, k)
+        if isinstance(a, ExtReal):
+            assert _outcome(ExtReal.sqrt, a) == _outcome(RefReal.sqrt, ra), a
+
+
+def test_kernel_guard_covers_the_special_branches():
+    # the pool reaches the Smith prescale (|b| above 2^500 and below 2^-500)
+    # and both divisions by exact zero, so the identity tests above see them
+    big = ExtComplex(2.0 ** 600, -2.0 ** 590)
+    assert math.frexp(abs(big.re.hi))[1] > 500
+    want = _ext_bits(RefComplex(1.0, 2.0) / RefComplex(2.0 ** 600, -2.0 ** 590))
+    assert _ext_bits(ExtComplex(1.0, 2.0) / big) == want
+    assert _outcome(operator.truediv, ExtComplex(1.0), ExtComplex(-0.0, 0.0)) \
+        == ("raised", "DivisionByZero", "extended complex division by exact zero")
+    assert _outcome(operator.truediv, 1.0, ExtReal(-0.0, 0.0)) \
+        == ("raised", "DivisionByZero", "extended real division by exact zero")
