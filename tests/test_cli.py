@@ -429,6 +429,17 @@ def test_solve_binomial_complex_rhs(tmp_path):
     assert abs(complex(*rep["solutions"][0][0]) - 1j) <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_binomial_nan_residual_is_not_zero(tmp_path):
+    # a finite but subnormal right-hand side under a negative exponent
+    # gives a NaN solution; its residual must not be reported as zero
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps({"A": [[-2]], "c": [[1e-320, 1e-320]]}))
+    code, out, err = run_cli(["solve-binomial", "--file", str(path)])
+    assert code == 0
+    assert math.isnan(json.loads(out)["max_residual"])
+
+
 # ---------------------------------------------------------------------------
 # exit codes and output plumbing
 # ---------------------------------------------------------------------------
