@@ -298,8 +298,12 @@ def cmd_solve_binomial(cfg: RunConfig):
     else:
         with open(cfg.file, "r", encoding="utf-8") as fp:
             data = json.load(fp)
-        a = IntMatrix([list(row) for row in data["A"]])
-        c = [_parse_rhs_entry(v) for v in data["c"]]
+        try:
+            a = IntMatrix([list(row) for row in data["A"]])
+            c = [_parse_rhs_entry(v) for v in data["c"]]
+        except (TypeError, IndexError) as exc:
+            raise InvalidArgument(
+                f"malformed binomial system: {exc!r}") from exc
     solutions = solve_binomial(a, c)
     worst = 0.0
     for x in solutions:

@@ -1,10 +1,18 @@
 """Taylor coefficients of a solution path by circle sampling and inverse DFT.
 
 Samples walk the circle sequentially, each corrected from its neighbor, so
-the whole batch stays on one branch; a wrap-around re-correction guards the
-monodromy. Accumulation runs in the extended lane regardless of the caller's
-lane: the samples are cheap to polish there and the exactly representable
-roots of unity keep the transform's rounding out of the coefficient error.
+the whole batch stays on one branch; a hop that moves too far re-walks its
+arc in finer substeps, and a wrap-around re-correction guards the
+monodromy. The samples end in double-double whatever the caller's lane, so
+the exactly representable roots of unity keep the transform's rounding out
+of the coefficient error:
+
+* the extended lane corrects every hop in double-double;
+* the double lane walks in double, then lifts all n samples at once by
+  mixed-precision iterative refinement (Moler, JACM 14, 1967): the residual
+  is evaluated in double-double on one ExtComplex per coordinate whose
+  parts are (n,) arrays, and the correction is solved in double, sample by
+  sample, with the Jacobian at the hi parts.
 
 The transforms run double-double arithmetic element-wise on four float64
 arrays (re.hi, re.lo, im.hi, im.lo): an iterative radix-2 kernel (bit-reversal
@@ -23,22 +31,27 @@ import math
 from dataclasses import dataclass
 
 from .errors import BranchJump, InvalidArgument, NoConvergence
-from .polysys import Homotopy
+from .polysys import Homotopy, Powers, evaluate, jacobian, term_values
 from .scalars import (
+    DOUBLE,
     EXTENDED,
     ExtComplex,
     ExtReal,
+    _complex,
+    _quad,
     cdd_add,
     cdd_mul,
     cdd_sub,
     dd_div,
+    float_magnitude,
     is_extended,
     promote,
     root_of_unity,
     roots_of_unity,
+    scalar_eps,
 )
 from .series import TruncatedSeries
-from .tracker import (PathState, TrackerConfig, default_config,
+from .tracker import (PathState, TrackerConfig, _solve_linear, default_config,
                       newton_correct, track_to)
 
 # imported after the package's own modules (scalars imports numpy): numpy
@@ -58,8 +71,7 @@ class CircleSamples:
     values: list
 
     def __post_init__(self):
-        if self.n < 1 or (self.n & (self.n - 1)) != 0:
-            raise InvalidArgument("sample count must be a power of two")
+        _check_power_of_two(self.n)
         for coord in self.values:
             if len(coord) != self.n:
                 raise InvalidArgument("every coordinate needs n samples")
@@ -167,18 +179,9 @@ class _RetryHop(Exception):
     pass
 
 
-def _correct_sample(h, t_ext, seed, cfg, polish_cfg, lane_extended):
-    if lane_extended:
-        return newton_correct(h, t_ext, [_as_ext(v) for v in seed],
-                              polish_cfg).x
-    state = newton_correct(h, complex(t_ext), seed, cfg)
-    return newton_correct(h, t_ext, [_as_ext(v) for v in state.x],
-                          polish_cfg).x
-
-
-def _advance_arc(h, t0_ext, step_ext, n, k, seed, cfg, polish_cfg,
-                 lane_extended):
-    """Sample at angle k/n starting from the accepted sample at (k-1)/n.
+def _advance_arc(correct, t0_ext, step_ext, n, k, seed):
+    """Sample at angle k/n starting from the accepted sample at (k-1)/n;
+    correct(t, seed) is the lane's Newton correction.
 
     A hop that moves the point by more than half its own scale cannot be
     trusted as a Newton seed (the corrector may land on another branch or
@@ -191,15 +194,14 @@ def _advance_arc(h, t0_ext, step_ext, n, k, seed, cfg, polish_cfg,
             for j in range(1, m + 1):
                 t_sub = t0_ext + step_ext * root_of_unity(n * m,
                                                           (k - 1) * m + j)
-                value = _correct_sample(h, t_sub, walk, cfg, polish_cfg,
-                                        lane_extended)
+                value = correct(t_sub, walk)
                 moved = max(abs(complex(a) - complex(b))
                             for a, b in zip(walk, value))
                 spread = max(max(abs(complex(a)), abs(complex(b)))
                              for a, b in zip(walk, value))
                 if moved > _WALK_GUARD * spread:
                     raise _RetryHop()
-                walk = value if lane_extended else [complex(v) for v in value]
+                walk = value
             return value
         except (_RetryHop, NoConvergence):
             m *= 2
@@ -208,18 +210,88 @@ def _advance_arc(h, t0_ext, step_ext, n, k, seed, cfg, polish_cfg,
                     "sampling hops kept jumping at the finest subdivision")
 
 
+def _norms(values, n: int):
+    """newton_correct's residual norm, max_i |values_i|, per sample."""
+    out = np.zeros(n)
+    for v in values:
+        out = np.maximum(out, float_magnitude(v))
+    return out
+
+
+def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
+    """Lift the walked double samples, an (n, dim) complex array, to
+    double-double at the batched angles t: one array-valued ExtComplex per
+    coordinate.
+
+    Mixed-precision iterative refinement: the residual is evaluated in
+    double-double, the correction solved in double with the Jacobian at
+    the hi parts, and added in double-double. The stopping rule is
+    newton_correct's, applied to every sample: each residual must reach
+    the extended tolerance, and one more step is kept where it lowers it.
+    """
+    cfg = default_config(EXTENDED)
+    eps = scalar_eps(DOUBLE)
+    n = len(walked)
+    zero = np.zeros(n)
+    x = [_complex((c.real, zero, c.imag, zero)) for c in walked.T]
+    t_hi = t.re.hi + 1j * t.im.hi
+    q = term_values(h, t)
+    q_hi = term_values(h, t_hi)
+
+    def step(x, resid, active):
+        jac = np.empty((n, h.dim, h.dim), dtype=complex)
+        rows = jacobian(h, [v.re.hi + 1j * v.im.hi for v in x], t_hi, q_hi)
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                jac[:, i, j] = entry
+        rhs = np.empty((n, h.dim), dtype=complex)
+        for i, r in enumerate(resid):
+            rhs[:, i] = r.re.hi + 1j * r.im.hi
+        delta = np.zeros((n, h.dim), dtype=complex)
+        for k in np.flatnonzero(active):
+            delta[k] = _solve_linear(jac[k].tolist(), rhs[k].tolist(), eps)
+        return [v - _complex((d.real, 0.0, d.imag, 0.0))
+                for v, d in zip(x, delta.T)]
+
+    for it in range(cfg.max_newton_iters + 1):
+        resid = evaluate(h, x, t, q, Powers(x))
+        norms = _norms(resid, n)
+        active = ~(norms <= cfg.newton_tol)
+        if not active.any():
+            break
+        if it == cfg.max_newton_iters:
+            raise NoConvergence("refinement budget exhausted")
+        x = step(x, resid, active)
+    polished = step(x, resid, norms != 0.0)
+    keep = _norms(evaluate(h, polished, t, q), n) < norms
+    return [_complex(tuple(np.where(keep, a, b)
+                           for a, b in zip(_quad(p), _quad(v))))
+            for p, v in zip(polished, x)]
+
+
 def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
                   cfg: TrackerConfig | None = None) -> CircleSamples:
-    """Newton-corrected samples x(t0 + step*w^k), k = 0..n-1."""
+    """Newton-corrected samples x(t0 + step*w^k), k = 0..n-1.
+
+    The extended lane corrects every hop in double-double. The double lane
+    walks in double and then refines all n samples at once (_refine)."""
     _check_power_of_two(n)
     if cfg is None:
         cfg = default_config()
     if not 0.0 < step < math.inf:
         raise InvalidArgument("step must be positive and finite")
     lane_extended = any(is_extended(v) for v in base.x) or is_extended(base.t)
-    polish_cfg = default_config(EXTENDED)
     t0_ext = _as_ext(base.t)
     step_ext = ExtReal.from_value(float(step))
+    if lane_extended:
+        polish_cfg = default_config(EXTENDED)
+
+        def correct(t, seed):
+            return newton_correct(h, t, [_as_ext(v) for v in seed],
+                                  polish_cfg).x
+    else:
+        def correct(t, seed):
+            return newton_correct(h, complex(t), seed, cfg).x
     per_sample = []
     seed = list(base.x)
     t0_c = complex(base.t)
@@ -232,12 +304,9 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
             seed = [complex(v) for v in seed]
     for k in range(n + 1):
         if k == 0:
-            t_ext = t0_ext + step_ext * root_of_unity(n, 0)
-            value = _correct_sample(h, t_ext, seed, cfg, polish_cfg,
-                                    lane_extended)
+            value = correct(t0_ext + step_ext * root_of_unity(n, 0), seed)
         else:
-            value = _advance_arc(h, t0_ext, step_ext, n, k, seed, cfg,
-                                 polish_cfg, lane_extended)
+            value = _advance_arc(correct, t0_ext, step_ext, n, k, seed)
         if k == n:
             drift = max(abs(complex(a - b))
                         for a, b in zip(value, per_sample[0]))
@@ -245,8 +314,13 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
                 raise BranchJump("circle walk returned on a different branch")
             break
         per_sample.append(value)
-        seed = [complex(v) for v in value] if not lane_extended else value
-    values = [[per_sample[k][i] for k in range(n)] for i in range(h.dim)]
+        seed = value
+    if lane_extended:
+        values = [[per_sample[k][i] for k in range(n)] for i in range(h.dim)]
+    else:
+        t = t0_ext + step_ext * _complex(roots_of_unity(n))
+        values = [_from_arrays(_quad(v), True)
+                  for v in _refine(h, t, np.array(per_sample, dtype=complex))]
     return CircleSamples(t0=base.t, h=float(step), n=n, values=values)
 
 

@@ -286,6 +286,9 @@ def solve_binomial(a: IntMatrix, c) -> list:
         raise InvalidArgument("right-hand side length mismatch")
     if not all(cmath.isfinite(v) for v in c):
         raise InvalidArgument("right-hand side must be finite")
+    # the polish measures residuals against |c|, formed from squares
+    if not math.isfinite(sum(v.real * v.real + v.imag * v.imag for v in c)):
+        raise InvalidArgument("right-hand side too large: |c|^2 overflows")
     if any(v == 0 for v in c):
         raise NotApplicable("zero right-hand side component")
     nf = smith_normal_form(a)

@@ -28,6 +28,9 @@ from dataclasses import dataclass
 from .errors import EvaluationSingular, InvalidArgument
 from .scalars import float_magnitude
 
+# after the package's own modules, as in fourier
+import numpy as np
+
 # the tag homotopy_to_json writes; "gamma_convex" and "monomial" are read too
 EXPLICIT_T = "explicit_t"
 
@@ -101,7 +104,7 @@ class Homotopy:
 def ipow(base, e: int):
     if e == 0:
         return 1.0
-    if e < 0 and float_magnitude(base) == 0.0:
+    if e < 0 and np.any(float_magnitude(base) == 0.0):
         raise EvaluationSingular("negative exponent at zero coordinate")
     return base ** e
 

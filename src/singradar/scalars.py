@@ -11,7 +11,10 @@ Each double-double formula exists once, as a kernel on plain floats
 4-tuples).  The ``ExtReal``/``ExtComplex`` operators unpack their operands
 and call these kernels; the DFT transforms call the same kernels
 element-wise on float64 arrays, with twiddles from a per-size table of
-``root_of_unity``.
+``root_of_unity``.  An ExtComplex whose four parts are equal-shape float64
+arrays holds one value per element, and the operators (with ``cdd_recip``
+for negative powers) act on it element by element with the same bits as
+on each value alone; the circle samples are refined in that form.
 """
 
 from __future__ import annotations
@@ -160,6 +163,18 @@ def cdd_div(a, b):
         re_hi, re_lo = dd_add(*dd_mul(a[0], a[1], *r), a[2], a[3])
         im_hi, im_lo = dd_add(*dd_mul(a[2], a[3], *r), -a[0], -a[1])
     return dd_div(re_hi, re_lo, *den) + dd_div(im_hi, im_lo, *den)
+
+
+def cdd_recip(b):
+    """1 / b element-wise for float64-array parts: the double reciprocal r
+    of the hi parts, refined by one Newton step r + r (1 - b r), which
+    squares its relative error."""
+    z = b[0] + 1j * b[2]
+    if not z.all():
+        raise DivisionByZero("extended complex division by exact zero")
+    r = 1.0 / z
+    r = (r.real, 0.0, r.imag, 0.0)
+    return cdd_add(r, cdd_mul(r, cdd_sub((1.0, 0.0, 0.0, 0.0), cdd_mul(b, r))))
 
 
 def _power(mul, one, base, k: int):
@@ -433,7 +448,9 @@ class ExtComplex:
             return NotImplemented
         one = (1.0, 0.0, 0.0, 0.0)
         p = _power(cdd_mul, one, _quad(self), abs(k))
-        return _complex(cdd_div(one, p) if k < 0 else p)
+        if k < 0:
+            p = cdd_recip(p) if isinstance(p[0], np.ndarray) else cdd_div(one, p)
+        return _complex(p)
 
     def __abs__(self) -> ExtReal:
         re, im = self.re, self.im
@@ -575,8 +592,12 @@ def is_extended(value) -> bool:
 
 
 def float_magnitude(z) -> float:
-    """|z| rounded to a native float (threshold and pivot comparisons)."""
+    """|z| rounded to a native float (threshold and pivot comparisons); a
+    float64 array of them for an ExtComplex with array parts."""
     if isinstance(z, ExtComplex):
+        re, im = z.re, z.im
+        if isinstance(re.hi, np.ndarray):
+            return np.hypot(re.hi + re.lo, im.hi + im.lo)
         return abs(complex(z))
     if isinstance(z, ExtReal):
         return abs(float(z))

@@ -482,10 +482,16 @@ def test_bad_invocations_exit_two(tmp_path):
         assert err.startswith("error:")
         assert out == ""
     # so would a non-finite right-hand side; a fractional exponent would be
-    # truncated to another system
+    # truncated to another system; a malformed shape or a right-hand side
+    # whose squared modulus overflows is rejected before any arithmetic
     for name, bad in (("nan_rhs.json", {"A": [[2]], "c": [float("nan")]}),
                       ("inf_rhs.json", {"A": [[2]], "c": [[1.0, math.inf]]}),
-                      ("frac_a.json", {"A": [[2.5]], "c": [1.0]})):
+                      ("frac_a.json", {"A": [[2.5]], "c": [1.0]}),
+                      ("flat_a.json", {"A": [2], "c": [1.0]}),
+                      ("short_c.json", {"A": [[2]], "c": [[1.0]]}),
+                      ("huge_c.json", {"A": [[2]], "c": [[1e308, 1e308]]}),
+                      ("huger_c.json",
+                       {"A": [[1]], "c": [[1.7e308, 1.7e308]]})):
         path = tmp_path / name
         path.write_text(json.dumps(bad))
         code, out, err = run_cli(["solve-binomial", "--file", str(path)])

@@ -18,7 +18,7 @@ from singradar.fourier import (
     sample_circle,
     taylor_coefficients,
 )
-from singradar.polysys import fixture
+from singradar.polysys import Homotopy, TMonomial, fixture
 from singradar.scalars import (
     EXTENDED,
     ExtComplex,
@@ -269,6 +269,37 @@ def test_monodromy_guard():
     clear = PathState.from_point(h, 1 + 0.5j, [cmath.sqrt(-0.5j)])
     s = sample_circle(h, clear, 0.35, 64, default_config())
     assert len(s.values[0]) == 64
+
+
+def sqrt_path_error(samples, n, step):
+    """max_k |x_k - sqrt(1 - t_k)| at 50 digits, t_k the double-double
+    angle t0 + step*w^k the samples were taken at (t0 = 0)."""
+    step_ext = ExtReal.from_value(step)
+    worst = 0
+    with mpmath.workdps(50):
+        for k, x in enumerate(samples):
+            t = mp_value(ExtComplex(0.0) + step_ext * root_of_unity(n, k))
+            worst = max(worst, abs(mp_value(x) - mpmath.sqrt(1 - t)))
+    return worst
+
+
+def test_double_lane_samples_mpmath_oracle():
+    # the double lane walks in double, then lifts every sample to
+    # double-double in one batched refinement
+    h, base = sqrt_base()
+    s = sample_circle(h, base, 0.5, 128, default_config())
+    assert all(isinstance(x, ExtComplex) for x in s.values[0])
+    assert sqrt_path_error(s.values[0], 128, 0.5) <= 1e-31
+
+
+def test_double_lane_negative_exponent_mpmath_oracle():
+    # (1 - t) x^-2 - 1 has the path of sqrt(1 - t); its batched residual
+    # takes array reciprocals
+    h = Homotopy(dim=1, gamma=1.0, equations=[
+        [TMonomial((1.0, -1.0), (-2,)), TMonomial((-1.0,), (0,))]])
+    base = PathState.from_point(h, 0.0, [1.0])
+    s = sample_circle(h, base, 0.5, 128, default_config())
+    assert sqrt_path_error(s.values[0], 128, 0.5) <= 1e-31
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,20 @@ def test_solve_non_finite_rhs_rejected():
             solve_binomial(IntMatrix([[2]]), (bad,))
 
 
+def test_solve_rhs_with_overflowing_square_rejected():
+    # finite, but |c|^2 overflows: rejected before the polish squares it
+    for a, c in (([[2]], (complex(1e308, 1e308),)),
+                 ([[1]], (complex(1.7e308, 1.7e308),)),
+                 ([[1, 0], [0, 1]], (1e200, 1e200))):
+        with pytest.raises(InvalidArgument):
+            solve_binomial(IntMatrix(a), c)
+    # the largest right-hand side whose square stays finite still solves
+    roots = solve_binomial(IntMatrix([[2]]), (1e154,))
+    assert len(roots) == 2
+    for (x,) in roots:
+        assert abs(x * x - 1e154) <= 1e-15 * 1e154
+
+
 def test_int_matrix_accepts_only_integers():
     assert IntMatrix([[True, np.int64(2)], [0, -3]]).entries == [[1, 2], [0, -3]]
     for bad in (2.5, 2.0, "2", None):

@@ -27,7 +27,7 @@ from singradar.polysys import (
     term_values,
 )
 from singradar.radar import recondition
-from singradar.scalars import ExtComplex, ExtReal, float_magnitude
+from singradar.scalars import ExtComplex, ExtReal, _complex, float_magnitude
 
 PARENT_JSON = Path(__file__).with_name("golden") / "json"
 
@@ -497,3 +497,49 @@ def test_evaluate_and_jacobian_bit_identical_to_unshared_reference():
             assert outcome(evaluate, h, x, t, q, powers) == want_f, (name, lane)
             assert outcome(jacobian, h, x, t, q, powers) == want_j, (name, lane)
     assert lanes == {"double", "complex", "extended"}
+
+
+def batch(values):
+    """One ExtComplex whose parts are arrays, as the double-lane circle
+    refinement holds its samples."""
+    return _complex(tuple(np.array(p) for p in zip(
+        *((v.re.hi, v.re.lo, v.im.hi, v.im.lo) for v in values))))
+
+
+def sample(v, k):
+    return ExtComplex(ExtReal(v.re.hi[k], v.re.lo[k]),
+                      ExtReal(v.im.hi[k], v.im.lo[k]))
+
+
+def rand_ext(rng):
+    z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    return ExtComplex(ExtReal(z.real, z.real * rng.uniform(-1, 1) * 1e-16),
+                      ExtReal(z.imag, z.imag * rng.uniform(-1, 1) * 1e-16))
+
+
+def test_evaluate_batched_bit_identical_per_sample():
+    rng = random.Random(6064)
+    n = 24
+    for name in ("sqrt", "cusp", "monomial4", "ojika1"):
+        for t0 in (0.0, 0.1, 0.955647336181678):
+            h = recondition(fixture(name), t0)
+            xs = [[rand_ext(rng) for _ in range(n)] for _ in range(h.dim)]
+            ts = [rand_ext(rng) for _ in range(n)]
+            got = evaluate(h, [batch(c) for c in xs], batch(ts))
+            for k in range(n):
+                want = evaluate(h, [c[k] for c in xs], ts[k])
+                assert [bits(sample(v, k)) for v in got] == \
+                    [bits(v) for v in want], (name, t0, k)
+
+
+def test_negative_exponent_at_zero_in_a_batch():
+    eq = [TMonomial((1.0, -1.0), (-2,)), TMonomial((-1.0,), (0,))]
+    h = Homotopy(dim=1, gamma=1.0, equations=[eq])
+    t = batch([ExtComplex(0.25), ExtComplex(0.5)])
+    fine = evaluate(h, [batch([ExtComplex(0.5), ExtComplex(2.0)])], t)[0]
+    assert [complex(sample(fine, k)) for k in range(2)] == [2.0, -0.875]
+    with pytest.raises(EvaluationSingular):
+        evaluate(h, [batch([ExtComplex(0.5), ExtComplex(0.0)])], t)
+    with pytest.raises(EvaluationSingular):
+        jacobian(h, [np.array([0.5, 0.0], dtype=complex)],
+                 np.array([0.25, 0.5], dtype=complex))

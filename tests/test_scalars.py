@@ -6,6 +6,7 @@ import random
 import struct
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from singradar.errors import DivisionByZero, InvalidArgument
@@ -14,6 +15,7 @@ from singradar.scalars import (
     EXTENDED,
     ExtComplex,
     ExtReal,
+    _complex,
     root_of_unity,
     scalar_eps,
     two_prod,
@@ -151,6 +153,28 @@ def test_reciprocal_roundtrip():
         z = ExtComplex(rand_ext(rng, 4), rand_ext(rng, 4))
         r = z * (ExtComplex(1.0) / z)
         assert abs(to_mpc(r) - 1) <= bound
+
+
+def test_batched_negative_power_mpmath_oracle():
+    # an ExtComplex with array parts raises to a negative power through the
+    # refined double reciprocal, not cdd_div; each value keeps double-double
+    # accuracy, and an exact zero is still a division by zero
+    rng = random.Random(47)
+    values = [ExtComplex(rand_ext(rng, 4), rand_ext(rng, 4))
+              for _ in range(500)]
+    batch = _complex(tuple(np.array(p) for p in zip(
+        *((v.re.hi, v.re.lo, v.im.hi, v.im.lo) for v in values))))
+    for k in (-1, -2, -3, -7):
+        got = batch ** k
+        for j, v in enumerate(values):
+            z = ExtComplex(ExtReal(got.re.hi[j], got.re.lo[j]),
+                           ExtReal(got.im.hi[j], got.im.lo[j]))
+            exact = to_mpc(v) ** k
+            assert abs(to_mpc(z) - exact) <= mp.mpf("1e-31") * abs(exact)
+    zero = _complex((np.array([1.0, 0.0]), np.zeros(2),
+                     np.array([0.5, 0.0]), np.zeros(2)))
+    with pytest.raises(DivisionByZero):
+        zero ** -1
 
 
 def test_smith_division_resists_component_overflow():
