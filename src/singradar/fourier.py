@@ -284,11 +284,11 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     t0_ext = _as_ext(base.t)
     step_ext = ExtReal.from_value(float(step))
     if lane_extended:
-        polish_cfg = default_config(EXTENDED)
+        ext_cfg = default_config(EXTENDED)
 
         def correct(t, seed):
             return newton_correct(h, t, [_as_ext(v) for v in seed],
-                                  polish_cfg).x
+                                  ext_cfg).x
     else:
         def correct(t, seed):
             return newton_correct(h, complex(t), seed, cfg).x

@@ -12,9 +12,10 @@ Each double-double formula exists once, as a kernel on plain floats
 and call these kernels; the DFT transforms call the same kernels
 element-wise on float64 arrays, with twiddles from a per-size table of
 ``root_of_unity``.  An ExtComplex whose four parts are equal-shape float64
-arrays holds one value per element, and the operators (with ``cdd_recip``
-for negative powers) act on it element by element with the same bits as
-on each value alone; the circle samples are refined in that form.
+arrays holds one value per element; the operators act on it element by
+element with the same bits as on each value alone, except that a negative
+power takes its reciprocal from ``cdd_recip``. The circle samples are
+refined in that form.
 """
 
 from __future__ import annotations
