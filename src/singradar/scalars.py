@@ -597,9 +597,10 @@ def float_magnitude(z) -> float:
     float64 array of them for an ExtComplex with array parts."""
     if isinstance(z, ExtComplex):
         re, im = z.re, z.im
-        if isinstance(re.hi, np.ndarray):
-            return np.hypot(re.hi + re.lo, im.hi + im.lo)
-        return abs(complex(z))
+        a, b = re.hi + re.lo, im.hi + im.lo
+        if isinstance(a, float):
+            return abs(complex(a, b))
+        return np.hypot(a, b)
     if isinstance(z, ExtReal):
         return abs(float(z))
     return abs(z)

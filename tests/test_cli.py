@@ -483,7 +483,7 @@ def test_bad_invocations_exit_two(tmp_path):
         assert out == ""
     # so would a non-finite right-hand side; a fractional exponent would be
     # truncated to another system; a malformed shape or a right-hand side
-    # whose squared modulus overflows is rejected before any arithmetic
+    # whose squared norm overflows is rejected before any arithmetic
     for name, bad in (("nan_rhs.json", {"A": [[2]], "c": [float("nan")]}),
                       ("inf_rhs.json", {"A": [[2]], "c": [[1.0, math.inf]]}),
                       ("frac_a.json", {"A": [[2.5]], "c": [1.0]}),
