@@ -19,18 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    BranchJump,
     InvalidArgument,
     NoConvergence,
     SingradarError,
     SingularJacobian,
     StepUnderflow,
 )
-from .fourier import direct_inverse_dft
+from .fourier import direct_inverse_dft, sample_circle
 from .monomial import IntMatrix, solve_binomial
 from .polysys import binomial_parts, evalpoly, fixture, homotopy_from_json
 from .radar import CONVERGED, locate_singularity, richardson
-from .scalars import DOUBLE, EXTENDED, imag_part, is_extended, promote, real_part
+from .scalars import DOUBLE, EXTENDED, promote
 from .tracker import (
     PathState,
     default_config,
@@ -95,8 +94,6 @@ def _ratio_value(n: int) -> float:
 
 
 def _pair(v) -> list:
-    if is_extended(v):
-        return [float(real_part(v)), float(imag_part(v))]
     z = complex(v)
     return [z.real, z.imag]
 
@@ -114,14 +111,8 @@ def _csv_text(header, rows) -> str:
 # homotopy loading
 # ---------------------------------------------------------------------------
 
-def _resolve_gamma(cfg: RunConfig):
-    if cfg.seed is not None:
-        return gamma_from_seed(cfg.seed)
-    return cfg.gamma
-
-
 def _load_homotopy(cfg: RunConfig):
-    gamma = _resolve_gamma(cfg)
+    gamma = cfg.gamma if cfg.seed is None else gamma_from_seed(cfg.seed)
     if cfg.fixture is not None:
         h = fixture(cfg.fixture, gamma)
         x0 = list(_START_POINTS[cfg.fixture])
@@ -146,27 +137,13 @@ def _start_state(h, x0, cfg: RunConfig, tcfg) -> PathState:
 # tables
 # ---------------------------------------------------------------------------
 
-def _circle_samples(h, step: float, count: int, tcfg) -> list:
-    """Corrected samples x(step * w^k) of a one-dimensional path at t0 = 0."""
-    base = PathState.from_point(h, 0.0, list(_START_POINTS["sqrt"]))
-    state = track_to(h, base, float(step), tcfg)
-    x = [complex(v) for v in state.x]
-    samples = []
-    for k in range(count):
-        t_k = step * cmath.exp(2j * math.pi * k / count)
-        st = newton_correct(h, t_k, x, tcfg)
-        x = [complex(v) for v in st.x]
-        samples.append(x[0])
-    st = newton_correct(h, complex(step), x, tcfg)
-    if abs(complex(st.x[0]) - samples[0]) > 1e-6:
-        raise BranchJump("closing the sampling circle changed the value")
-    return samples
-
-
 def _series_approximations(step: float, count: int) -> list:
-    tcfg = default_config()
-    samples = _circle_samples(fixture("sqrt"), step, count, tcfg)
-    coeffs = direct_inverse_dft(samples)
+    """Taylor coefficients of the sqrt path about t = 0 from count circle
+    samples at radius step."""
+    h = fixture("sqrt")
+    base = PathState.from_point(h, 0.0, list(_START_POINTS["sqrt"]))
+    samples = sample_circle(h, base, step, count, default_config())
+    coeffs = direct_inverse_dft(samples.values[0])
     return [complex(g) / step ** k for k, g in enumerate(coeffs)]
 
 
@@ -190,20 +167,17 @@ def cmd_table(which: str) -> str:
                 v = tab.entry(i, j)
                 rows.append((i, j, v, 0.0, abs(v - 1.0)))
         return _csv_text(("i", "j", "re", "im", "error"), rows)
-    if which == "table3":
-        approx = _series_approximations(0.5, 17)
+    if which in ("table3", "table4"):
+        # table3: derivatives from 17 samples; table4: coefficients from 65
+        derivatives = which == "table3"
+        step, count, orders = ((0.5, 17, range(17)) if derivatives
+                               else (0.85, 65, (0, 1, 2, 4, 8, 32, 64)))
+        approx = _series_approximations(step, count)
         rows = []
-        for k in range(17):
-            exact = float(_exact_series_coeff(k) * math.factorial(k))
-            value = approx[k] * math.factorial(k)
-            rows.append((k, exact, value.real, abs(value - exact) / abs(exact)))
-        return _csv_text(("n", "exact", "approx", "error"), rows)
-    if which == "table4":
-        approx = _series_approximations(0.85, 65)
-        rows = []
-        for k in (0, 1, 2, 4, 8, 32, 64):
-            exact = float(_exact_series_coeff(k))
-            value = approx[k]
+        for k in orders:
+            scale = math.factorial(k) if derivatives else 1
+            exact = float(_exact_series_coeff(k) * scale)
+            value = approx[k] * scale
             rows.append((k, exact, value.real, abs(value - exact) / abs(exact)))
         return _csv_text(("n", "exact", "approx", "error"), rows)
     raise InvalidArgument("unknown table " + which)
@@ -269,8 +243,7 @@ def cmd_track(cfg: RunConfig):
     for state in trace:
         row = [complex(state.t).real]
         for v in state.x:
-            z = complex(v)
-            row.extend([z.real, z.imag])
+            row.extend(_pair(v))
         row.extend([state.residual, estimate_inverse_condition(h, state)])
         rows.append(row)
     return _csv_text(header, rows), code
@@ -325,8 +298,7 @@ def cmd_solve_binomial(cfg: RunConfig):
         for x in solutions:
             row = []
             for v in x:
-                z = complex(v)
-                row.extend([z.real, z.imag])
+                row.extend(_pair(v))
             rows.append(row)
         return _csv_text(header, rows), 0
     report = {

@@ -1,9 +1,12 @@
 """Taylor coefficients of a solution path by circle sampling and inverse DFT.
 
-Samples walk the circle sequentially, each corrected from its neighbor, so
-the whole batch stays on one branch; a hop that moves too far re-walks its
-arc in finer substeps, and a wrap-around re-correction guards the
-monodromy. The samples end in double-double whatever the caller's lane, so
+``sample_circle`` is the one circle walk: the pipeline samples through it
+at power-of-two counts, and the reference tables at 17 and 65 samples. It
+takes any count n >= 1; only ``inverse_dft`` needs a power of two. Samples
+walk the circle sequentially, each corrected from its neighbor, so the
+whole batch stays on one branch; a hop that moves too far re-walks its arc
+in finer substeps, and a wrap-around re-correction guards the monodromy.
+The samples end in double-double whatever the caller's lane, so
 the exactly representable roots of unity keep the transform's rounding out
 of the coefficient error:
 
@@ -71,7 +74,7 @@ class CircleSamples:
     values: list
 
     def __post_init__(self):
-        _check_power_of_two(self.n)
+        _check_count(self.n)
         for coord in self.values:
             if len(coord) != self.n:
                 raise InvalidArgument("every coordinate needs n samples")
@@ -137,6 +140,11 @@ def _radix2(parts) -> tuple:
     return x
 
 
+def _check_count(n: int):
+    if n < 1:
+        raise InvalidArgument("need at least one sample")
+
+
 def _check_power_of_two(n: int):
     if n < 1 or (n & (n - 1)) != 0:
         raise InvalidArgument("length must be a power of two")
@@ -151,20 +159,22 @@ def inverse_dft(values) -> list:
 
 
 def direct_inverse_dft(values) -> list:
-    """O(n^2) inverse transform for arbitrary length (table generation).
+    """O(m^2) inverse transform for arbitrary length (table generation).
 
-    Each coefficient sums its terms in sample order j = 0..m-1."""
+    All m^2 terms x_j w^{-jk} are formed in one product over (m, m)
+    arrays; each coefficient then sums its terms in sample order
+    j = 0..m-1."""
     m = len(values)
     if m < 1:
         raise InvalidArgument("empty sample vector")
     table = roots_of_unity(m)
-    x = _to_arrays(values)
     k = np.arange(m)
+    idx = (-np.outer(k, k)) % m
+    terms = cdd_mul(tuple(p[:, None] for p in _to_arrays(values)),
+                    tuple(t[idx] for t in table))
     acc = (np.zeros(m),) * 4
     for j in range(m):
-        idx = (-j * k) % m
-        acc = cdd_add(acc, cdd_mul(tuple(p[j] for p in x),
-                                   tuple(t[idx] for t in table)))
+        acc = cdd_add(acc, tuple(p[j] for p in terms))
     return _from_arrays(_divide(acc, m), any(is_extended(v) for v in values))
 
 
@@ -271,11 +281,13 @@ def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
 
 def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
                   cfg: TrackerConfig | None = None) -> CircleSamples:
-    """Newton-corrected samples x(t0 + step*w^k), k = 0..n-1.
+    """Newton-corrected samples x(t0 + step*w^k), k = 0..n-1, for any
+    count n >= 1: the pipeline's power-of-two circles and the reference
+    tables' 17 and 65 samples all walk here.
 
     The extended lane corrects every hop in double-double. The double lane
     walks in double and then refines all n samples at once (_refine)."""
-    _check_power_of_two(n)
+    _check_count(n)
     if cfg is None:
         cfg = default_config()
     if not 0.0 < step < math.inf:

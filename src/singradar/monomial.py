@@ -260,6 +260,11 @@ def _monomial_map(point, mat: IntMatrix):
     return out
 
 
+def _in_range(values) -> bool:
+    """Every entry finite and nonzero."""
+    return all(cmath.isfinite(v) and v != 0 for v in values)
+
+
 def _newton_polish(a: IntMatrix, c, point):
     """Newton steps on x^A = c; large transforms amplify root rounding."""
     n = a.n
@@ -267,6 +272,8 @@ def _newton_polish(a: IntMatrix, c, point):
     norm_c = math.sqrt(sum(abs(v) ** 2 for v in c))
     for _ in range(3):
         vals = _monomial_map(x, a)
+        if not _in_range(vals):
+            raise OverflowError("x^A leaves the double range")
         resid = [v - w for v, w in zip(vals, c)]
         if math.sqrt(sum(abs(r) ** 2 for r in resid)) <= 4e-15 * norm_c:
             break
@@ -292,14 +299,24 @@ def solve_binomial(a: IntMatrix, c) -> list:
     if any(v == 0 for v in c):
         raise NotApplicable("zero right-hand side component")
     nf = smith_normal_form(a)
-    rhs = _monomial_map(c, nf.v)
-    diag = [nf.normal.entries[i][i] for i in range(a.n)]
-    axes = []
-    for d_i, w in zip(diag, rhs):
-        # principal root first, then increasing argument
-        r = abs(w) ** (1.0 / d_i)
-        theta = cmath.phase(w)
-        axes.append([r * cmath.exp(1j * (theta + 2 * math.pi * k) / d_i)
-                     for k in range(d_i)])
-    return [_newton_polish(a, c, _monomial_map(combo, nf.u))
-            for combo in itertools.product(*axes)]
+    # the unimodular factors can carry large exponents, so c^V and the
+    # solutions may leave the double range although c is well inside it
+    try:
+        rhs = _monomial_map(c, nf.v)
+        if not _in_range(rhs):
+            raise OverflowError("c^V leaves the double range")
+        diag = [nf.normal.entries[i][i] for i in range(a.n)]
+        axes = []
+        for d_i, w in zip(diag, rhs):
+            # principal root first, then increasing argument
+            r = abs(w) ** (1.0 / d_i)
+            theta = cmath.phase(w)
+            axes.append([r * cmath.exp(1j * (theta + 2 * math.pi * k) / d_i)
+                         for k in range(d_i)])
+        solutions = [_newton_polish(a, c, _monomial_map(combo, nf.u))
+                     for combo in itertools.product(*axes)]
+        if all(_in_range(x) for x in solutions):
+            return solutions
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise InvalidArgument("the Smith transform of c leaves the double range")

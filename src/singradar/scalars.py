@@ -272,9 +272,6 @@ class ExtReal:
     def __neg__(self):
         return _real(-self.hi, -self.lo)
 
-    def __pos__(self):
-        return self
-
     def __sub__(self, other):
         b = _pair(other)
         if b is not None:
@@ -329,41 +326,11 @@ class ExtReal:
     def sqrt(self) -> "ExtReal":
         return _real(*dd_sqrt(self.hi, self.lo))
 
-    # -- comparisons (hi is the rounded value, so (hi, lo) orders correctly) --
-
-    def _cmp(self, other):
+    def __eq__(self, other):
         o = _pair(other)
         if o is None:
-            return None
-        if self.hi != o[0]:
-            return -1 if self.hi < o[0] else 1
-        if self.lo != o[1]:
-            return -1 if self.lo < o[1] else 1
-        return 0
-
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
-
-    def __ne__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c != 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
+            return NotImplemented
+        return self.hi == o[0] and self.lo == o[1]
 
     def __hash__(self):
         return hash((self.hi, self.lo))
@@ -604,19 +571,3 @@ def float_magnitude(z) -> float:
     if isinstance(z, ExtReal):
         return abs(float(z))
     return abs(z)
-
-
-def real_part(z):
-    if isinstance(z, ExtComplex):
-        return z.re
-    if isinstance(z, ExtReal):
-        return z
-    return complex(z).real
-
-
-def imag_part(z):
-    if isinstance(z, ExtComplex):
-        return z.im
-    if isinstance(z, ExtReal):
-        return 0.0
-    return complex(z).imag

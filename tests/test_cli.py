@@ -429,17 +429,6 @@ def test_solve_binomial_complex_rhs(tmp_path):
     assert abs(complex(*rep["solutions"][0][0]) - 1j) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_solve_binomial_nan_residual_is_not_zero(tmp_path):
-    # a finite but subnormal right-hand side under a negative exponent
-    # gives a NaN solution; its residual must not be reported as zero
-    path = tmp_path / "subnormal.json"
-    path.write_text(json.dumps({"A": [[-2]], "c": [[1e-320, 1e-320]]}))
-    code, out, err = run_cli(["solve-binomial", "--file", str(path)])
-    assert code == 0
-    assert math.isnan(json.loads(out)["max_residual"])
-
-
 # ---------------------------------------------------------------------------
 # exit codes and output plumbing
 # ---------------------------------------------------------------------------
@@ -483,7 +472,11 @@ def test_bad_invocations_exit_two(tmp_path):
         assert out == ""
     # so would a non-finite right-hand side; a fractional exponent would be
     # truncated to another system; a malformed shape or a right-hand side
-    # whose squared norm overflows is rejected before any arithmetic
+    # whose squared norm overflows is rejected before any arithmetic; with
+    # the monomial4 exponents the Smith transform takes these c out of the
+    # double range (an overflow, a division by zero, a NaN residual), as
+    # does a subnormal c under a negative exponent (a NaN solution)
+    smith = [[7, 7, 0, 0], [7, 3, 5, 7], [7, 2, 1, 2], [7, 0, 1, 2]]
     for name, bad in (("nan_rhs.json", {"A": [[2]], "c": [float("nan")]}),
                       ("inf_rhs.json", {"A": [[2]], "c": [[1.0, math.inf]]}),
                       ("frac_a.json", {"A": [[2.5]], "c": [1.0]}),
@@ -491,7 +484,13 @@ def test_bad_invocations_exit_two(tmp_path):
                       ("short_c.json", {"A": [[2]], "c": [[1.0]]}),
                       ("huge_c.json", {"A": [[2]], "c": [[1e308, 1e308]]}),
                       ("huger_c.json",
-                       {"A": [[1]], "c": [[1.7e308, 1.7e308]]})):
+                       {"A": [[1]], "c": [[1.7e308, 1.7e308]]}),
+                      ("smith_1e-5.json", {"A": smith, "c": [1e-5] * 4}),
+                      ("smith_1e5.json", {"A": smith, "c": [1e5] * 4}),
+                      ("smith_1e10.json", {"A": smith, "c": [1e10] * 4}),
+                      ("smith_1e60.json", {"A": smith, "c": [1e60] * 4}),
+                      ("subnormal_c.json",
+                       {"A": [[-2]], "c": [[1e-320, 1e-320]]})):
         path = tmp_path / name
         path.write_text(json.dumps(bad))
         code, out, err = run_cli(["solve-binomial", "--file", str(path)])

@@ -253,12 +253,13 @@ def test_sample_rejects_nonpositive_step():
             sample_circle(h, base, bad, 8, default_config())
 
 
-def test_sample_count_must_be_power_of_two():
+def test_sample_count_must_be_positive():
+    # any count n >= 1 walks; only inverse_dft needs a power of two
     h, base = sqrt_base()
     with pytest.raises(InvalidArgument):
-        sample_circle(h, base, 0.5, 12, default_config())
+        sample_circle(h, base, 0.5, 0, default_config())
     with pytest.raises(InvalidArgument):
-        CircleSamples(t0=0.0, h=0.5, n=5, values=[[0.0] * 5])
+        CircleSamples(t0=0.0, h=0.5, n=0, values=[[]])
 
 
 def test_monodromy_guard():
@@ -283,13 +284,15 @@ def sqrt_path_error(samples, n, step):
     return worst
 
 
-def test_double_lane_samples_mpmath_oracle():
+@pytest.mark.parametrize("n, step", [(128, 0.5), (17, 0.5), (65, 0.85)])
+def test_double_lane_samples_mpmath_oracle(n, step):
     # the double lane walks in double, then lifts every sample to
-    # double-double in one batched refinement
+    # double-double in one batched refinement; 17 and 65 are the counts
+    # of the reference tables
     h, base = sqrt_base()
-    s = sample_circle(h, base, 0.5, 128, default_config())
+    s = sample_circle(h, base, step, n, default_config())
     assert all(isinstance(x, ExtComplex) for x in s.values[0])
-    assert sqrt_path_error(s.values[0], 128, 0.5) <= 1e-31
+    assert sqrt_path_error(s.values[0], n, step) <= 1e-31
 
 
 def test_double_lane_negative_exponent_mpmath_oracle():

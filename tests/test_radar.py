@@ -210,6 +210,13 @@ def test_fabry_geometric_series_is_exact():
     assert est.n_used == 16
 
 
+def test_series_needs_order_plus_one_coefficients():
+    for coeffs in ([1.0] * 4, [1.0] * 6, []):
+        with pytest.raises(InvalidArgument):
+            TruncatedSeries(coeffs, order=4)
+    assert TruncatedSeries([1.0] * 5, order=4).coeffs == [1.0] * 5
+
+
 def test_fabry_rejects_short_series():
     with pytest.raises(InvalidArgument):
         fabry_estimate(TruncatedSeries([1.0, 1.0, 1.0, 1.0], order=3))

@@ -90,6 +90,8 @@ def main(argv=None) -> int:
     p.add_argument("--trace-seed", type=int)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    if len(args.seeds) < 2:
+        p.error("--seeds needs at least two seeds for quartiles")
     summary = summarise(args.parent, args.change, args.seeds, args.trace_seed)
     with open(args.out, "w", encoding="utf-8") as fp:
         json.dump(summary, fp, indent=1)
