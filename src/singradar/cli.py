@@ -137,14 +137,20 @@ def _start_state(h, x0, cfg: RunConfig, tcfg) -> PathState:
 # tables
 # ---------------------------------------------------------------------------
 
-def _series_approximations(step: float, count: int) -> list:
-    """Taylor coefficients of the sqrt path about t = 0 from count circle
-    samples at radius step."""
+def _series_table(step: float, count: int, orders, scale) -> str:
+    """Taylor coefficients of the sqrt path about t = 0, each times
+    scale(k), from count circle samples at radius step, against the exact
+    values."""
     h = fixture("sqrt")
     base = PathState.from_point(h, 0.0, list(_START_POINTS["sqrt"]))
     samples = sample_circle(h, base, step, count, default_config())
     coeffs = direct_inverse_dft(samples.values[0])
-    return [complex(g) / step ** k for k, g in enumerate(coeffs)]
+    rows = []
+    for k in orders:
+        exact = float(_exact_series_coeff(k) * scale(k))
+        value = complex(coeffs[k]) / step ** k * scale(k)
+        rows.append((k, exact, value.real, abs(value - exact) / abs(exact)))
+    return _csv_text(("n", "exact", "approx", "error"), rows)
 
 
 def cmd_table(which: str) -> str:
@@ -167,19 +173,10 @@ def cmd_table(which: str) -> str:
                 v = tab.entry(i, j)
                 rows.append((i, j, v, 0.0, abs(v - 1.0)))
         return _csv_text(("i", "j", "re", "im", "error"), rows)
-    if which in ("table3", "table4"):
-        # table3: derivatives from 17 samples; table4: coefficients from 65
-        derivatives = which == "table3"
-        step, count, orders = ((0.5, 17, range(17)) if derivatives
-                               else (0.85, 65, (0, 1, 2, 4, 8, 32, 64)))
-        approx = _series_approximations(step, count)
-        rows = []
-        for k in orders:
-            scale = math.factorial(k) if derivatives else 1
-            exact = float(_exact_series_coeff(k) * scale)
-            value = approx[k] * scale
-            rows.append((k, exact, value.real, abs(value - exact) / abs(exact)))
-        return _csv_text(("n", "exact", "approx", "error"), rows)
+    if which == "table3":
+        return _series_table(0.5, 17, range(17), math.factorial)
+    if which == "table4":
+        return _series_table(0.85, 65, (0, 1, 2, 4, 8, 32, 64), lambda k: 1)
     raise InvalidArgument("unknown table " + which)
 
 

@@ -433,6 +433,8 @@ def test_solve_binomial_complex_rhs(tmp_path):
 # exit codes and output plumbing
 # ---------------------------------------------------------------------------
 
+# a rejected input must not reach arithmetic that warns on its way out
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_invocations_exit_two(tmp_path):
     assert run_cli([])[0] == 2
     assert run_cli(["table", "table9"])[0] == 2
