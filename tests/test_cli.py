@@ -429,6 +429,19 @@ def test_solve_binomial_complex_rhs(tmp_path):
     assert abs(complex(*rep["solutions"][0][0]) - 1j) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_binomial_nan_residual_is_not_zero(tmp_path):
+    # a finite but subnormal right-hand side under a negative exponent
+    # gives a NaN solution; it is rejected instead of being reported with
+    # a residual of zero, and without a warning on the way out
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps({"A": [[-2]], "c": [[1e-320, 1e-320]]}))
+    code, out, err = run_cli(["solve-binomial", "--file", str(path)])
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # exit codes and output plumbing
 # ---------------------------------------------------------------------------
@@ -477,7 +490,8 @@ def test_bad_invocations_exit_two(tmp_path):
     # whose squared norm overflows is rejected before any arithmetic; with
     # the monomial4 exponents the Smith transform takes these c out of the
     # double range (an overflow, a division by zero, a NaN residual), as
-    # does a subnormal c under a negative exponent (a NaN solution)
+    # does a subnormal c under a negative exponent (a NaN solution, see
+    # test_solve_binomial_nan_residual_is_not_zero)
     smith = [[7, 7, 0, 0], [7, 3, 5, 7], [7, 2, 1, 2], [7, 0, 1, 2]]
     for name, bad in (("nan_rhs.json", {"A": [[2]], "c": [float("nan")]}),
                       ("inf_rhs.json", {"A": [[2]], "c": [[1.0, math.inf]]}),
@@ -490,9 +504,7 @@ def test_bad_invocations_exit_two(tmp_path):
                       ("smith_1e-5.json", {"A": smith, "c": [1e-5] * 4}),
                       ("smith_1e5.json", {"A": smith, "c": [1e5] * 4}),
                       ("smith_1e10.json", {"A": smith, "c": [1e10] * 4}),
-                      ("smith_1e60.json", {"A": smith, "c": [1e60] * 4}),
-                      ("subnormal_c.json",
-                       {"A": [[-2]], "c": [[1e-320, 1e-320]]})):
+                      ("smith_1e60.json", {"A": smith, "c": [1e60] * 4})):
         path = tmp_path / name
         path.write_text(json.dumps(bad))
         code, out, err = run_cli(["solve-binomial", "--file", str(path)])
