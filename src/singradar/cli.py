@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     StepUnderflow,
 )
 from .fourier import direct_inverse_dft, sample_circle
-from .monomial import IntMatrix, solve_binomial
+from .monomial import IntMatrix, _monomial_map, solve_binomial
 from .polysys import binomial_parts, evalpoly, fixture, homotopy_from_json
 from .radar import CONVERGED, locate_singularity, richardson
 from .scalars import DOUBLE, EXTENDED, promote
@@ -46,28 +45,6 @@ _START_POINTS = {
 }
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass
-class RunConfig:
-    command: str
-    fixture: str | None = None
-    file: str | None = None
-    n: int = 64
-    precision: str = DOUBLE
-    step: float | None = None
-    t0: float | None = None
-    gamma: complex | None = None
-    seed: int | None = None
-    fmt: str = "json"
-    out: str | None = None
-    target: float = 1.0
-    which: str | None = None
-    start: tuple | None = None
-
-    def __post_init__(self):
-        if self.n < 4 or self.n > 1024 or (self.n & (self.n - 1)) != 0:
-            raise InvalidArgument("n must be a power of two in [4, 1024]")
 
 
 def gamma_from_seed(seed: int) -> complex:
@@ -111,24 +88,25 @@ def _csv_text(header, rows) -> str:
 # homotopy loading
 # ---------------------------------------------------------------------------
 
-def _load_homotopy(cfg: RunConfig):
-    gamma = cfg.gamma if cfg.seed is None else gamma_from_seed(cfg.seed)
-    if cfg.fixture is not None:
-        h = fixture(cfg.fixture, gamma)
-        x0 = list(_START_POINTS[cfg.fixture])
+def _load_homotopy(name, file, start, gamma=None):
+    """The fixture called name, or the homotopy in file, and its start
+    point: start if given, else the fixture's own or all ones."""
+    if name is not None:
+        h = fixture(name, gamma)
+        x0 = list(_START_POINTS[name])
     else:
-        with open(cfg.file, "r", encoding="utf-8") as fp:
+        with open(file, "r", encoding="utf-8") as fp:
             h = homotopy_from_json(json.load(fp), gamma)
         x0 = [1.0] * h.dim
-    if cfg.start is not None:
-        if len(cfg.start) != h.dim:
+    if start is not None:
+        if len(start) != h.dim:
             raise InvalidArgument("start point has wrong dimension")
-        x0 = list(cfg.start)
+        x0 = list(start)
     return h, x0
 
 
-def _start_state(h, x0, cfg: RunConfig, tcfg) -> PathState:
-    if cfg.precision == EXTENDED:
+def _start_state(h, x0, precision: str, tcfg) -> PathState:
+    if precision == EXTENDED:
         x0 = [promote(v, EXTENDED) for v in x0]
     return newton_correct(h, 0.0, x0, tcfg)
 
@@ -184,20 +162,24 @@ def cmd_table(which: str) -> str:
 # radius
 # ---------------------------------------------------------------------------
 
-def cmd_radius(cfg: RunConfig):
+def cmd_radius(args):
+    n = args.n
+    if not 4 <= n <= 1024 or n & (n - 1):
+        raise InvalidArgument("n must be a power of two in [4, 1024]")
     t_begin = time.perf_counter()
-    tcfg = default_config(cfg.precision)
-    h, x0 = _load_homotopy(cfg)
-    start = _start_state(h, x0, cfg, tcfg)
-    run = locate_singularity(h, start, cfg.n, tcfg, t0=cfg.t0, step=cfg.step)
+    tcfg = default_config(args.precision)
+    gamma = args.gamma if args.seed is None else gamma_from_seed(args.seed)
+    h, x0 = _load_homotopy(args.fixture, args.file, args.start, gamma)
+    start = _start_state(h, x0, args.precision, tcfg)
+    run = locate_singularity(h, start, n, tcfg, t0=args.t0, step=args.step)
     report = {
         "command": "radius",
-        "fixture": cfg.fixture,
-        "file": cfg.file,
-        "n": cfg.n,
-        "precision": cfg.precision,
+        "fixture": args.fixture,
+        "file": args.file,
+        "n": n,
+        "precision": args.precision,
         "gamma": _pair(h.gamma),
-        "seed": cfg.seed,
+        "seed": args.seed,
         "t0": run.t0,
         "r": 1.0 - run.t0,
         "rho": None if run.rho is None else _pair(run.rho),
@@ -220,14 +202,14 @@ def cmd_radius(cfg: RunConfig):
 # track
 # ---------------------------------------------------------------------------
 
-def cmd_track(cfg: RunConfig):
-    tcfg = default_config(cfg.precision)
-    h, x0 = _load_homotopy(cfg)
-    start = _start_state(h, x0, cfg, tcfg)
+def cmd_track(args):
+    tcfg = default_config(args.precision)
+    h, x0 = _load_homotopy(args.fixture, args.file, args.start)
+    start = _start_state(h, x0, args.precision, tcfg)
     trace = [start]
     code = 0
     try:
-        track_to(h, start, cfg.target, tcfg, trace=trace)
+        track_to(h, start, args.target, tcfg, trace=trace)
     except (StepUnderflow, NoConvergence, SingularJacobian) as exc:
         sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
         code = 1
@@ -256,17 +238,17 @@ def _parse_rhs_entry(v) -> complex:
     return complex(v)
 
 
-def cmd_solve_binomial(cfg: RunConfig):
-    if cfg.fixture is not None:
-        h = fixture(cfg.fixture)
+def cmd_solve_binomial(args):
+    if args.fixture is not None:
+        h = fixture(args.fixture)
         cols, rhs = binomial_parts(h)
         a = IntMatrix([list(row) for row in zip(*cols)])
-        t = 0.0 if cfg.t0 is None else cfg.t0
+        t = 0.0 if args.t0 is None else args.t0
         if not math.isfinite(t):
             raise InvalidArgument("t0 must be finite")
         c = [evalpoly(p, t) for p in rhs]
     else:
-        with open(cfg.file, "r", encoding="utf-8") as fp:
+        with open(args.file, "r", encoding="utf-8") as fp:
             data = json.load(fp)
         try:
             a = IntMatrix([list(row) for row in data["A"]])
@@ -277,16 +259,11 @@ def cmd_solve_binomial(cfg: RunConfig):
     solutions = solve_binomial(a, c)
     worst = 0.0
     for x in solutions:
-        for j in range(a.n):
-            acc = complex(1.0)
-            for i in range(a.n):
-                e = a.entries[i][j]
-                if e:
-                    acc *= complex(x[i]) ** e
-            residual = abs(acc - c[j])
+        for y, cj in zip(_monomial_map([complex(v) for v in x], a), c):
+            residual = abs(y - cj)
             if residual > worst or math.isnan(residual):
                 worst = residual
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         header = []
         for i in range(a.n):
             header.append("re_x%d" % (i + 1))
@@ -360,25 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        fixture=getattr(args, "fixture", None),
-        file=getattr(args, "file", None),
-        n=getattr(args, "n", 64),
-        precision=getattr(args, "precision", DOUBLE),
-        step=getattr(args, "step", None),
-        t0=getattr(args, "t0", None),
-        gamma=getattr(args, "gamma", None),
-        seed=getattr(args, "seed", None),
-        fmt=getattr(args, "fmt", "json"),
-        out=getattr(args, "out", None),
-        target=getattr(args, "target", 1.0),
-        which=getattr(args, "which", None),
-        start=getattr(args, "start", None),
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -386,23 +344,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "table":
-            text, code = cmd_table(cfg.which), 0
-        elif cfg.command == "radius":
-            text, code = cmd_radius(cfg)
-        elif cfg.command == "track":
-            text, code = cmd_track(cfg)
+        if args.command == "table":
+            text, code = cmd_table(args.which), 0
+        elif args.command == "radius":
+            text, code = cmd_radius(args)
+        elif args.command == "track":
+            text, code = cmd_track(args)
         else:
-            text, code = cmd_solve_binomial(cfg)
+            text, code = cmd_solve_binomial(args)
     except (InvalidArgument, OSError, KeyError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except SingradarError as exc:
         sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
         return 1
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fp:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(text)
     else:
         sys.stdout.write(text)

@@ -47,15 +47,15 @@ from .scalars import (
     cdd_sub,
     dd_div,
     float_magnitude,
-    is_extended,
+    lane,
     promote,
     root_of_unity,
     roots_of_unity,
     scalar_eps,
 )
 from .series import TruncatedSeries
-from .tracker import (PathState, TrackerConfig, _solve_linear, default_config,
-                      newton_correct, track_to)
+from .tracker import (_MAX_NEWTON_ITERS, PathState, TrackerConfig,
+                      _solve_linear, default_config, newton_correct, track_to)
 
 # imported after the package's own modules (scalars imports numpy): numpy
 # imported before them leaves the process's resident set about 0.6 MB larger
@@ -80,15 +80,8 @@ class CircleSamples:
                 raise InvalidArgument("every coordinate needs n samples")
 
 
-def _as_ext(value) -> ExtComplex:
-    v = promote(value, EXTENDED)
-    if isinstance(v, ExtReal):
-        v = ExtComplex(v, ExtReal.from_value(0.0))
-    return v
-
-
 def _to_arrays(values) -> tuple:
-    work = [_as_ext(v) for v in values]
+    work = [promote(v, EXTENDED) for v in values]
     return (np.array([v.re.hi for v in work]),
             np.array([v.re.lo for v in work]),
             np.array([v.im.hi for v in work]),
@@ -153,9 +146,8 @@ def _check_power_of_two(n: int):
 def inverse_dft(values) -> list:
     """Coefficients g with values_j = sum_k g_k w^{jk}, w = exp(2*pi*i/n)."""
     _check_power_of_two(len(values))
-    extended = any(is_extended(v) for v in values)
     out = _divide(_radix2(_to_arrays(values)), len(values))
-    return _from_arrays(out, extended)
+    return _from_arrays(out, lane(*values) == EXTENDED)
 
 
 def direct_inverse_dft(values) -> list:
@@ -175,7 +167,7 @@ def direct_inverse_dft(values) -> list:
     acc = (np.zeros(m),) * 4
     for j in range(m):
         acc = cdd_add(acc, tuple(p[j] for p in terms))
-    return _from_arrays(_divide(acc, m), any(is_extended(v) for v in values))
+    return _from_arrays(_divide(acc, m), lane(*values) == EXTENDED)
 
 
 def default_step(t0) -> float:
@@ -263,13 +255,13 @@ def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
         return [v - _complex((d.real, 0.0, d.imag, 0.0))
                 for v, d in zip(x, delta.T)]
 
-    for it in range(cfg.max_newton_iters + 1):
+    for it in range(_MAX_NEWTON_ITERS + 1):
         resid = evaluate(h, x, t, q, Powers(x))
         norms = _norms(resid, n)
         active = ~(norms <= cfg.newton_tol)
         if not active.any():
             break
-        if it == cfg.max_newton_iters:
+        if it == _MAX_NEWTON_ITERS:
             raise NoConvergence("refinement budget exhausted")
         x = step(x, resid, active)
     polished = step(x, resid, norms != 0.0)
@@ -292,14 +284,14 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
         cfg = default_config()
     if not 0.0 < step < math.inf:
         raise InvalidArgument("step must be positive and finite")
-    lane_extended = any(is_extended(v) for v in base.x) or is_extended(base.t)
-    t0_ext = _as_ext(base.t)
+    lane_extended = lane(base.t, *base.x) == EXTENDED
+    t0_ext = promote(base.t, EXTENDED)
     step_ext = ExtReal.from_value(float(step))
     if lane_extended:
         ext_cfg = default_config(EXTENDED)
 
         def correct(t, seed):
-            return newton_correct(h, t, [_as_ext(v) for v in seed],
+            return newton_correct(h, t, [promote(v, EXTENDED) for v in seed],
                                   ext_cfg).x
     else:
         def correct(t, seed):
@@ -342,7 +334,7 @@ def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
     if step is None:
         step = default_step(base.t)
     samples = sample_circle(h, base, step, n, cfg)
-    lane_extended = any(is_extended(v) for v in base.x) or is_extended(base.t)
+    lane_extended = lane(base.t, *base.x) == EXTENDED
     step_ext = ExtReal.from_value(float(step))
     out = []
     for coord in samples.values:

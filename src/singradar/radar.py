@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fourier import taylor_coefficients
 from .polysys import Homotopy, TMonomial
-from .scalars import DOUBLE, EXTENDED, float_magnitude, is_extended, scalar_eps
+from .scalars import float_magnitude, is_extended, lane, scalar_eps
 from .series import TruncatedSeries
 from .tracker import PathState, TrackerConfig, default_config, track_to
 
@@ -116,8 +116,7 @@ def fabry_estimate(series: TruncatedSeries) -> RadiusEstimate:
         raise InvalidArgument("need truncation order at least 4")
     coeffs = series.coeffs
     n_levels = int(math.floor(math.log2(order - 1)))
-    eps = scalar_eps(EXTENDED if any(is_extended(c) for c in coeffs)
-                     else DOUBLE)
+    eps = scalar_eps(lane(*coeffs))
     scale = max(float_magnitude(c) for c in coeffs)
     floor = _VANISH_FACTOR * eps * scale
     ratios = []

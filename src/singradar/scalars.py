@@ -559,6 +559,11 @@ def is_extended(value) -> bool:
     return isinstance(value, (ExtReal, ExtComplex))
 
 
+def lane(*values) -> str:
+    """EXTENDED if any value is extended, else DOUBLE."""
+    return EXTENDED if any(map(is_extended, values)) else DOUBLE
+
+
 def float_magnitude(z) -> float:
     """|z| rounded to a native float (threshold and pivot comparisons); a
     float64 array of them for an ExtComplex with array parts."""

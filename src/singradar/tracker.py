@@ -2,8 +2,10 @@
 
 The predictor is zeroth order on purpose: steps adapt by halving on Newton
 failure and doubling after three straight successes, which is all the
-benchmark systems need. Failure to advance above min_step is the signal the
+benchmark systems need. Failure to advance above _MIN_STEP is the signal the
 caller cares about (a singularity is adjacent) and surfaces as StepUnderflow.
+The one run setting is the lane's Newton tolerance (TrackerConfig); the
+iteration and step budgets below are fixed.
 
 A Newton correction runs at fixed t, so it evaluates the q(t) of every
 homotopy term once and shares the powers of each iterate between its
@@ -23,7 +25,14 @@ from .errors import (
     StepUnderflow,
 )
 from .polysys import Homotopy, Powers, evaluate, jacobian, term_values
-from .scalars import DOUBLE, EXTENDED, float_magnitude, is_extended, scalar_eps
+from .scalars import DOUBLE, EXTENDED, float_magnitude, lane, scalar_eps
+
+# fixed budgets: Newton iterations per correction; the tracker's first
+# (and, doubled, largest) step, its smallest step and its step count
+_MAX_NEWTON_ITERS = 8
+_INITIAL_STEP = 0.05
+_MIN_STEP = 1e-8
+_MAX_STEPS = 10000
 
 
 @dataclass
@@ -44,16 +53,10 @@ class PathState:
 @dataclass
 class TrackerConfig:
     newton_tol: float = 1e-12
-    max_newton_iters: int = 8
-    initial_step: float = 0.05
-    min_step: float = 1e-8
-    max_steps: int = 10000
 
     def __post_init__(self):
-        if not (self.newton_tol > 0 and self.initial_step > 0
-                and self.min_step > 0 and self.max_newton_iters > 0
-                and self.max_steps > 0):
-            raise InvalidArgument("tracker settings must be positive")
+        if not self.newton_tol > 0:
+            raise InvalidArgument("newton_tol must be positive")
 
 
 def default_config(precision: str = DOUBLE) -> TrackerConfig:
@@ -64,22 +67,6 @@ def default_config(precision: str = DOUBLE) -> TrackerConfig:
 
 def _residual_norm(values) -> float:
     return max((float_magnitude(v) for v in values), default=0.0)
-
-
-def _lane(x, t) -> str:
-    if is_extended(t) or any(is_extended(v) for v in x):
-        return EXTENDED
-    return DOUBLE
-
-
-def _inverse_condition(jac) -> float:
-    n = len(jac)
-    demoted = np.array([[complex(jac[i][j]) for j in range(n)]
-                        for i in range(n)], dtype=complex)
-    sigma = np.linalg.svd(demoted, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0.0
-    return float(sigma[-1] / sigma[0])
 
 
 def _solve_linear(jac, rhs, eps: float):
@@ -121,18 +108,18 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
     powers of each iterate are shared by its residual and its Jacobian.
     """
     x = list(x0)
-    eps = scalar_eps(_lane(x, t))
+    eps = scalar_eps(lane(t, *x))
     if cfg.newton_tol < eps:
         raise InvalidArgument("newton_tol below the active precision floor")
     q = term_values(h, t)
     iterations = None
-    for it in range(cfg.max_newton_iters + 1):
+    for it in range(_MAX_NEWTON_ITERS + 1):
         powers = Powers(x)
         resid = evaluate(h, x, t, q, powers)
         if _residual_norm(resid) <= cfg.newton_tol:
             iterations = it
             break
-        if it == cfg.max_newton_iters:
+        if it == _MAX_NEWTON_ITERS:
             raise NoConvergence("newton iteration budget exhausted")
         delta = _solve_linear(jacobian(h, x, t, q, powers), resid, eps)
         x = [xi - di for xi, di in zip(x, delta)]
@@ -157,7 +144,7 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
     if float(abs(t_target - complex(t_cur).real)) == 0.0:
         return PathState.from_point(h, t_cur, x,
                                     newton_iterations=start.newton_iterations)
-    step = cfg.initial_step
+    step = _INITIAL_STEP
     successes = 0
     taken = 0
     state = start
@@ -166,7 +153,7 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
         if remaining == 0.0:
             return state
         taken += 1
-        if taken > cfg.max_steps:
+        if taken > _MAX_STEPS:
             raise NoConvergence("step budget exhausted before t_target")
         direction = 1.0 if remaining > 0 else -1.0
         if abs(remaining) <= step:
@@ -178,7 +165,7 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
         except (NoConvergence, SingularJacobian):
             successes = 0
             step *= 0.5
-            if step < cfg.min_step:
+            if step < _MIN_STEP:
                 raise StepUnderflow("step fell below min_step; "
                                     "singularity adjacent") from None
             continue
@@ -188,10 +175,16 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
             trace.append(state)
         successes += 1
         if successes >= 3:
-            step = min(2.0 * step, 2.0 * cfg.initial_step)
+            step = min(2.0 * step, 2.0 * _INITIAL_STEP)
             successes = 0
 
 
 def estimate_inverse_condition(h: Homotopy, s: PathState) -> float:
     """sigma_min / sigma_max of the Jacobian at the state."""
-    return _inverse_condition(jacobian(h, list(s.x), s.t))
+    jac = jacobian(h, list(s.x), s.t)
+    demoted = np.array([[complex(v) for v in row] for row in jac],
+                       dtype=complex)
+    sigma = np.linalg.svd(demoted, compute_uv=False)
+    if sigma[0] == 0.0:
+        return 0.0
+    return float(sigma[-1] / sigma[0])

@@ -295,11 +295,31 @@ def test_radius_gamma_override_needs_convex_form():
     assert "gamma-convex" in err
 
 
-def test_radius_rejects_bad_sample_count():
+def test_radius_rejects_bad_sample_count(tmp_path):
     for n in ("48", "2", "2048"):
         code, out, err = run_cli(["radius", "--fixture", "sqrt", "--n", n])
         assert code == 2
         assert "power of two" in err
+    # checked before the homotopy loads
+    code, out, err = run_cli(["radius", "--file", str(tmp_path / "no.json"),
+                              "--n", "48"])
+    assert code == 2
+    assert "power of two" in err
+
+
+def test_radius_start_reaches_the_run():
+    # the default start converges, so the failure shows --start is used
+    code, out, err = run_cli(["radius", "--fixture", "sqrt", "--start", "0"])
+    assert code == 1
+    assert "SingularJacobian" in err
+    assert out == ""
+
+
+def test_radius_start_dimension_checked():
+    code, out, err = run_cli(["radius", "--fixture", "ojika1",
+                              "--start", "1"])
+    assert code == 2
+    assert "dimension" in err
 
 
 # ---------------------------------------------------------------------------

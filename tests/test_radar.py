@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from singradar import tracker
 from singradar.errors import InconclusiveRadar, InvalidArgument
 from singradar.polysys import Homotopy, TMonomial, evaluate, fixture
 from singradar.radar import (
@@ -28,7 +29,6 @@ from singradar.scalars import (
 from singradar.series import TruncatedSeries
 from singradar.tracker import (
     PathState,
-    TrackerConfig,
     default_config,
     newton_correct,
     track_to,
@@ -502,13 +502,13 @@ def test_locate_rounds_order_to_a_power_of_two(order, n_used):
     assert locate_singularity(h, s, order, t0=0.0).n_used == n_used
 
 
-def test_locate_rejects_bad_base_and_step_before_tracking():
+def test_locate_rejects_bad_base_and_step_before_tracking(monkeypatch):
     h = fixture("sqrt")
     s = newton_correct(h, 0.0, [1.0], default_config())
     # one continuation step at most: any tracking would raise NoConvergence
-    cfg = TrackerConfig(max_steps=1)
+    monkeypatch.setattr(tracker, "_MAX_STEPS", 1)
     for bad in ({"t0": 1.5}, {"t0": 1.0}, {"t0": -0.1}, {"t0": math.nan},
                 {"step": math.inf}, {"step": math.nan}, {"step": 0.0},
                 {"t0": 0.5, "step": math.inf}):
         with pytest.raises(InvalidArgument):
-            locate_singularity(h, s, 64, cfg, **bad)
+            locate_singularity(h, s, 64, default_config(), **bad)

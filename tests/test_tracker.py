@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from singradar import tracker
 from singradar.errors import (
     InvalidArgument,
     NoConvergence,
@@ -148,14 +149,18 @@ def test_track_near_singular_endpoint():
     assert abs(out.x[0] - 0.1) <= 1e-10
 
 
-def test_track_step_size_invariance():
+def test_track_step_size_invariance(monkeypatch):
     for name, t_end in (("sqrt", 0.5), ("cusp", 0.5), ("ojika1", 0.5)):
         h = fixture(name)
         dim = h.dim
         start = PathState.from_point(h, 0.0, [1.0] * dim)
-        a = track_to(h, start, t_end, TrackerConfig(initial_step=0.05))
-        b = track_to(h, start, t_end, TrackerConfig(initial_step=0.025))
+        trace_a, trace_b = [], []
+        monkeypatch.setattr(tracker, "_INITIAL_STEP", 0.05)
+        a = track_to(h, start, t_end, default_config(), trace=trace_a)
+        monkeypatch.setattr(tracker, "_INITIAL_STEP", 0.025)
+        b = track_to(h, start, t_end, default_config(), trace=trace_b)
         assert max(abs(p - q) for p, q in zip(a.x, b.x)) < 1e-10
+        assert (trace_a[0].t, trace_b[0].t) == (0.05, 0.025)
 
 
 def test_track_backwards():
@@ -175,11 +180,12 @@ def test_track_branch_point_underflow():
     assert abs(partial.x[0] - math.sqrt(0.1)) <= 1e-12
 
 
-def test_track_step_budget():
+def test_track_step_budget(monkeypatch):
     h = fixture("sqrt")
+    monkeypatch.setattr(tracker, "_MAX_STEPS", 3)
     with pytest.raises(NoConvergence):
         track_to(h, PathState.from_point(h, 0.0, [1.0]), 0.9,
-                 TrackerConfig(max_steps=3))
+                 default_config())
 
 
 def test_track_trace_rows():
@@ -244,5 +250,3 @@ def test_state_recomputes_residual():
 def test_config_rejects_nonpositive_values():
     with pytest.raises(InvalidArgument):
         TrackerConfig(newton_tol=0.0)
-    with pytest.raises(InvalidArgument):
-        TrackerConfig(min_step=-1.0)
