@@ -315,13 +315,6 @@ def test_radius_start_reaches_the_run():
     assert out == ""
 
 
-def test_radius_start_dimension_checked():
-    code, out, err = run_cli(["radius", "--fixture", "ojika1",
-                              "--start", "1"])
-    assert code == 2
-    assert "dimension" in err
-
-
 # ---------------------------------------------------------------------------
 # track
 # ---------------------------------------------------------------------------
@@ -473,6 +466,10 @@ def test_bad_invocations_exit_two(tmp_path):
     assert run_cli(["table", "table9"])[0] == 2
     assert run_cli(["radius", "--fixture", "nope"])[0] == 2
     assert run_cli(["radius"])[0] == 2
+    code, out, err = run_cli(["radius", "--fixture", "ojika1",
+                              "--start", "1"])
+    assert code == 2
+    assert "dimension" in err
     code, out, err = run_cli(["radius", "--file", str(tmp_path / "no.json")])
     assert code == 2
     assert "error:" in err

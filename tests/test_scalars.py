@@ -16,6 +16,7 @@ from singradar.scalars import (
     ExtComplex,
     ExtReal,
     _complex,
+    lane,
     root_of_unity,
     scalar_eps,
     two_prod,
@@ -246,6 +247,13 @@ def test_mixed_lane_promotion():
     assert complex(z) == complex(2.5, 0.5)
     r = 1.5 * ExtReal(2.0) - 1
     assert float(r) == 2.0
+
+
+def test_lane_is_extended_if_any_value_is():
+    assert lane() == DOUBLE
+    assert lane(1.0, 2j, 3) == DOUBLE
+    assert lane(1.0, ExtReal(2.0)) == EXTENDED
+    assert lane(ExtComplex(1.0, 0.0), 2j) == EXTENDED
 
 
 # ---------------------------------------------------------------------------
