@@ -5,17 +5,17 @@ at power-of-two counts, and the reference tables at 17 and 65 samples. It
 takes any count n >= 1; only ``inverse_dft`` needs a power of two. Samples
 walk the circle sequentially, each corrected from its neighbor, so the
 whole batch stays on one branch; a hop that moves too far re-walks its arc
-in finer substeps, and a wrap-around re-correction guards the monodromy.
-The samples end in double-double whatever the caller's lane, so
-the exactly representable roots of unity keep the transform's rounding out
-of the coefficient error:
-
-* the extended lane corrects every hop in double-double;
-* the double lane walks in double, then lifts all n samples at once by
-  mixed-precision iterative refinement (Moler, JACM 14, 1967): the residual
-  is evaluated in double-double on one ExtComplex per coordinate whose
-  parts are (n,) arrays, and the correction is solved in double, sample by
-  sample, with the Jacobian at the hi parts.
+in finer substeps, and a wrap-around re-correction, relative to the size of
+the first sample, guards the monodromy. Both lanes walk in double and then
+lift all n samples at once to double-double by mixed-precision iterative
+refinement (Moler, JACM 14, 1967): the residual is evaluated in
+double-double on one ExtComplex per coordinate whose parts are (n,) arrays,
+and the correction is solved in double, sample by sample, with the Jacobian
+at the hi parts. The walk and the refinement stop on residuals relative to
+each equation's term sizes (TrackerConfig), so a scaled equation or
+coordinate walks the same way. The samples end in double-double whatever
+the caller's lane, so the exactly representable roots of unity keep the
+transform's rounding out of the coefficient error.
 
 The transforms run double-double arithmetic element-wise on four float64
 arrays (re.hi, re.lo, im.hi, im.lo): an iterative radix-2 kernel (bit-reversal
@@ -31,7 +31,7 @@ only at the edges: lists of complex / ExtComplex in, the same types out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import BranchJump, InvalidArgument, NoConvergence
 from .polysys import Homotopy, Powers, evaluate, jacobian, term_values
@@ -47,6 +47,7 @@ from .scalars import (
     cdd_sub,
     dd_div,
     float_magnitude,
+    is_extended,
     lane,
     promote,
     root_of_unity,
@@ -55,7 +56,8 @@ from .scalars import (
 )
 from .series import TruncatedSeries
 from .tracker import (_MAX_NEWTON_ITERS, PathState, TrackerConfig,
-                      _solve_linear, default_config, newton_correct, track_to)
+                      _solve_linear, _within, default_config, newton_correct,
+                      track_to)
 
 # imported after the package's own modules (scalars imports numpy): numpy
 # imported before them leaves the process's resident set about 0.6 MB larger
@@ -181,9 +183,9 @@ class _RetryHop(Exception):
     pass
 
 
-def _advance_arc(correct, t0_ext, step_ext, n, k, seed):
-    """Sample at angle k/n starting from the accepted sample at (k-1)/n;
-    correct(t, seed) is the lane's Newton correction.
+def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed):
+    """Sample at angle k/n starting from the accepted sample at (k-1)/n,
+    by double Newton correction.
 
     A hop that moves the point by more than half its own scale cannot be
     trusted as a Newton seed (the corrector may land on another branch or
@@ -196,11 +198,9 @@ def _advance_arc(correct, t0_ext, step_ext, n, k, seed):
             for j in range(1, m + 1):
                 t_sub = t0_ext + step_ext * root_of_unity(n * m,
                                                           (k - 1) * m + j)
-                value = correct(t_sub, walk)
-                moved = max(abs(complex(a) - complex(b))
-                            for a, b in zip(walk, value))
-                spread = max(max(abs(complex(a)), abs(complex(b)))
-                             for a, b in zip(walk, value))
+                value = newton_correct(h, complex(t_sub), walk, cfg).x
+                moved = max(abs(a - b) for a, b in zip(walk, value))
+                spread = max(map(abs, walk + value))
                 if moved > _WALK_GUARD * spread:
                     raise _RetryHop()
                 walk = value
@@ -212,12 +212,9 @@ def _advance_arc(correct, t0_ext, step_ext, n, k, seed):
                     "sampling hops kept jumping at the finest subdivision")
 
 
-def _norms(values, n: int):
+def _norms(values):
     """newton_correct's residual norm, max_i |values_i|, per sample."""
-    out = np.zeros(n)
-    for v in values:
-        out = np.maximum(out, float_magnitude(v))
-    return out
+    return np.maximum.reduce([float_magnitude(v) for v in values])
 
 
 def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
@@ -228,10 +225,11 @@ def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
     Mixed-precision iterative refinement: the residual is evaluated in
     double-double, the correction solved in double with the Jacobian at
     the hi parts, and added in double-double. The stopping rule is
-    newton_correct's, applied to every sample: each residual must reach
-    the extended tolerance, and one more step is kept where it lowers it.
+    newton_correct's, applied to every sample: each equation must reach
+    the extended relative tolerance, and one more step is kept where it
+    lowers the residual.
     """
-    cfg = default_config(EXTENDED)
+    tol = default_config(EXTENDED).newton_tol
     eps = scalar_eps(DOUBLE)
     n = len(walked)
     zero = np.zeros(n)
@@ -256,16 +254,17 @@ def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
                 for v, d in zip(x, delta.T)]
 
     for it in range(_MAX_NEWTON_ITERS + 1):
-        resid = evaluate(h, x, t, q, Powers(x))
-        norms = _norms(resid, n)
-        active = ~(norms <= cfg.newton_tol)
+        scales = []
+        resid = evaluate(h, x, t, q, Powers(x), scales)
+        active = ~np.logical_and.reduce(_within(resid, scales, tol))
         if not active.any():
             break
         if it == _MAX_NEWTON_ITERS:
             raise NoConvergence("refinement budget exhausted")
         x = step(x, resid, active)
+    norms = _norms(resid)
     polished = step(x, resid, norms != 0.0)
-    keep = _norms(evaluate(h, polished, t, q), n) < norms
+    keep = _norms(evaluate(h, polished, t, q)) < norms
     return [_complex(tuple(np.where(keep, a, b)
                            for a, b in zip(_quad(p), _quad(v))))
             for p, v in zip(polished, x)]
@@ -273,58 +272,39 @@ def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
 
 def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
                   cfg: TrackerConfig | None = None) -> CircleSamples:
-    """Newton-corrected samples x(t0 + step*w^k), k = 0..n-1, for any
-    count n >= 1: the pipeline's power-of-two circles and the reference
-    tables' 17 and 65 samples all walk here.
+    """Newton-corrected samples x(t0 + step*w^k), k = 0..n-1, in
+    double-double, for any count n >= 1: the pipeline's power-of-two
+    circles and the reference tables' 17 and 65 samples all walk here.
 
-    The extended lane corrects every hop in double-double. The double lane
-    walks in double and then refines all n samples at once (_refine)."""
+    Both lanes walk in double, at cfg's tolerance or, when that is below
+    the double floor (the extended lane's), at the double default; then
+    all n samples are refined at once (_refine)."""
     _check_count(n)
-    if cfg is None:
+    if cfg is None or cfg.newton_tol < scalar_eps(DOUBLE):
         cfg = default_config()
     if not 0.0 < step < math.inf:
         raise InvalidArgument("step must be positive and finite")
-    lane_extended = lane(base.t, *base.x) == EXTENDED
     t0_ext = promote(base.t, EXTENDED)
     step_ext = ExtReal.from_value(float(step))
-    if lane_extended:
-        ext_cfg = default_config(EXTENDED)
-
-        def correct(t, seed):
-            return newton_correct(h, t, [promote(v, EXTENDED) for v in seed],
-                                  ext_cfg).x
-    else:
-        def correct(t, seed):
-            return newton_correct(h, complex(t), seed, cfg).x
-    per_sample = []
-    seed = list(base.x)
+    # real seeds stay real: real and complex powers round differently
+    seed = [complex(v) if is_extended(v) else v for v in base.x]
     t0_c = complex(base.t)
     if t0_c.imag == 0.0:
         # reach the first sample by continuation; one Newton leap from the
         # center is not reliable for systems with high-degree monomials
-        approach = track_to(h, base, t0_c.real + float(step), cfg)
-        seed = list(approach.x)
-        if not lane_extended:
-            seed = [complex(v) for v in seed]
-    for k in range(n + 1):
-        if k == 0:
-            value = correct(t0_ext + step_ext * root_of_unity(n, 0), seed)
-        else:
-            value = _advance_arc(correct, t0_ext, step_ext, n, k, seed)
-        if k == n:
-            drift = max(abs(complex(a - b))
-                        for a, b in zip(value, per_sample[0]))
-            if drift > _WRAP_TOL:
-                raise BranchJump("circle walk returned on a different branch")
-            break
-        per_sample.append(value)
-        seed = value
-    if lane_extended:
-        values = [[per_sample[k][i] for k in range(n)] for i in range(h.dim)]
-    else:
-        t = t0_ext + step_ext * _complex(roots_of_unity(n))
-        values = [_from_arrays(_quad(v), True)
-                  for v in _refine(h, t, np.array(per_sample, dtype=complex))]
+        start = replace(base, t=t0_c.real, x=seed)
+        seed = track_to(h, start, t0_c.real + float(step), cfg).x
+    seed = [complex(v) for v in seed]
+    walk = [newton_correct(h, complex(t0_ext + step_ext), seed, cfg).x]
+    for k in range(1, n + 1):
+        walk.append(_advance_arc(h, cfg, t0_ext, step_ext, n, k,
+                                 walk[-1]))
+    drift = max(abs(a - b) for a, b in zip(walk.pop(), walk[0]))
+    if drift > _WRAP_TOL * max(abs(v) for v in walk[0]):
+        raise BranchJump("circle walk returned on a different branch")
+    t = t0_ext + step_ext * _complex(roots_of_unity(n))
+    values = [_from_arrays(_quad(v), True)
+              for v in _refine(h, t, np.array(walk, dtype=complex))]
     return CircleSamples(t0=base.t, h=float(step), n=n, values=values)
 
 

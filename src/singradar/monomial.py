@@ -13,15 +13,16 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     InvalidArgument,
     NotApplicable,
     OverflowRisk,
     SingularExponentMatrix,
 )
+from .scalars import DOUBLE, scalar_eps
+from .tracker import _solve_linear
 
+_EPS = scalar_eps(DOUBLE)
 # Entries beyond this bound abort rather than risk ambiguity downstream
 # (moot for Python integers, kept as an explicit contract).
 _ENTRY_BOUND = 1 << 62
@@ -267,7 +268,6 @@ def _in_range(values) -> bool:
 
 def _newton_polish(a: IntMatrix, c, point):
     """Newton steps on x^A = c; large transforms amplify root rounding."""
-    n = a.n
     x = list(point)
     norm_c = math.sqrt(sum(abs(v) ** 2 for v in c))
     for _ in range(3):
@@ -277,10 +277,10 @@ def _newton_polish(a: IntMatrix, c, point):
         resid = [v - w for v, w in zip(vals, c)]
         if math.sqrt(sum(abs(r) ** 2 for r in resid)) <= 4e-15 * norm_c:
             break
-        jac = np.array([[a.entries[i][j] * vals[j] / x[i] for i in range(n)]
-                        for j in range(n)], dtype=complex)
-        delta = np.linalg.solve(jac, np.array(resid, dtype=complex))
-        x = [xi - di for xi, di in zip(x, delta)]
+        # in the unknowns u_i = delta_i / x_i the Jacobian is A^T
+        u = _solve_linear(list(zip(*a.entries)),
+                          [r / v for r, v in zip(resid, vals)], _EPS)
+        x = [xi - xi * ui for xi, ui in zip(x, u)]
     return tuple(x)
 
 

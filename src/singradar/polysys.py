@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import EvaluationSingular, InvalidArgument
-from .scalars import float_magnitude
+from .scalars import DOUBLE, float_magnitude, lane
 
 # after the package's own modules, as in fourier
 import numpy as np
@@ -144,11 +144,14 @@ def term_values(h: Homotopy, t):
     return [[evalpoly(term.t_coeffs, t) for term in eq] for eq in h.equations]
 
 
-def evaluate(h: Homotopy, x, t, q=None, powers: Powers | None = None):
+def evaluate(h: Homotopy, x, t, q=None, powers: Powers | None = None,
+             scales: list | None = None):
     """Residual vector h(x, t).
 
     q is term_values(h, t) and powers a Powers(x); a caller that evaluates
     at one t or one x more than once passes them so they are computed once.
+    When a list is passed as scales, the size sum_terms |q(t)*P(x)| of each
+    equation is appended to it: the yardstick of a relative residual test.
     """
     if len(x) != h.dim:
         raise InvalidArgument("point dimension mismatch")
@@ -156,16 +159,23 @@ def evaluate(h: Homotopy, x, t, q=None, powers: Powers | None = None):
         q = term_values(h, t)
     if powers is None:
         powers = Powers(x)
+    if scales is not None:
+        magnitude = abs if lane(t, *x) == DOUBLE else float_magnitude
     out = []
     for eq, q_eq in zip(h.equations, q):
-        acc = 0.0
+        acc = size = 0.0
         for term, c in zip(eq, q_eq):
             p = None
             for mono in term.poly:
                 v = _mono_value(mono.coefficient, mono.exponents, powers)
                 p = v if p is None else p + v
-            acc = acc + c * p
+            value = c * p
+            acc = acc + value
+            if scales is not None:
+                size = size + magnitude(value)
         out.append(acc)
+        if scales is not None:
+            scales.append(size)
     return out
 
 

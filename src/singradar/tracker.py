@@ -52,6 +52,9 @@ class PathState:
 
 @dataclass
 class TrackerConfig:
+    """Equation i has converged when |h_i| <= newton_tol * sum over its
+    terms of |q(t)*P(x)|: relative, so no decision depends on scaling."""
+
     newton_tol: float = 1e-12
 
     def __post_init__(self):
@@ -67,6 +70,11 @@ def default_config(precision: str = DOUBLE) -> TrackerConfig:
 
 def _residual_norm(values) -> float:
     return max((float_magnitude(v) for v in values), default=0.0)
+
+
+def _within(resid, scales, tol: float) -> list:
+    """Per equation, |h_i| <= tol * scale_i (element-wise on arrays)."""
+    return [float_magnitude(r) <= tol * s for r, s in zip(resid, scales)]
 
 
 def _solve_linear(jac, rhs, eps: float):
@@ -97,7 +105,7 @@ def _solve_linear(jac, rhs, eps: float):
 
 def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
                    history: list | None = None) -> PathState:
-    """Correct x0 to a solution of h(x, t) = 0 at fixed t.
+    """Correct x0 to h(x, t) = 0 at fixed t, to cfg's relative tolerance.
 
     One extra step is taken after the tolerance is met so the result sits at
     the limiting accuracy of the lane, not just inside the tolerance; the
@@ -115,8 +123,9 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
     iterations = None
     for it in range(_MAX_NEWTON_ITERS + 1):
         powers = Powers(x)
-        resid = evaluate(h, x, t, q, powers)
-        if _residual_norm(resid) <= cfg.newton_tol:
+        scales = []
+        resid = evaluate(h, x, t, q, powers, scales)
+        if all(_within(resid, scales, cfg.newton_tol)):
             iterations = it
             break
         if it == _MAX_NEWTON_ITERS:

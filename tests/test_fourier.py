@@ -20,6 +20,7 @@ from singradar.fourier import (
 )
 from singradar.polysys import Homotopy, TMonomial, fixture
 from singradar.scalars import (
+    DOUBLE,
     EXTENDED,
     ExtComplex,
     ExtReal,
@@ -27,7 +28,7 @@ from singradar.scalars import (
     promote,
     root_of_unity,
 )
-from singradar.tracker import PathState, default_config
+from singradar.tracker import PathState, default_config, track_to
 
 
 def exact_sqrt_coeff(k):
@@ -272,6 +273,35 @@ def test_monodromy_guard():
     assert len(s.values[0]) == 64
 
 
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e7])
+def test_wrap_guard_is_relative_to_the_samples(scale, precision):
+    # scale^2 x^2 - (1 + 2i t): the radius-0.8 circle about t0 = 0 encloses
+    # the branch point t = 0.5i, so the walk returns at -x; at scale 1e7,
+    # |x| ~ 1e-7 hid that from a drift tolerance of 1e-6 in absolute terms
+    h = Homotopy(dim=1, gamma=1.0, equations=[
+        [TMonomial((scale * scale,), (2,)), TMonomial((-1.0, -2j), (0,))]])
+    base = PathState.from_point(h, promote(0.0, precision),
+                                [promote(1.0 / scale, precision)])
+    with pytest.raises(BranchJump, match="different branch"):
+        sample_circle(h, base, 0.8, 32, default_config(precision))
+
+
+@pytest.mark.parametrize("t", [0.99609375, 0.998046875])
+def test_cusp_circle_near_the_endpoint(t):
+    # x = (1 - t)^2 is 1.5e-5 and 3.8e-6 here; a Newton stop on the
+    # absolute residual accepted hops with large relative error, and the
+    # walk raised BranchJump
+    h = fixture("cusp")
+    base = track_to(h, PathState.from_point(h, 0.0, [1.0]), t,
+                    default_config())
+    step = 0.85 * (1.0 - t)
+    s = sample_circle(h, base, step, 32, default_config())
+    for k, x in enumerate(s.values[0]):
+        gap = (1.0 - t) - step * cmath.exp(2j * math.pi * k / 32)
+        assert abs(complex(x) - gap ** 2) <= 1e-12 * abs(gap) ** 2
+
+
 def sqrt_path_error(samples, n, step):
     """max_k |x_k - sqrt(1 - t_k)| at 50 digits, t_k the double-double
     angle t0 + step*w^k the samples were taken at (t0 = 0)."""
@@ -284,13 +314,22 @@ def sqrt_path_error(samples, n, step):
     return worst
 
 
-@pytest.mark.parametrize("n, step", [(128, 0.5), (17, 0.5), (65, 0.85)])
-def test_double_lane_samples_mpmath_oracle(n, step):
-    # the double lane walks in double, then lifts every sample to
-    # double-double in one batched refinement; 17 and 65 are the counts
-    # of the reference tables
+_ORACLE_CIRCLES = ((128, 0.5), (17, 0.5), (65, 0.85))
+
+
+@pytest.mark.parametrize("n, step, precision", [
+    pytest.param(n, step, precision,
+                 id="%d-%s%s" % (n, step, "-extended" * (precision == EXTENDED)))
+    for precision in (DOUBLE, EXTENDED) for n, step in _ORACLE_CIRCLES])
+def test_double_lane_samples_mpmath_oracle(n, step, precision):
+    # both lanes walk in double, then lift every sample to double-double in
+    # one batched refinement; 17 and 65 are the counts of the reference
+    # tables
     h, base = sqrt_base()
-    s = sample_circle(h, base, step, n, default_config())
+    if precision == EXTENDED:
+        base = PathState.from_point(h, promote(0.0, EXTENDED),
+                                    [promote(1.0, EXTENDED)])
+    s = sample_circle(h, base, step, n, default_config(precision))
     assert all(isinstance(x, ExtComplex) for x in s.values[0])
     assert sqrt_path_error(s.values[0], n, step) <= 1e-31
 

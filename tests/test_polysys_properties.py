@@ -14,12 +14,14 @@ from singradar.polysys import (
     Monomial,
     Term,
     TMonomial,
+    evalpoly,
     evaluate,
     homotopy_from_json,
     homotopy_to_json,
     jacobian,
 )
 from singradar.radar import recondition
+from singradar.scalars import EXTENDED, promote
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -111,3 +113,29 @@ def test_jacobian_matches_central_differences(data):
         for i, (a, b) in enumerate(zip(evaluate(h, up, t),
                                        evaluate(h, down, t))):
             assert abs(jac[i][j] - (a - b) / (2 * step)) <= 1e-7 * scale
+
+
+@PROPERTY
+@given(st.data())
+def test_evaluate_scales_sum_the_term_magnitudes(data):
+    h = data.draw(homotopies())
+    x = data.draw(points(h.dim))
+    t = data.draw(st.one_of(st.floats(0.0, 1.0), unit_point))
+    scales = []
+    assert bits(evaluate(h, x, t, scales=scales)) == bits(evaluate(h, x, t))
+    ext_scales = []
+    evaluate(h, [promote(v, EXTENDED) for v in x], promote(t, EXTENDED),
+             scales=ext_scales)
+    tol = 1e-13 * term_scale(h, x, t)
+    for eq, got, got_ext in zip(h.equations, scales, ext_scales):
+        want = 0.0
+        for term in eq:
+            p = 0.0
+            for m in term.poly:
+                value = m.coefficient
+                for xi, e in zip(x, m.exponents):
+                    value *= xi ** e
+                p += value
+            want += abs(evalpoly(term.t_coeffs, t) * p)
+        assert abs(got - want) <= tol
+        assert abs(got_ext - want) <= tol

@@ -1,10 +1,13 @@
 """Ratio estimates, Richardson extrapolation, reconditioning, pole sweep."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singradar import tracker
 from singradar.errors import InconclusiveRadar, InvalidArgument
@@ -21,6 +24,7 @@ from singradar.radar import (
     scale_to_unit,
 )
 from singradar.scalars import (
+    DOUBLE,
     EXTENDED,
     float_magnitude,
     is_extended,
@@ -512,3 +516,34 @@ def test_locate_rejects_bad_base_and_step_before_tracking(monkeypatch):
                 {"t0": 0.5, "step": math.inf}):
         with pytest.raises(InvalidArgument):
             locate_singularity(h, s, 64, default_config(), **bad)
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_sqrt_run(c, s, precision, t0):
+    """locate_singularity on c * (s^2 x^2 - (1 - t)), whose path is
+    sqrt(1 - t) / s, from the start 1 / s corrected at t = 0."""
+    h = Homotopy(dim=1, gamma=1.0, equations=[
+        [TMonomial((c * s * s,), (2,)), TMonomial((-c, c), (0,))]])
+    cfg = default_config(precision)
+    start = newton_correct(h, 0.0, [promote(1.0 / s, precision)], cfg)
+    return locate_singularity(h, start, 64, cfg, t0=t0)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(c_exp=st.floats(-8.0, 8.0), s_exp=st.floats(-6.0, 6.0))
+@example(c_exp=4.0, s_exp=0.0)
+@example(c_exp=8.0, s_exp=0.0)
+@example(c_exp=-8.0, s_exp=-6.0)
+@example(c_exp=8.0, s_exp=6.0)
+def test_radar_is_invariant_to_equation_and_coordinate_scale(c_exp, s_exp):
+    # Newton, the walk's guards and the refinement all stop on sizes
+    # relative to the terms or the samples, so scaling the equation by c
+    # and the coordinate by 1/s changes neither the status nor z
+    c, s = 10.0 ** c_exp, 10.0 ** s_exp
+    for precision in (DOUBLE, EXTENDED):
+        for t0 in (0.0, None):
+            want = scaled_sqrt_run(1.0, 1.0, precision, t0)
+            got = scaled_sqrt_run(c, s, precision, t0)
+            assert got.status == want.status == CONVERGED
+            z = complex(want.z)
+            assert abs(complex(got.z) - z) <= 1e-12 * abs(z)

@@ -98,6 +98,17 @@ def test_newton_quadratic_tail():
             assert errs[k + 1] <= 100.0 * errs[k] ** 2
 
 
+def test_newton_tolerance_is_relative():
+    # c * (x^2 - (1 - t)): the residual scales with c, so an absolute stop
+    # accepted the seed at c = 1e-14 and ran out of iterations at c = 1e8
+    for c in (1e-14, 1.0, 1e8):
+        h = Homotopy(dim=1, gamma=1.0, equations=[
+            [TMonomial((c,), (2,)), TMonomial((-c, c), (0,))]])
+        s = newton_correct(h, 0.5, [0.7], default_config())
+        assert s.newton_iterations >= 1
+        assert abs(s.x[0] - math.sqrt(0.5)) <= 2e-16
+
+
 def test_newton_extended_lane():
     h = fixture("sqrt")
     s = newton_correct(h, promote(0.5, EXTENDED), [promote(1.0, EXTENDED)],
