@@ -63,7 +63,7 @@ from .tracker import (_MAX_NEWTON_ITERS, PathState, TrackerConfig,
 # imported before them leaves the process's resident set about 0.6 MB larger
 import numpy as np
 
-_WRAP_TOL = 1e-6
+_WRAP_TOL = 1e-6  # of max |x| over the first sample
 _WALK_GUARD = 0.5
 _MAX_SUBSTEPS = 64
 
@@ -297,8 +297,7 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     seed = [complex(v) for v in seed]
     walk = [newton_correct(h, complex(t0_ext + step_ext), seed, cfg).x]
     for k in range(1, n + 1):
-        walk.append(_advance_arc(h, cfg, t0_ext, step_ext, n, k,
-                                 walk[-1]))
+        walk.append(_advance_arc(h, cfg, t0_ext, step_ext, n, k, walk[-1]))
     drift = max(abs(a - b) for a, b in zip(walk.pop(), walk[0]))
     if drift > _WRAP_TOL * max(abs(v) for v in walk[0]):
         raise BranchJump("circle walk returned on a different branch")

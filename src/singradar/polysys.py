@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import EvaluationSingular, InvalidArgument
-from .scalars import DOUBLE, float_magnitude, lane
+from .scalars import float_magnitude
 
 # after the package's own modules, as in fourier
 import numpy as np
@@ -159,8 +159,6 @@ def evaluate(h: Homotopy, x, t, q=None, powers: Powers | None = None,
         q = term_values(h, t)
     if powers is None:
         powers = Powers(x)
-    if scales is not None:
-        magnitude = abs if lane(t, *x) == DOUBLE else float_magnitude
     out = []
     for eq, q_eq in zip(h.equations, q):
         acc = size = 0.0
@@ -172,7 +170,7 @@ def evaluate(h: Homotopy, x, t, q=None, powers: Powers | None = None,
             value = c * p
             acc = acc + value
             if scales is not None:
-                size = size + magnitude(value)
+                size = size + float_magnitude(value)
         out.append(acc)
         if scales is not None:
             scales.append(size)

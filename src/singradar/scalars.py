@@ -567,6 +567,8 @@ def lane(*values) -> str:
 def float_magnitude(z) -> float:
     """|z| rounded to a native float (threshold and pivot comparisons); a
     float64 array of them for an ExtComplex with array parts."""
+    if type(z) is complex or type(z) is float:
+        return abs(z)
     if isinstance(z, ExtComplex):
         re, im = z.re, z.im
         a, b = re.hi + re.lo, im.hi + im.lo

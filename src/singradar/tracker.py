@@ -78,12 +78,14 @@ def _within(resid, scales, tol: float) -> list:
 
 
 def _solve_linear(jac, rhs, eps: float):
-    """Partial-pivot elimination, generic over the scalar lane."""
+    """Partial-pivot elimination, generic over the scalar lane; one unknown
+    with a regular pivot takes the same single division directly."""
     n = len(rhs)
+    if n == 1 and 0.0 < float_magnitude(jac[0][0]) < np.inf:
+        return [rhs[0] / jac[0][0]]
     m = [list(jac[i]) + [rhs[i]] for i in range(n)]
-    norm = max((float_magnitude(m[i][j]) for i in range(n) for j in range(n)),
-               default=0.0)
-    floor = 1e3 * eps * norm
+    floor = 1e3 * eps * max((float_magnitude(v) for row in jac for v in row),
+                            default=0.0)
     for col in range(n):
         piv = max(range(col, n), key=lambda r: float_magnitude(m[r][col]))
         if float_magnitude(m[piv][col]) <= floor:
