@@ -318,8 +318,8 @@ _ORACLE_CIRCLES = ((128, 0.5), (17, 0.5), (65, 0.85))
 
 
 @pytest.mark.parametrize("n, step, precision", [
-    pytest.param(n, step, precision,
-                 id="%d-%s%s" % (n, step, "-extended" * (precision == EXTENDED)))
+    pytest.param(n, step, precision, id="%d-%s%s" % (
+        n, step, "-extended" if precision == EXTENDED else ""))
     for precision in (DOUBLE, EXTENDED) for n, step in _ORACLE_CIRCLES])
 def test_double_lane_samples_mpmath_oracle(n, step, precision):
     # both lanes walk in double, then lift every sample to double-double in
