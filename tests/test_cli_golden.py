@@ -6,6 +6,10 @@ a `radius` report is dropped before comparing, and the `inv_condition`
 column of a `track` CSV, which comes from a LAPACK SVD, is compared to
 1e-12 relative.
 
+When a JSON stdout differs, the failure message lists every changed leaf
+as `path: old -> new (|delta|)`, so a re-record can cite its changed values
+from the test output.
+
 Regenerate the goldens only for a change that means to alter an output:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py --record
@@ -81,6 +85,53 @@ def _same_track_csv(got: str, want: str) -> bool:
     return True
 
 
+def _leaves(value, path="$"):
+    """(path, leaf) pairs of a parsed JSON value, in document order."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _leaves(v, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def changed_leaves(want: str, got: str) -> str:
+    """One line per leaf that differs between two JSON texts, numbers as
+    `path: old -> new (|delta|)`; empty when either text is not JSON."""
+    try:
+        old = dict(_leaves(json.loads(want)))
+        new = dict(_leaves(json.loads(got)))
+    except ValueError:
+        return ""
+    lines = []
+    for path in list(old) + [p for p in new if p not in old]:
+        a, b = old.get(path, "<absent>"), new.get(path, "<absent>")
+        if a == b and type(a) is type(b):
+            continue
+        line = f"{path}: {a!r} -> {b!r}"
+        if _is_number(a) and _is_number(b):
+            line += f" ({abs(b - a):.3g})"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def test_changed_leaves_lists_each_changed_value():
+    want = '{"z": [1.0, 2.0], "status": "Converged", "n_used": 64}'
+    got = '{"z": [1.0, 2.5], "status": "Inconclusive", "n_used": 64}'
+    assert changed_leaves(want, got).splitlines() == [
+        "$.z[1]: 2.0 -> 2.5 (0.5)",
+        "$.status: 'Converged' -> 'Inconclusive'"]
+    assert changed_leaves('{"a": 1}', '{"a": 1, "b": [3]}') == \
+        "$.b[0]: '<absent>' -> 3"
+    assert changed_leaves("n,ratio\n2,2.0\n", "n,ratio\n2,2.5\n") == ""
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_cli_output_matches_golden(argv):
     want = _load()[" ".join(argv)]
@@ -90,7 +141,8 @@ def test_cli_output_matches_golden(argv):
     if argv[0] == "track":
         assert _same_track_csv(got["stdout"], want["stdout"])
     else:
-        assert got["stdout"] == want["stdout"]
+        assert got["stdout"] == want["stdout"], \
+            changed_leaves(want["stdout"], got["stdout"])
 
 
 if __name__ == "__main__":
