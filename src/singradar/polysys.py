@@ -11,6 +11,11 @@ lower into terms as follows:
 * the gamma-convex blend gamma*(1-t)*g(x) + t*f(x) (``gamma_convex``) is
   the two terms (gamma - gamma*t)*g_i(x) and t*f_i(x) per equation.
 
+A homotopy's chart t = t0 + r*s (the identity unless ``radar.recondition``
+set it) leaves every q in the original t: ``term_values``, the one place q
+is evaluated, substitutes t0 + r*s in the lane of s (double in the walk,
+double-double arrays in the circle refinement) and skips the identity.
+
 ``evaluate`` and ``jacobian`` run one loop over the terms for every input.
 Each power x_i^e is computed once per point (``Powers``) and shared by the
 residual and every Jacobian partial, and the q(t) of every term
@@ -86,6 +91,8 @@ class Homotopy:
     dim: int
     gamma: complex
     equations: list
+    t0: float = 0.0
+    r: float = 1.0
 
     def __post_init__(self):
         if len(self.equations) != self.dim:
@@ -139,8 +146,9 @@ def evalpoly(coeffs, t):
     return acc
 
 
-def term_values(h: Homotopy, t):
-    """q(t) of every term, equation by equation."""
+def term_values(h: Homotopy, s):
+    """q(t) of every term at t = t0 + r*s, equation by equation."""
+    t = s if h.t0 == 0.0 and h.r == 1.0 else h.t0 + h.r * s
     return [[evalpoly(term.t_coeffs, t) for term in eq] for eq in h.equations]
 
 
@@ -300,9 +308,16 @@ def _unit_exponents(term: Term):
     return None
 
 
+def _require_identity_chart(h: Homotopy):
+    if h.t0 != 0.0 or h.r != 1.0:
+        raise InvalidArgument("the t_coeffs of a reconditioned homotopy are "
+                              "not in its parameter s")
+
+
 def binomial_parts(h: Homotopy):
     """Exponent columns a_i and right-hand sides c_i(t) of the binomial
     equations x^{a_i} = c_i(t), given as x^{a_i} - c_i(t) = 0."""
+    _require_identity_chart(h)
     cols = []
     rhs = []
     for eq in h.equations:
@@ -342,6 +357,7 @@ def _term_to_json(term: Term) -> dict:
 def homotopy_to_json(h: Homotopy) -> dict:
     """The explicit_t shape: every term is {"t_coeffs", "exp"} for q(t)*x^a,
     or {"t_coeffs", "poly"} for q(t)*P(x)."""
+    _require_identity_chart(h)
     return {"form": EXPLICIT_T, "dim": h.dim,
             "gamma": _re_im(h.gamma),
             "equations": [[_term_to_json(term) for term in eq]

@@ -4,7 +4,8 @@ The ratio of consecutive Taylor coefficients of a solution path tends to the
 singular parameter value nearest the expansion point. Extrapolating the
 ratios at n = 2, 4, ..., 2^N kills the O(1/n) error terms one power at a
 time, and rescaling plus recentering (reconditioning) keeps the target
-singularity dominant so the limit is clean.
+singularity dominant so the limit is clean. The substitution t = t0 + r s
+is evaluated in the lane of s, never expanded into new coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     StepUnderflow,
 )
 from .fourier import taylor_coefficients
-from .polysys import Homotopy, TMonomial
+from .polysys import Homotopy
 from .scalars import float_magnitude, is_extended, lane, scalar_eps
 from .series import TruncatedSeries
 from .tracker import PathState, TrackerConfig, default_config, track_to
@@ -161,35 +162,15 @@ def scale_to_unit(series: TruncatedSeries, z) -> TruncatedSeries:
 # reconditioning
 # ---------------------------------------------------------------------------
 
-def _compose_affine(t_coeffs, t0: float, r: float):
-    """Coefficients of a(t0 + r s) given those of a(t)."""
-    deg = len(t_coeffs) - 1
-    out = []
-    for j in range(deg + 1):
-        acc = 0.0
-        for k in range(j, deg + 1):
-            acc = acc + t_coeffs[k] * math.comb(k, j) * (t0 ** (k - j))
-        out.append(acc * (r ** j))
-    while len(out) > 1 and out[-1] == 0.0:
-        out.pop()
-    return tuple(out)
-
-
 def recondition(h: Homotopy, t0: float) -> Homotopy:
-    """The homotopy in s with t = r s + t0, r = 1 - t0, as one-monomial
-    terms: each q(t)*P(x) expands into the terms (a q)(t0 + r s)*x^e over
-    the monomials a x^e of P."""
+    """The homotopy in s with t = t0 + r s, r = 1 - t0: h with that chart.
+    Every q keeps its coefficients in t and is evaluated at t0 + r s
+    (polysys.term_values), so no rounding enters the coefficients."""
     if not 0.0 <= t0 < 1.0:
         raise InvalidArgument("t0 must lie in [0, 1)")
     if t0 == 0.0:
         return h
-    r = 1.0 - t0
-    equations = [[TMonomial(_compose_affine([c * m.coefficient
-                                             for c in term.t_coeffs], t0, r),
-                            m.exponents)
-                  for term in eq for m in term.poly]
-                 for eq in h.equations]
-    return Homotopy(dim=h.dim, gamma=h.gamma, equations=equations)
+    return replace(h, t0=t0, r=1.0 - t0)
 
 
 # ---------------------------------------------------------------------------

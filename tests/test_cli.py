@@ -240,6 +240,21 @@ def test_radius_cusp_reports_vanishing_tail():
     assert rep["diagonal"] == []
 
 
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_radius_cusp_extended_reports_vanishing_tail(n):
+    # (1 - t)^2 is a polynomial path; an expansion of q about t0 in double
+    # once left rounding far above the double-double vanish floor, and
+    # these runs reported a wrong Converged
+    code, out, err = run_cli(["radius", "--fixture", "cusp", "--precision",
+                              "extended", "--n", str(n)])
+    assert code == 1
+    assert "did not converge" in err
+    rep = json.loads(out)
+    assert rep["status"] == "CoefficientsVanish"
+    assert rep["z"] == [0.0, 0.0]
+    assert rep["diagonal"] == []
+
+
 def test_radius_small_step_floods_noise_floor():
     code, out, err = run_cli(["radius", "--fixture", "sqrt",
                               "--t0", "0.0", "--step", "0.3"])

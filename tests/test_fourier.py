@@ -19,6 +19,7 @@ from singradar.fourier import (
     taylor_coefficients,
 )
 from singradar.polysys import Homotopy, TMonomial, fixture
+from singradar.radar import recondition
 from singradar.scalars import (
     DOUBLE,
     EXTENDED,
@@ -342,6 +343,64 @@ def test_double_lane_negative_exponent_mpmath_oracle():
     base = PathState.from_point(h, 0.0, [1.0])
     s = sample_circle(h, base, 0.5, 128, default_config())
     assert sqrt_path_error(s.values[0], 128, 0.5) <= 1e-31
+
+
+def mp_residual(h, x, t):
+    """The original homotopy h(x, t) and its Jacobian in mpmath, from the
+    stored t_coeffs and monomials; the chart is not used."""
+    f = [mpmath.mpc(0)] * h.dim
+    jac = mpmath.zeros(h.dim, h.dim)
+    for i, eq in enumerate(h.equations):
+        for term in eq:
+            q = mpmath.polyval([mpmath.mpc(c) for c in term.t_coeffs[::-1]], t)
+            for mono in term.poly:
+                c = q * mpmath.mpc(mono.coefficient)
+                f[i] += c * mpmath.fprod(v ** e for v, e in
+                                         zip(x, mono.exponents))
+                for j, e in enumerate(mono.exponents):
+                    if e:
+                        jac[i, j] += c * e * mpmath.fprod(
+                            v ** (d - (k == j)) for k, (v, d) in
+                            enumerate(zip(x, mono.exponents)))
+    return f, jac
+
+
+def mp_solve(h, x, t):
+    """Newton on the original h at t from x, to 50 digits."""
+    x = mpmath.matrix(x)
+    for _ in range(8):
+        f, jac = mp_residual(h, list(x), t)
+        delta = mpmath.lu_solve(jac, mpmath.matrix(f))
+        x -= delta
+        if mpmath.norm(delta) <= mpmath.mpf(10) ** -45 * mpmath.norm(x):
+            return list(x)
+    raise AssertionError("mpmath Newton did not converge")
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+@pytest.mark.parametrize("name, t0", [("ojika1", 0.955647336181678),
+                                      ("sqrt", 0.1), ("monomial4", 0.1)])
+def test_reconditioned_samples_mpmath_oracle(name, t0, precision):
+    # samples of recondition(h, t0) at s_k = 0.85 w^k, at radius's sample
+    # count for order 64, against a 50-digit solve of the original h at
+    # t0 + r s_k: an error in the substitution shows here (an expansion of
+    # q about t0 in double left 2e-14)
+    h = fixture(name)
+    cfg = default_config(precision)
+    x0 = [promote(1.0, precision)] * h.dim
+    state = track_to(h, PathState.from_point(h, 0.0, x0), t0, cfg)
+    hs = recondition(h, t0)
+    base = PathState.from_point(hs, 0.0, state.x)
+    n, step = 128, 0.85
+    samples = sample_circle(hs, base, step, n, cfg).values
+    with mpmath.workdps(50):
+        for k in (0, 27, 64, 101):
+            s = mpmath.mpf(step) * mpmath.expjpi(mpmath.mpf(2 * k) / n)
+            t = mpmath.mpf(hs.t0) + mpmath.mpf(hs.r) * s
+            got = [mp_value(coord[k]) for coord in samples]
+            want = mp_solve(h, got, t)
+            err = max(abs(a - b) for a, b in zip(got, want))
+            assert err <= 1e-24 * max(abs(b) for b in want), (k, err)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,13 @@ def test_binomial_parts_checks_shape():
         binomial_parts(two_powers)
 
 
+def test_binomial_parts_rejects_a_reconditioned_homotopy():
+    # its t_coeffs are in t, not in s: read as they stand they would give
+    # the unshifted right-hand sides (1, -1) instead of (0.5, -0.5)
+    with pytest.raises(InvalidArgument, match="reconditioned"):
+        binomial_parts(recondition(fixture("monomial4"), 0.5))
+
+
 @pytest.mark.parametrize("name", ["sqrt", "monomial4", "ojika1"])
 def test_parent_json_still_loads(name):
     # files written by the three-form format: gamma_convex with target and
@@ -313,6 +320,13 @@ def test_json_writes_explicit_t_terms():
                       "poly": [{"re": 1.0, "im": 0.0, "exp": [2]},
                                {"re": -1.0, "im": 0.0, "exp": [0]}]}
     assert f_term == {"t_coeffs": [[0.0, 0.0], [1.0, 0.0]], "exp": [2]}
+
+
+def test_json_rejects_a_reconditioned_homotopy():
+    # the explicit_t shape has no chart; the written t_coeffs would read as
+    # coefficients in s
+    with pytest.raises(InvalidArgument, match="reconditioned"):
+        homotopy_to_json(recondition(fixture("sqrt"), 0.5))
 
 
 def test_json_gamma_override_needs_gamma_convex_tag():
@@ -388,7 +402,13 @@ def _ref_evalpoly(coeffs, t):
     return acc
 
 
-def ref_evaluate(h, x, t):
+def _ref_chart(h, s):
+    # the original t of a reconditioned homotopy's parameter s
+    return s if (h.t0, h.r) == (0.0, 1.0) else h.t0 + h.r * s
+
+
+def ref_evaluate(h, x, s):
+    t = _ref_chart(h, s)
     out = []
     for eq in h.equations:
         acc = 0.0
@@ -402,7 +422,8 @@ def ref_evaluate(h, x, t):
     return out
 
 
-def ref_jacobian(h, x, t):
+def ref_jacobian(h, x, s):
+    t = _ref_chart(h, s)
     rows = []
     for eq in h.equations:
         row = [0.0] * h.dim
