@@ -396,7 +396,7 @@ def test_reconditioned_samples_mpmath_oracle(name, t0, precision):
     with mpmath.workdps(50):
         for k in (0, 27, 64, 101):
             s = mpmath.mpf(step) * mpmath.expjpi(mpmath.mpf(2 * k) / n)
-            t = mpmath.mpf(hs.t0) + mpmath.mpf(hs.r) * s
+            t = mpmath.mpf(t0) + mpmath.mpf(1.0 - t0) * s
             got = [mp_value(coord[k]) for coord in samples]
             want = mp_solve(h, got, t)
             err = max(abs(a - b) for a, b in zip(got, want))
