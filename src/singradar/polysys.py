@@ -11,10 +11,11 @@ lower into terms as follows:
 * the gamma-convex blend gamma*(1-t)*g(x) + t*f(x) (``gamma_convex``) is
   the two terms (gamma - gamma*t)*g_i(x) and t*f_i(x) per equation.
 
-A homotopy's chart t = t0 + r*s (the identity unless ``radar.recondition``
-set it) leaves every q in the original t: ``term_values``, the one place q
-is evaluated, substitutes t0 + r*s in the lane of s (double in the walk,
-double-double arrays in the circle refinement) and skips the identity.
+A homotopy's chart t = t0 + (1 - t0)*s (the identity t0 = 0 unless
+``radar.recondition`` set it) leaves every q in the original t:
+``term_values``, the one place q is evaluated, substitutes t0 + (1 - t0)*s
+in the lane of s (double in the walk, double-double arrays in the circle
+refinement) and skips the identity.
 
 ``evaluate`` and ``jacobian`` run one loop over the terms for every input.
 Each power x_i^e is computed once per point (``Powers``) and shared by the
@@ -92,7 +93,6 @@ class Homotopy:
     gamma: complex
     equations: list
     t0: float = 0.0
-    r: float = 1.0
 
     def __post_init__(self):
         if len(self.equations) != self.dim:
@@ -147,8 +147,8 @@ def evalpoly(coeffs, t):
 
 
 def term_values(h: Homotopy, s):
-    """q(t) of every term at t = t0 + r*s, equation by equation."""
-    t = s if h.t0 == 0.0 and h.r == 1.0 else h.t0 + h.r * s
+    """q(t) of every term at t = t0 + (1 - t0)*s, equation by equation."""
+    t = s if h.t0 == 0.0 else h.t0 + (1.0 - h.t0) * s
     return [[evalpoly(term.t_coeffs, t) for term in eq] for eq in h.equations]
 
 
@@ -309,7 +309,7 @@ def _unit_exponents(term: Term):
 
 
 def _require_identity_chart(h: Homotopy):
-    if h.t0 != 0.0 or h.r != 1.0:
+    if h.t0 != 0.0:
         raise InvalidArgument("the t_coeffs of a reconditioned homotopy are "
                               "not in its parameter s")
 

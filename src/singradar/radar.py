@@ -165,12 +165,13 @@ def scale_to_unit(series: TruncatedSeries, z) -> TruncatedSeries:
 def recondition(h: Homotopy, t0: float) -> Homotopy:
     """The homotopy in s with t = t0 + r s, r = 1 - t0: h with that chart.
     Every q keeps its coefficients in t and is evaluated at t0 + r s
-    (polysys.term_values), so no rounding enters the coefficients."""
+    (polysys.term_values), so no rounding enters the coefficients. On an
+    already reconditioned h, t0 is in h's parameter and the charts compose."""
     if not 0.0 <= t0 < 1.0:
         raise InvalidArgument("t0 must lie in [0, 1)")
     if t0 == 0.0:
         return h
-    return replace(h, t0=t0, r=1.0 - t0)
+    return replace(h, t0=h.t0 + (1.0 - h.t0) * t0)
 
 
 # ---------------------------------------------------------------------------

@@ -404,7 +404,7 @@ def _ref_evalpoly(coeffs, t):
 
 def _ref_chart(h, s):
     # the original t of a reconditioned homotopy's parameter s
-    return s if (h.t0, h.r) == (0.0, 1.0) else h.t0 + h.r * s
+    return s if h.t0 == 0.0 else h.t0 + (1.0 - h.t0) * s
 
 
 def ref_evaluate(h, x, s):

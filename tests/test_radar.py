@@ -335,6 +335,25 @@ def test_recondition_matches_shifted_homotopy(name, t0):
                 assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
 
 
+@pytest.mark.parametrize("name", ["cusp", "ojika1"])
+def test_recondition_twice_composes_the_charts(name):
+    # b is in the parameter of recondition(h, a), so s maps to
+    # t = a + (1 - a)(b + (1 - b) s) of the original h
+    h = fixture(name)
+    a, b = 0.3, 0.6
+    hs = recondition(recondition(h, a), b)
+    rng = random.Random(7)
+    for _ in range(5):
+        x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for _ in range(h.dim)]
+        for s in (0.0, 0.5, 1.0):
+            t = a + (1.0 - a) * (b + (1.0 - b) * s)
+            got = evaluate(hs, x, s)
+            want = evaluate(h, x, t)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+
+
 def test_recondition_sqrt_path_closed_form():
     """Recentering at 1/2 turns the path into sqrt(0.5) * sqrt(1 - s)."""
     hs = recondition(fixture("sqrt"), 0.5)
