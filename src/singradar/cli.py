@@ -26,7 +26,8 @@ from .errors import (
 )
 from .fourier import direct_inverse_dft, sample_circle
 from .monomial import IntMatrix, _monomial_map, solve_binomial
-from .polysys import binomial_parts, evalpoly, fixture, homotopy_from_json
+from .polysys import (_FIXTURES, binomial_parts, evalpoly, fixture,
+                      homotopy_from_json)
 from .radar import CONVERGED, locate_singularity, richardson
 from .scalars import DOUBLE, EXTENDED, promote
 from .tracker import (
@@ -36,13 +37,6 @@ from .tracker import (
     newton_correct,
     track_to,
 )
-
-_START_POINTS = {
-    "sqrt": (1.0,),
-    "cusp": (1.0,),
-    "monomial4": (1.0, 1.0, 1.0, 1.0),
-    "ojika1": (1.0, 1.0),
-}
 
 _MASK64 = (1 << 64) - 1
 
@@ -75,6 +69,11 @@ def _pair(v) -> list:
     return [z.real, z.imag]
 
 
+def _coordinate_header(dim: int) -> list:
+    return ["%s_x%d" % (part, i + 1)
+            for i in range(dim) for part in ("re", "im")]
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -90,25 +89,29 @@ def _csv_text(header, rows) -> str:
 
 def _load_homotopy(name, file, start, gamma=None):
     """The fixture called name, or the homotopy in file, and its start
-    point: start if given, else the fixture's own or all ones."""
+    point: start if given, else all ones."""
     if name is not None:
         h = fixture(name, gamma)
-        x0 = list(_START_POINTS[name])
     else:
         with open(file, "r", encoding="utf-8") as fp:
             h = homotopy_from_json(json.load(fp), gamma)
-        x0 = [1.0] * h.dim
-    if start is not None:
-        if len(start) != h.dim:
-            raise InvalidArgument("start point has wrong dimension")
-        x0 = list(start)
-    return h, x0
+    if start is None:
+        return h, [1.0] * h.dim
+    if len(start) != h.dim:
+        raise InvalidArgument("start point has wrong dimension")
+    if not all(cmath.isfinite(v) for v in start):
+        raise InvalidArgument("start point must be finite")
+    return h, list(start)
 
 
 def _start_state(h, x0, precision: str, tcfg) -> PathState:
     if precision == EXTENDED:
         x0 = [promote(v, EXTENDED) for v in x0]
-    return newton_correct(h, 0.0, x0, tcfg)
+    try:
+        return newton_correct(h, 0.0, x0, tcfg)
+    except OverflowError:
+        raise InvalidArgument(
+            "start point too large: the homotopy overflows there") from None
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ def _series_table(step: float, count: int, orders, scale) -> str:
     scale(k), from count circle samples at radius step, against the exact
     values."""
     h = fixture("sqrt")
-    base = PathState.from_point(h, 0.0, list(_START_POINTS["sqrt"]))
+    base = PathState.from_point(h, 0.0, [1.0])
     samples = sample_circle(h, base, step, count, default_config())
     coeffs = direct_inverse_dft(samples.values[0])
     rows = []
@@ -213,11 +216,7 @@ def cmd_track(args):
     except (StepUnderflow, NoConvergence, SingularJacobian) as exc:
         sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
         code = 1
-    header = ["t"]
-    for i in range(h.dim):
-        header.append("re_x%d" % (i + 1))
-        header.append("im_x%d" % (i + 1))
-    header.extend(["residual", "inv_condition"])
+    header = ["t", *_coordinate_header(h.dim), "residual", "inv_condition"]
     rows = []
     for state in trace:
         row = [complex(state.t).real]
@@ -264,17 +263,8 @@ def cmd_solve_binomial(args):
             if residual > worst or math.isnan(residual):
                 worst = residual
     if args.fmt == "csv":
-        header = []
-        for i in range(a.n):
-            header.append("re_x%d" % (i + 1))
-            header.append("im_x%d" % (i + 1))
-        rows = []
-        for x in solutions:
-            row = []
-            for v in x:
-                row.extend(_pair(v))
-            rows.append(row)
-        return _csv_text(header, rows), 0
+        rows = [[part for v in x for part in _pair(v)] for x in solutions]
+        return _csv_text(_coordinate_header(a.n), rows), 0
     report = {
         "command": "solve-binomial",
         "count": len(solutions),
@@ -294,7 +284,7 @@ def _parse_start(text: str) -> tuple:
 
 def _add_source_flags(sub, with_start=False):
     group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fixture", choices=sorted(_START_POINTS))
+    group.add_argument("--fixture", choices=sorted(_FIXTURES))
     group.add_argument("--file")
     if with_start:
         sub.add_argument("--start", type=_parse_start,

@@ -179,10 +179,6 @@ def default_step(t0) -> float:
     return 0.85 * abs(1.0 - complex(t0))
 
 
-class _RetryHop(Exception):
-    pass
-
-
 def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed):
     """Sample at angle k/n starting from the accepted sample at (k-1)/n,
     by double Newton correction.
@@ -202,10 +198,10 @@ def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed):
                 moved = max(abs(a - b) for a, b in zip(walk, value))
                 spread = max(map(abs, walk + value))
                 if moved > _WALK_GUARD * spread:
-                    raise _RetryHop()
+                    raise NoConvergence("hop moved too far to trust")
                 walk = value
             return value
-        except (_RetryHop, NoConvergence):
+        except NoConvergence:
             m *= 2
             if m > _MAX_SUBSTEPS:
                 raise BranchJump(

@@ -117,6 +117,26 @@ def _ext_gcd(p: int, q: int):
     return old_r, old_x, old_y
 
 
+def _gcd_move(p: int, q: int):
+    """(alpha, beta, gamma, delta) of the unimodular move (p, q) ->
+    (alpha*p + beta*q, gamma*p + delta*q) that zeroes q: plain elimination
+    when p divides q, which keeps p, else the Bezout move to (gcd, 0)."""
+    if p != 0 and q % p == 0:
+        return 1, 0, -(q // p), 1
+    g, x, y = _ext_gcd(p, q)
+    return x, y, -(q // g), p // g
+
+
+def _combine_cols(mats, j, k, alpha, beta, gamma, delta):
+    """(col_j, col_k) <- (alpha*col_j + beta*col_k, gamma*col_j + delta*col_k)
+    in every matrix of mats."""
+    for mat in mats:
+        for row in mat:
+            cj, ck = row[j], row[k]
+            row[j] = alpha * cj + beta * ck
+            row[k] = gamma * cj + delta * ck
+
+
 # ---------------------------------------------------------------------------
 # Hermite normal form (column operations: A * U = H)
 # ---------------------------------------------------------------------------
@@ -127,37 +147,18 @@ def hermite_normal_form(a: IntMatrix) -> NormalFormResult:
     n = a.n
     h = a.copy().entries
     u = identity(n).entries
-
-    def col_combine(j, k, alpha, beta, gamma, delta):
-        # (col_j, col_k) <- (alpha*col_j + beta*col_k, gamma*col_j + delta*col_k)
-        for mat in (h, u):
-            for row in mat:
-                cj, ck = row[j], row[k]
-                row[j] = alpha * cj + beta * ck
-                row[k] = gamma * cj + delta * ck
-
     for i in range(n):
         # gcd column moves clear row i to the right of the pivot
         for j in range(i + 1, n):
-            if h[i][j] == 0:
-                continue
-            p, q = h[i][i], h[i][j]
-            if p != 0 and q % p == 0:
-                col_combine(i, j, 1, 0, -(q // p), 1)
-            else:
-                g, x, y = _ext_gcd(p, q)
-                col_combine(i, j, x, y, -(q // g), p // g)
+            if h[i][j]:
+                _combine_cols((h, u), i, j, *_gcd_move(h[i][i], h[i][j]))
         if h[i][i] < 0:
             for mat in (h, u):
                 for row in mat:
                     row[i] = -row[i]
         # reduce earlier columns so 0 <= h[i][j] < h[i][i] for j < i
         for j in range(i):
-            q = h[i][j] // h[i][i]
-            if q:
-                for mat in (h, u):
-                    for row in mat:
-                        row[j] -= q * row[i]
+            _combine_cols((h, u), j, i, 1, -(h[i][j] // h[i][i]), 0, 1)
         _check_entries(h, u)
     return NormalFormResult(u=IntMatrix(u), normal=IntMatrix(h))
 
@@ -180,59 +181,31 @@ def smith_normal_form(a: IntMatrix) -> NormalFormResult:
             mat[i] = [alpha * x + beta * y for x, y in zip(ri, rk)]
             mat[k] = [gamma * x + delta * y for x, y in zip(ri, rk)]
 
-    def col_combine(j, k, alpha, beta, gamma, delta):
-        for mat in (s, v):
-            for row in mat:
-                cj, ck = row[j], row[k]
-                row[j] = alpha * cj + beta * ck
-                row[k] = gamma * cj + delta * ck
-
     for i in range(n):
         while True:
             if s[i][i] == 0:
-                found = False
-                for r in range(i, n):
-                    for c in range(i, n):
-                        if s[r][c] != 0:
-                            if r != i:
-                                row_combine(i, r, 0, 1, 1, 0)
-                            if c != i:
-                                col_combine(i, c, 0, 1, 1, 0)
-                            found = True
-                            break
-                    if found:
-                        break
-            # clear column i below the pivot; plain elimination keeps the
-            # pivot row intact, a gcd combine strictly shrinks the pivot
+                r, c = next((r, c) for r in range(i, n) for c in range(i, n)
+                            if s[r][c])
+                if r != i:
+                    row_combine(i, r, 0, 1, 1, 0)
+                if c != i:
+                    _combine_cols((s, v), i, c, 0, 1, 1, 0)
+            # clear column i below the pivot, then row i to its right; plain
+            # elimination keeps the pivot, a gcd move strictly shrinks it
             for r in range(i + 1, n):
-                if s[r][i] == 0:
-                    continue
-                p, q = s[i][i], s[r][i]
-                if q % p == 0:
-                    row_combine(i, r, 1, 0, -(q // p), 1)
-                else:
-                    g, x, y = _ext_gcd(p, q)
-                    row_combine(i, r, x, y, -(q // g), p // g)
-            # same for row i to the right of the pivot
+                if s[r][i]:
+                    row_combine(i, r, *_gcd_move(s[i][i], s[r][i]))
             for c in range(i + 1, n):
-                if s[i][c] == 0:
-                    continue
-                p, q = s[i][i], s[i][c]
-                if q % p == 0:
-                    col_combine(i, c, 1, 0, -(q // p), 1)
-                else:
-                    g, x, y = _ext_gcd(p, q)
-                    col_combine(i, c, x, y, -(q // g), p // g)
+                if s[i][c]:
+                    _combine_cols((s, v), i, c, *_gcd_move(s[i][i], s[i][c]))
             if any(s[r][i] for r in range(i + 1, n)) or \
                any(s[i][c] for c in range(i + 1, n)):
                 _check_entries(s, u, v)
                 continue
             # enforce divisibility: fold in any trailing entry the pivot misses
-            bad = None
-            for r in range(i + 1, n):
-                if any(s[r][c] % s[i][i] for c in range(i + 1, n)):
-                    bad = r
-                    break
+            bad = next((r for r in range(i + 1, n)
+                        if any(s[r][c] % s[i][i] for c in range(i + 1, n))),
+                       None)
             if bad is None:
                 break
             row_combine(i, bad, 1, 1, 0, 1)

@@ -218,7 +218,7 @@ def make_gamma_homotopy(f: PolySystem, g: PolySystem, gamma) -> Homotopy:
     """gamma*(1-t)*g(x) + t*f(x), from start system g to target f."""
     if f.dim != g.dim or len(f.equations) != len(g.equations):
         raise InvalidArgument("target and start dimensions differ")
-    if abs(float_magnitude(gamma) - 1.0) > 1e-14:
+    if not abs(float_magnitude(gamma) - 1.0) <= 1e-14:  # NaN fails too
         raise InvalidArgument("gamma must have unit modulus")
     gamma = complex(gamma)
     return Homotopy(dim=f.dim, gamma=gamma, equations=[

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fourier import taylor_coefficients
 from .polysys import Homotopy
-from .scalars import float_magnitude, is_extended, lane, scalar_eps
+from .scalars import float_magnitude, lane, scalar_eps
 from .series import TruncatedSeries
 from .tracker import PathState, TrackerConfig, default_config, track_to
 
@@ -129,20 +129,17 @@ def fabry_estimate(series: TruncatedSeries) -> RadiusEstimate:
                                   n_used=n, status=COEFFICIENTS_VANISH,
                                   diagonal=[])
         ratios.append(coeffs[n] / denom)
-    tab = richardson(ratios)
-    diag = tab.diagonal
-    z = diag[-1]
+    diag = richardson(ratios).diagonal
     status = INCONCLUSIVE
-    if len(diag) >= 3:
+    if len(diag) >= 2:
+        # converged: the last diagonal step is 0 or, given 3 or more
+        # entries, smaller than the step before it
         last = float_magnitude(diag[-1] - diag[-2])
-        prev = float_magnitude(diag[-2] - diag[-3])
-        if last == 0.0 or last < prev:
+        if last == 0.0 or (len(diag) >= 3 and
+                           last < float_magnitude(diag[-2] - diag[-3])):
             status = CONVERGED
-    elif len(diag) == 2:
-        if float_magnitude(diag[-1] - diag[-2]) == 0.0:
-            status = CONVERGED
-    return RadiusEstimate(z=z, raw_ratio=ratios[-1], n_used=2 ** n_levels,
-                          status=status, diagonal=diag)
+    return RadiusEstimate(z=diag[-1], raw_ratio=ratios[-1],
+                          n_used=2 ** n_levels, status=status, diagonal=diag)
 
 
 def scale_to_unit(series: TruncatedSeries, z) -> TruncatedSeries:
@@ -218,8 +215,7 @@ def detect_last_pole(h: Homotopy, start: PathState,
     candidates = []
     first_clean = None
     clean_streak = 0
-    saw_estimate = False
-    saw_vanish = False
+    read_any = False
     t_c = float(complex(start.t).real)
     prev_z = None
     while 1.0 - t_c > _SWEEP_FLOOR:
@@ -232,10 +228,9 @@ def detect_last_pole(h: Homotopy, start: PathState,
         if prev_z is not None:
             radius = min(radius, 0.85 * abs(prev_z - t_c))
         est = _checkpoint_estimate(h, state, radius, cfg)
-        if est is not None and est.status == COEFFICIENTS_VANISH:
-            saw_vanish = True
+        if est is not None and est.status in (CONVERGED, COEFFICIENTS_VANISH):
+            read_any = True
         if est is not None and est.status == CONVERGED:
-            saw_estimate = True
             z_abs = complex(est.z)
             prev_z = z_abs
             if abs(z_abs - 1.0) <= _CLEAN_FRACTION * gap:
@@ -253,7 +248,7 @@ def detect_last_pole(h: Homotopy, start: PathState,
         else:
             clean_streak = 0
         t_c = t_c + 0.5 * (1.0 - t_c)
-    if not saw_estimate and not saw_vanish:
+    if not read_any:
         raise InconclusiveRadar("no checkpoint produced a usable estimate")
     if candidates:
         rho = max(candidates, key=lambda z: z.real)
@@ -313,12 +308,9 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     if coordinate is None:
         coordinate = _dominant_coordinate(series)
     est = fabry_estimate(series[coordinate])
-    if est.status == COEFFICIENTS_VANISH:
-        z_out = est.z
-    elif is_extended(est.z):
+    z_out = est.z
+    if est.status != COEFFICIENTS_VANISH:
         z_out = t0 + (1.0 - t0) * est.z
-    else:
-        z_out = complex(t0) + (1.0 - t0) * complex(est.z)
     timings = {"detect": t_detect - t_begin, "track": t_track - t_detect,
                "series": time.perf_counter() - t_track}
     return RadarRun(t0=t0, rho=rho, t_star=t_star, coordinate=coordinate,

@@ -330,6 +330,29 @@ def test_radius_start_reaches_the_run():
     assert out == ""
 
 
+@pytest.mark.parametrize("gamma", ["nan", "nan+1j"])
+def test_radius_nan_gamma_exits_two(gamma):
+    code, out, err = run_cli(["radius", "--fixture", "sqrt", "--gamma", gamma])
+    assert code == 2
+    assert err == "error: gamma must have unit modulus\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["radius", "--fixture", "sqrt", "--start", "inf"],
+    ["radius", "--fixture", "ojika1", "--start", "1e200,1"],
+    ["track", "--fixture", "sqrt", "--start", "nan"],
+], ids=["radius-sqrt-inf", "radius-ojika1-1e200", "track-sqrt-nan"])
+def test_unusable_start_exits_two(argv):
+    # a non-finite start, or one where the homotopy overflows, is an
+    # argument error: no traceback, no numerical failure of the tracker
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith("error: start point")
+    assert err.count("\n") == 1
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # track
 # ---------------------------------------------------------------------------

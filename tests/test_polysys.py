@@ -198,6 +198,13 @@ def test_non_unit_gamma_rejected():
         make_gamma_homotopy(OJIKA1_TARGET, OJIKA1_START, 0.9 + 0.1j)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), complex("nan"),
+                                   complex(float("nan"), 1.0)])
+def test_nan_gamma_rejected(gamma):
+    with pytest.raises(InvalidArgument, match="unit modulus"):
+        make_gamma_homotopy(OJIKA1_TARGET, OJIKA1_START, gamma)
+
+
 def test_dim_mismatch_rejected():
     with pytest.raises(InvalidArgument):
         make_gamma_homotopy(OJIKA1_TARGET, SQUARE, 1.0)

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singradar import tracker
-from singradar.errors import InconclusiveRadar, InvalidArgument
+from singradar.cli import gamma_from_seed
+from singradar.errors import BranchJump, InconclusiveRadar, InvalidArgument
+from singradar.fourier import taylor_coefficients
 from singradar.polysys import Homotopy, TMonomial, evaluate, fixture
 from singradar.radar import (
     COEFFICIENTS_VANISH,
@@ -415,6 +417,24 @@ def test_detect_planted_interior_pole():
     assert abs(rho - pole) <= 1e-9
     assert t_star == pytest.approx(0.5, abs=1e-9)
     assert t0 == pytest.approx(0.55, abs=1e-9)
+
+
+def test_detect_seed7_pole_needs_the_half_radius_retry():
+    # the sqrt fixture x^2 (gamma (1 - t) + t) - gamma (1 - t) has its pole
+    # at p = gamma / (gamma - 1); for seed 7 it lies inside the radius-0.85
+    # circle at t = 0, which raises BranchJump, so only the halved circle
+    # reads the pole
+    gamma = gamma_from_seed(7)
+    h = fixture("sqrt", gamma)
+    start = newton_correct(h, 0.0, [1.0], default_config())
+    p = gamma / (gamma - 1.0)
+    assert abs(p) < 0.85
+    with pytest.raises(BranchJump):
+        taylor_coefficients(h, start, 0.85, 32)
+    rho, t_star, t0 = detect_last_pole(h, start)
+    assert rho is not None and abs(rho - p) < 0.03
+    # t_star: the point of [0, 1] as far from p as from the endpoint t = 1
+    assert abs(t_star - (1.0 - abs(p) ** 2) / (2.0 * (1.0 - p.real))) < 0.01
 
 
 def test_detect_raises_when_sweep_is_vacuous():
