@@ -26,10 +26,10 @@ from .errors import (
 )
 from .fourier import direct_inverse_dft, sample_circle
 from .monomial import IntMatrix, _monomial_map, solve_binomial
-from .polysys import (_FIXTURES, binomial_parts, evalpoly, fixture,
-                      homotopy_from_json)
+from .polysys import (_FIXTURES, binomial_parts, evalpoly, evaluate,
+                      fixture, homotopy_from_json)
 from .radar import CONVERGED, locate_singularity, richardson
-from .scalars import DOUBLE, EXTENDED, promote
+from .scalars import DOUBLE, EXTENDED, float_magnitude, promote
 from .tracker import (
     PathState,
     default_config,
@@ -105,13 +105,19 @@ def _load_homotopy(name, file, start, gamma=None):
 
 
 def _start_state(h, x0, precision: str, tcfg) -> PathState:
+    """x0 corrected at t = 0; a start where the homotopy overflows is an
+    argument error (double-double powers overflow to inf or NaN without
+    raising, so the residual is checked too)."""
     if precision == EXTENDED:
         x0 = [promote(v, EXTENDED) for v in x0]
     try:
-        return newton_correct(h, 0.0, x0, tcfg)
+        if all(math.isfinite(float_magnitude(v))
+               for v in evaluate(h, x0, 0.0)):
+            return newton_correct(h, 0.0, x0, tcfg)
     except OverflowError:
-        raise InvalidArgument(
-            "start point too large: the homotopy overflows there") from None
+        pass
+    raise InvalidArgument(
+        "start point too large: the homotopy overflows there")
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ the first sample, guards the monodromy. Both lanes walk in double and then
 lift all n samples at once to double-double by mixed-precision iterative
 refinement (Moler, JACM 14, 1967): the residual is evaluated in
 double-double on one ExtComplex per coordinate whose parts are (n,) arrays,
-and the correction is solved in double, sample by sample, with the Jacobian
-at the hi parts. The walk and the refinement stop on residuals relative to
+and the correction is solved in double with the Jacobian at the hi parts,
+for all samples at once by an elimination that gives each sample the bits
+of the scalar one (``tracker._solve_batch``). The walk and the refinement stop on residuals relative to
 each equation's term sizes (TrackerConfig), so a scaled equation or
 coordinate walks the same way. The samples end in double-double whatever
 the caller's lane, so the exactly representable roots of unity keep the
@@ -33,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import BranchJump, InvalidArgument, NoConvergence
+from .errors import (BranchJump, DivisionByZero, InvalidArgument,
+                     NoConvergence, SingularJacobian)
 from .polysys import Homotopy, Powers, evaluate, jacobian, term_values
 from .scalars import (
     DOUBLE,
@@ -41,11 +43,13 @@ from .scalars import (
     ExtComplex,
     ExtReal,
     _complex,
+    _dd_quotient,
     _quad,
     cdd_add,
     cdd_mul,
     cdd_sub,
     dd_div,
+    dd_mul,
     float_magnitude,
     is_extended,
     lane,
@@ -56,7 +60,7 @@ from .scalars import (
 )
 from .series import TruncatedSeries
 from .tracker import (_MAX_NEWTON_ITERS, PathState, TrackerConfig,
-                      _solve_linear, _within, default_config, newton_correct,
+                      _solve_batch, _within, default_config, newton_correct,
                       track_to)
 
 # imported after the package's own modules (scalars imports numpy): numpy
@@ -186,7 +190,8 @@ def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed):
     A hop that moves the point by more than half its own scale cannot be
     trusted as a Newton seed (the corrector may land on another branch or
     run out of iterations), so the arc is re-walked with doubled substep
-    counts until every hop is tame."""
+    counts until every hop is tame; so is a hop whose Newton correction
+    meets a singular Jacobian on the way."""
     m = 1
     while True:
         walk = seed
@@ -201,7 +206,7 @@ def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed):
                     raise NoConvergence("hop moved too far to trust")
                 walk = value
             return value
-        except NoConvergence:
+        except (NoConvergence, SingularJacobian):
             m *= 2
             if m > _MAX_SUBSTEPS:
                 raise BranchJump(
@@ -243,11 +248,12 @@ def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
         rhs = np.empty((n, h.dim), dtype=complex)
         for i, r in enumerate(resid):
             rhs[:, i] = r.re.hi + 1j * r.im.hi
-        delta = np.zeros((n, h.dim), dtype=complex)
-        for k in np.flatnonzero(active):
-            delta[k] = _solve_linear(jac[k].tolist(), rhs[k].tolist(), eps)
-        return [v - _complex((d.real, 0.0, d.imag, 0.0))
-                for v, d in zip(x, delta.T)]
+        d_re = np.zeros((n, h.dim))
+        d_im = np.zeros((n, h.dim))
+        d_re[active], d_im[active] = _solve_batch(jac[active], rhs[active],
+                                                  eps)
+        return [v - _complex((a, 0.0, b, 0.0))
+                for v, a, b in zip(x, d_re.T, d_im.T)]
 
     for it in range(_MAX_NEWTON_ITERS + 1):
         scales = []
@@ -303,23 +309,32 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     return CircleSamples(t0=base.t, h=float(step), n=n, values=values)
 
 
+def _step_powers(step: float, n: int) -> tuple:
+    """step^k in double-double, k = 0..n-1, as hi and lo arrays: each power
+    the previous one times step, as ExtReal multiplication rounds it."""
+    hi = np.empty(n)
+    lo = np.empty(n)
+    power = (1.0, 0.0)
+    for k in range(n):
+        hi[k], lo[k] = power
+        power = dd_mul(*power, step, 0.0)
+    if not hi.all():
+        raise DivisionByZero("extended real division by exact zero")
+    return hi, lo
+
+
 def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
                         n: int, cfg: TrackerConfig | None = None) -> list:
     """One TruncatedSeries per coordinate, truncation order n - 1."""
     if step is None:
         step = default_step(base.t)
     samples = sample_circle(h, base, step, n, cfg)
+    raw = [_to_arrays(inverse_dft(coord)) for coord in samples.values]
+    re_hi, re_lo, im_hi, im_lo = (np.array(p) for p in zip(*raw))
+    p_hi, p_lo = _step_powers(float(step), n)
+    scaled = (_dd_quotient(re_hi, re_lo, p_hi, p_lo)
+              + _dd_quotient(im_hi, im_lo, p_hi, p_lo))
     lane_extended = lane(base.t, *base.x) == EXTENDED
-    step_ext = ExtReal.from_value(float(step))
-    out = []
-    for coord in samples.values:
-        raw = inverse_dft(coord)
-        coeffs = []
-        power = ExtReal.from_value(1.0)
-        for k, c in enumerate(raw):
-            if k:
-                power = power * step_ext
-            scaled = ExtComplex(c.re / power, c.im / power)
-            coeffs.append(scaled if lane_extended else complex(scaled))
-        out.append(TruncatedSeries(coeffs, order=n - 1))
-    return out
+    return [TruncatedSeries(_from_arrays(tuple(p[i] for p in scaled),
+                                         lane_extended), order=n - 1)
+            for i in range(len(raw))]

@@ -17,8 +17,10 @@ A homotopy's chart t = t0 + (1 - t0)*s (the identity t0 = 0 unless
 in the lane of s (double in the walk, double-double arrays in the circle
 refinement) and skips the identity.
 
-``evaluate`` and ``jacobian`` run one loop over the terms for every input.
-Each power x_i^e is computed once per point (``Powers``) and shared by the
+``evaluate`` and ``jacobian`` run one loop over the terms for every input,
+reading the plan each Homotopy builds of itself on construction: the
+nonzero (i, e) pairs of every monomial and of every Jacobian partial. Each
+power x_i^e is computed once per point (``Powers``) and shared by the
 residual and every Jacobian partial, and the q(t) of every term
 (``term_values``) can be computed once per t: a Newton correction, whose t
 is fixed, passes both in. Products keep the order of the unshared
@@ -102,6 +104,28 @@ class Homotopy:
                 for mono in term.poly:
                     if len(mono.exponents) != self.dim:
                         raise InvalidArgument("exponent vector length != dim")
+        self._values, self._partials = _evaluation_plan(self.equations)
+
+
+def _nonzero(exponents) -> tuple:
+    return tuple((i, e) for i, e in enumerate(exponents) if e != 0)
+
+
+def _evaluation_plan(equations) -> tuple:
+    """What evaluate and jacobian read, per equation and term: each
+    monomial as (coefficient, its nonzero (i, e) pairs in order of i), and
+    each nonzero partial d/dx_j of each monomial as (j, e, coefficient,
+    pairs of the exponents with e - 1 at j), in the order jacobian sums
+    them."""
+    values = tuple(tuple(tuple((m.coefficient, _nonzero(m.exponents))
+                               for m in term.poly) for term in eq)
+                   for eq in equations)
+    partials = tuple(tuple(tuple(
+        (j, e, m.coefficient,
+         _nonzero(m.exponents[:j] + (e - 1,) + m.exponents[j + 1:]))
+        for m in term.poly for j, e in enumerate(m.exponents) if e != 0)
+        for term in eq) for eq in equations)
+    return values, partials
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +154,10 @@ class Powers(dict):
         return value
 
 
-def _mono_value(coefficient, exponents, powers: Powers):
+def _mono_value(coefficient, pairs, powers: Powers):
     acc = coefficient
-    for i, e in enumerate(exponents):
-        if e != 0:
-            acc = acc * powers[i, e]
+    for key in pairs:
+        acc = acc * powers[key]
     return acc
 
 
@@ -168,12 +191,12 @@ def evaluate(h: Homotopy, x, t, q=None, powers: Powers | None = None,
     if powers is None:
         powers = Powers(x)
     out = []
-    for eq, q_eq in zip(h.equations, q):
+    for eq, q_eq in zip(h._values, q):
         acc = size = 0.0
-        for term, c in zip(eq, q_eq):
+        for monos, c in zip(eq, q_eq):
             p = None
-            for mono in term.poly:
-                v = _mono_value(mono.coefficient, mono.exponents, powers)
+            for coefficient, pairs in monos:
+                v = _mono_value(coefficient, pairs, powers)
                 p = v if p is None else p + v
             value = c * p
             acc = acc + value
@@ -195,17 +218,12 @@ def jacobian(h: Homotopy, x, t, q=None, powers: Powers | None = None):
     if powers is None:
         powers = Powers(x)
     rows = []
-    for eq, q_eq in zip(h.equations, q):
+    for eq, q_eq in zip(h._partials, q):
         row = [0.0] * h.dim
-        for term, c in zip(eq, q_eq):
-            for mono in term.poly:
-                for j, e in enumerate(mono.exponents):
-                    if e == 0:
-                        continue
-                    dexp = list(mono.exponents)
-                    dexp[j] = e - 1
-                    row[j] = row[j] + c * e * _mono_value(mono.coefficient,
-                                                          dexp, powers)
+        for partials, c in zip(eq, q_eq):
+            for j, e, coefficient, pairs in partials:
+                row[j] = row[j] + c * e * _mono_value(coefficient, pairs,
+                                                      powers)
         rows.append(row)
     return rows
 

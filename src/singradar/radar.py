@@ -24,9 +24,10 @@ from .errors import (
 )
 from .fourier import taylor_coefficients
 from .polysys import Homotopy
-from .scalars import float_magnitude, lane, scalar_eps
+from .scalars import EXTENDED, float_magnitude, lane, promote, scalar_eps
 from .series import TruncatedSeries
-from .tracker import PathState, TrackerConfig, default_config, track_to
+from .tracker import (PathState, TrackerConfig, default_config,
+                      newton_correct, track_to)
 
 CONVERGED = "Converged"
 INCONCLUSIVE = "Inconclusive"
@@ -214,7 +215,7 @@ def detect_last_pole(h: Homotopy, start: PathState,
     state = start
     candidates = []
     first_clean = None
-    clean_streak = 0
+    clean_streak = vanish_streak = 0
     read_any = False
     t_c = float(complex(start.t).real)
     prev_z = None
@@ -228,9 +229,15 @@ def detect_last_pole(h: Homotopy, start: PathState,
         if prev_z is not None:
             radius = min(radius, 0.85 * abs(prev_z - t_c))
         est = _checkpoint_estimate(h, state, radius, cfg)
-        if est is not None and est.status in (CONVERGED, COEFFICIENTS_VANISH):
-            read_any = True
-        if est is not None and est.status == CONVERGED:
+        status = None if est is None else est.status
+        read_any = read_any or status in (CONVERGED, COEFFICIENTS_VANISH)
+        # a vanishing tail: the path is a polynomial to working precision in
+        # the disc, so the checkpoints beyond it cannot see a pole either
+        vanish_streak = (vanish_streak + 1
+                         if status == COEFFICIENTS_VANISH else 0)
+        if vanish_streak >= _CLEAN_STREAK:
+            break
+        if status == CONVERGED:
             z_abs = complex(est.z)
             prev_z = z_abs
             if abs(z_abs - 1.0) <= _CLEAN_FRACTION * gap:
@@ -299,7 +306,16 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     if t0 is None:
         rho, t_star, t0 = detect_last_pole(h, start, cfg)
     t_detect = time.perf_counter()
-    state = track_to(h, start, t0, cfg)
+    if lane(start.t, *start.x) == EXTENDED:
+        # sample_circle walks from the base point in double, so the path is
+        # tracked in double and only the point at t0 is corrected in the lane
+        walk = replace(start, t=complex(start.t).real,
+                       x=[complex(v) for v in start.x])
+        state = track_to(h, walk, t0, default_config())
+        state = newton_correct(h, state.t, [promote(v, EXTENDED)
+                                            for v in state.x], cfg)
+    else:
+        state = track_to(h, start, t0, cfg)
     hs = recondition(h, t0)
     base = PathState.from_point(hs, 0.0, state.x)
     t_track = time.perf_counter()

@@ -92,6 +92,12 @@ def dd_div(a_hi, a_lo, b_hi: float, b_lo: float):
     digits, each from the remainder left by the previous ones."""
     if b_hi == 0.0 and b_lo == 0.0:
         raise DivisionByZero("extended real division by exact zero")
+    return _dd_quotient(a_hi, a_lo, b_hi, b_lo)
+
+
+def _dd_quotient(a_hi, a_lo, b_hi, b_lo):
+    """dd_div without its zero check, so the divisor may be an array too;
+    the caller rules out a zero divisor."""
     q1 = a_hi / b_hi
     r_hi, r_lo = _sub_product(a_hi, a_lo, b_hi, b_lo, q1)
     q2 = r_hi / b_hi

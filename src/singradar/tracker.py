@@ -105,6 +105,62 @@ def _solve_linear(jac, rhs, eps: float):
     return out
 
 
+def _cmul(ar, ai, br, bi):
+    """CPython's complex a * b on float64 arrays (numpy's complex product
+    may fuse a multiply-add and round differently)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """CPython's complex a / b on float64 arrays, b nonzero: Smith's
+    quotient, dividing by denom (numpy's multiplies by a reciprocal)."""
+    wide = np.abs(br) >= np.abs(bi)
+    ratio = np.where(wide, bi, br) / np.where(wide, br, bi)
+    denom = np.where(wide, br, bi) + np.where(wide, bi, br) * ratio
+    return (np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _solve_batch(jac, rhs, eps: float):
+    """_solve_linear on k double systems at once, jac (k, n, n) and rhs
+    (k, n) complex: the same operations in the same order per system, in
+    real float64 arithmetic, so every system gets _solve_linear's bits.
+    Returns the solutions' real and imaginary parts, each (k, n)."""
+    k, n = rhs.shape
+    re = np.concatenate((jac.real, rhs.real[:, :, None]), axis=2)
+    im = np.concatenate((jac.imag, rhs.imag[:, :, None]), axis=2)
+    floor = 1e3 * eps * np.hypot(jac.real, jac.imag).reshape(k, n * n).max(
+        axis=1, initial=0.0)
+    rows = np.arange(k)
+    for col in range(n):
+        mag = np.hypot(re[:, col:, col], im[:, col:, col])
+        piv = np.argmax(mag, axis=1)
+        if np.any(mag[rows, piv] <= floor):
+            raise SingularJacobian("jacobian pivot below the precision floor")
+        piv += col
+        for a in (re, im):
+            a[rows, col], a[rows, piv] = a[rows, piv], a[rows, col]
+        # every row below the pivot row at once, from column col on
+        p_re, p_im = re[:, col:col + 1, col:], im[:, col:col + 1, col:]
+        fr, fi = _cdiv(re[:, col + 1:, col:col + 1],
+                       im[:, col + 1:, col:col + 1],
+                       p_re[:, :, :1], p_im[:, :, :1])
+        pr, pi = _cmul(fr, fi, p_re, p_im)
+        re[:, col + 1:, col:] -= pr
+        im[:, col + 1:, col:] -= pi
+    out_re = np.empty((k, n))
+    out_im = np.empty((k, n))
+    for i in range(n - 1, -1, -1):
+        acc_re, acc_im = re[:, i, n], im[:, i, n]
+        for j in range(i + 1, n):
+            pr, pi = _cmul(re[:, i, j], im[:, i, j],
+                           out_re[:, j], out_im[:, j])
+            acc_re, acc_im = acc_re - pr, acc_im - pi
+        out_re[:, i], out_im[:, i] = _cdiv(acc_re, acc_im, re[:, i, i],
+                                           im[:, i, i])
+    return out_re, out_im
+
+
 def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
                    history: list | None = None) -> PathState:
     """Correct x0 to h(x, t) = 0 at fixed t, to cfg's relative tolerance.

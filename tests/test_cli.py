@@ -353,6 +353,22 @@ def test_unusable_start_exits_two(argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["radius", "--fixture", "ojika1", "--start", "1e200,1"],
+    ["track", "--fixture", "ojika1", "--start", "1e200,1"],
+    ["track", "--fixture", "sqrt", "--start", "1e300"],
+], ids=["radius-ojika1-1e200", "track-ojika1-1e200", "track-sqrt-1e300"])
+def test_overflowing_extended_start_exits_two(argv):
+    # double-double powers overflow to inf or NaN without raising, so the
+    # extended lane rejects such a start by its residual, as the double
+    # lane does by its OverflowError
+    code, out, err = run_cli(argv + ["--precision", "extended"])
+    assert code == 2
+    assert err == ("error: start point too large: the homotopy overflows "
+                   "there\n")
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # track
 # ---------------------------------------------------------------------------

@@ -403,6 +403,25 @@ def test_reconditioned_samples_mpmath_oracle(name, t0, precision):
             assert err <= 1e-24 * max(abs(b) for b in want), (k, err)
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_singular_jacobian_hop_is_rewalked(n):
+    # on monomial4 reconditioned at t0 = 0.1, one hop of the radius-0.85
+    # walk meets a singular Jacobian at n = 32 and 64; its arc is re-walked
+    # in substeps, as a hop that does not converge is, and the samples land
+    # on the branch the 128-sample walk reads
+    h = fixture("monomial4")
+    cfg = default_config()
+    state = track_to(h, PathState.from_point(h, 0.0, [1.0] * 4), 0.1, cfg)
+    hs = recondition(h, 0.1)
+    base = PathState.from_point(hs, 0.0, state.x)
+    got = sample_circle(hs, base, 0.85, n, cfg).values
+    fine = sample_circle(hs, base, 0.85, 128, cfg).values
+    for coord, ref in zip(got, fine):
+        for k, v in enumerate(coord):
+            want = ref[k * (128 // n)]
+            assert abs(complex(v - want)) <= 1e-25 * abs(complex(want))
+
+
 # ---------------------------------------------------------------------------
 # taylor coefficients
 # ---------------------------------------------------------------------------
@@ -477,6 +496,33 @@ def test_doubling_n_keeps_low_coefficients():
     for k in range(8):
         exact = float(exact_sqrt_coeff(k))
         assert abs(hi[k] - exact) <= 10.0 * abs(lo[k] - exact) + 1e-15
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+@pytest.mark.parametrize("name, step, n", [("ojika1", 0.85, 64),
+                                           ("monomial4", 0.3, 32),
+                                           ("sqrt", 0.004, 128)])
+def test_taylor_scaling_matches_extreal_division(name, step, n, precision):
+    # the coefficients are the transform's divided by step^k; the array
+    # pass must give what dividing each one by an ExtReal power gives, in
+    # hi and lo (0.004^127 is 2.9e-305, near the bottom of the range)
+    h = fixture(name)
+    base = PathState.from_point(h, 0.0, [promote(1.0, precision)] * h.dim)
+    got = taylor_coefficients(h, base, step, n)
+    samples = sample_circle(h, base, step, n)
+    step_ext = ExtReal(step)
+    for series, coord in zip(got, samples.values):
+        power = ExtReal(1.0)
+        for k, c in enumerate(inverse_dft(coord)):
+            if k:
+                power = power * step_ext
+            want = ExtComplex(c.re / power, c.im / power)
+            v = series.coeffs[k]
+            if precision == EXTENDED:
+                assert (v.re.hi, v.re.lo, v.im.hi, v.im.lo) == (
+                    want.re.hi, want.re.lo, want.im.hi, want.im.lo)
+            else:
+                assert type(v) is complex and v == complex(want)
 
 
 def test_real_path_coefficients_stay_real():

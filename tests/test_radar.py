@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singradar import tracker
+from singradar import radar, tracker
 from singradar.cli import gamma_from_seed
 from singradar.errors import BranchJump, InconclusiveRadar, InvalidArgument
 from singradar.fourier import taylor_coefficients
@@ -437,6 +437,24 @@ def test_detect_seed7_pole_needs_the_half_radius_retry():
     assert abs(t_star - (1.0 - abs(p) ** 2) / (2.0 * (1.0 - p.real))) < 0.01
 
 
+def test_detect_stops_after_a_streak_of_vanishing_tails(monkeypatch):
+    # cusp's path (1 - t)^2 is a polynomial, so the checkpoints at t = 0 and
+    # 0.5 both read a vanishing tail and the sweep ends there, instead of
+    # walking on until 1 - t < _SWEEP_FLOOR
+    seen = []
+    checkpoint = radar._checkpoint_estimate
+
+    def counted(h, state, radius, cfg):
+        seen.append(state.t)
+        return checkpoint(h, state, radius, cfg)
+
+    monkeypatch.setattr(radar, "_checkpoint_estimate", counted)
+    h = fixture("cusp")
+    result = detect_last_pole(h, PathState.from_point(h, 0.0, [1.0]))
+    assert seen == [0.0, 0.5]
+    assert result == (None, 0.0, 0.1)
+
+
 def test_detect_raises_when_sweep_is_vacuous():
     cfg = default_config()
     h = fixture("sqrt")
@@ -508,6 +526,31 @@ def test_locate_extended_lane_monomial_system():
     assert est.n_used == 64
     assert is_extended(est.z)
     assert float_magnitude(est.z - 1.0) <= 1e-8
+
+
+def test_locate_extended_base_point_meets_the_extended_tolerance(
+        monkeypatch):
+    # the extended lane tracks to t0 in double and corrects the point at t0
+    # once in double-double: the base point must come out in the lane, to
+    # the lane's relative tolerance
+    bases = []
+    series = radar.taylor_coefficients
+
+    def captured(hs, base, *args):
+        bases.append((hs, base))
+        return series(hs, base, *args)
+
+    monkeypatch.setattr(radar, "taylor_coefficients", captured)
+    h = fixture("ojika1")
+    cfg = default_config(EXTENDED)
+    start = newton_correct(h, 0.0, [promote(1.0, EXTENDED)] * 2, cfg)
+    run = locate_singularity(h, start, 16, cfg, t0=OJIKA1_BASE)
+    assert run.t0 == OJIKA1_BASE
+    [(hs, base)] = bases
+    assert all(is_extended(v) for v in base.x)
+    scales = []
+    resid = evaluate(hs, base.x, base.t, scales=scales)
+    assert all(tracker._within(resid, scales, cfg.newton_tol))
 
 
 def test_locate_double_lane_dominant_coordinate():

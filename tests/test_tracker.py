@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from singradar import tracker
@@ -19,7 +20,7 @@ from singradar.polysys import (
     fixture,
     make_gamma_homotopy,
 )
-from singradar.scalars import EXTENDED, ExtReal, promote
+from singradar.scalars import DOUBLE, EXTENDED, ExtReal, promote, scalar_eps
 from singradar.tracker import (
     PathState,
     TrackerConfig,
@@ -45,6 +46,50 @@ def explicit_system_homotopy(equations, dim):
     teqs = [[TMonomial((complex(m.coefficient),), tuple(m.exponents))
              for m in eq] for eq in equations]
     return Homotopy(dim=dim, gamma=1.0, equations=teqs)
+
+
+# ---------------------------------------------------------------------------
+# batched elimination
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_solve_batch_bit_identical_to_solve_linear(dim):
+    # seeded complex systems with entries over twelve decades; every
+    # solution is compared byte for byte (signs of zero too) with the
+    # scalar elimination of the same system
+    rng = np.random.default_rng(dim)
+    k = 200
+    shape = (k, dim, dim)
+    jac = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+           * 10.0 ** rng.uniform(-6.0, 6.0, shape))
+    jac[::3, :, 0] *= 1j  # purely imaginary or real leading columns
+    if dim > 1:
+        jac[::5, 0, 0] = 0.0  # a zero leading pivot forces a swap
+    rhs = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+    rhs[::7, 0] = -0.0
+    eps = scalar_eps(DOUBLE)
+    re, im = tracker._solve_batch(jac, rhs, eps)
+    for s in range(k):
+        want = tracker._solve_linear(jac[s].tolist(), rhs[s].tolist(), eps)
+        assert np.array([w.real for w in want]).tobytes() == re[s].tobytes()
+        assert np.array([w.imag for w in want]).tobytes() == im[s].tobytes()
+    if dim > 1:
+        # partial pivoting swapped rows in part of the batch
+        swapped = np.argmax(np.abs(jac[:, :, 0]), axis=1) != 0
+        assert 0 < swapped.sum() < k
+
+
+def test_solve_batch_raises_on_a_pivot_below_the_floor():
+    jac = np.array([[[2.0, 1.0], [1.0, 3.0]],
+                    [[1.0, 2.0], [2.0, 4.0 + 1e-15]]], dtype=complex)
+    rhs = np.ones((2, 2), dtype=complex)
+    eps = scalar_eps(DOUBLE)
+    with pytest.raises(SingularJacobian):
+        tracker._solve_linear(jac[1].tolist(), rhs[1].tolist(), eps)
+    with pytest.raises(SingularJacobian):
+        tracker._solve_batch(jac, rhs, eps)
+    re, im = tracker._solve_batch(jac[:1], rhs[:1], eps)
+    assert re.tolist() == [[0.4, 0.2]] and im.tolist() == [[0.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------
