@@ -24,10 +24,9 @@ from .errors import (
 )
 from .fourier import taylor_coefficients
 from .polysys import Homotopy
-from .scalars import EXTENDED, float_magnitude, lane, promote, scalar_eps
+from .scalars import EXTENDED, float_magnitude, lane, scalar_eps
 from .series import TruncatedSeries
-from .tracker import (PathState, TrackerConfig, default_config,
-                      newton_correct, track_to)
+from .tracker import PathState, TrackerConfig, default_config, track_to
 
 CONVERGED = "Converged"
 INCONCLUSIVE = "Inconclusive"
@@ -203,12 +202,14 @@ def _checkpoint_estimate(h: Homotopy, state: PathState, radius: float,
 
 
 def detect_last_pole(h: Homotopy, start: PathState,
-                     cfg: TrackerConfig | None = None):
+                     cfg: TrackerConfig | None = None, *, _visited=None):
     """Sweep t toward 1, watching for the interior pole nearest the end.
 
     Returns (rho, t_star, t0): the dominating complex pole (None when the
     endpoint is the only singularity in sight), the parameter where the pole
     and the endpoint are equidistant, and the recommended base point.
+    A list passed as _visited receives (t, state) for every checkpoint the
+    sweep tracked to, so locate_singularity can resume the track there.
     """
     if cfg is None:
         cfg = default_config()
@@ -224,6 +225,8 @@ def detect_last_pole(h: Homotopy, start: PathState,
             state = track_to(h, state, t_c, cfg)
         except (NoConvergence, StepUnderflow, SingularJacobian):
             break
+        if _visited is not None:
+            _visited.append((t_c, state))
         gap = 1.0 - t_c
         radius = 0.85 * gap
         if prev_z is not None:
@@ -231,8 +234,11 @@ def detect_last_pole(h: Homotopy, start: PathState,
         est = _checkpoint_estimate(h, state, radius, cfg)
         status = None if est is None else est.status
         read_any = read_any or status in (CONVERGED, COEFFICIENTS_VANISH)
-        # a vanishing tail: the path is a polynomial to working precision in
-        # the disc, so the checkpoints beyond it cannot see a pole either
+        # a heuristic stop: after _CLEAN_STREAK vanishing tails in a row the
+        # path is taken for a polynomial and the sweep ends. It can miss a
+        # pole: fabry_estimate reports a vanishing tail as soon as one ratio
+        # denominator is below its floor, and a later checkpoint's disc
+        # reaches nearer to t = 1 than the discs before it
         vanish_streak = (vanish_streak + 1
                          if status == COEFFICIENTS_VANISH else 0)
         if vanish_streak >= _CLEAN_STREAK:
@@ -303,19 +309,19 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
         cfg = default_config()
     t_begin = time.perf_counter()
     rho = t_star = None
+    resume = start
     if t0 is None:
-        rho, t_star, t0 = detect_last_pole(h, start, cfg)
+        visited = []
+        rho, t_star, t0 = detect_last_pole(h, start, cfg, _visited=visited)
+        # the sweep has tracked the path to the checkpoints below t0 already.
+        # In the extended lane that track is the costly part, so it resumes
+        # from the last of them (the double lane's re-track from start is
+        # cheap and kept as it was)
+        below = [state for t, state in visited if t <= t0]
+        if below and lane(start.t, *start.x) == EXTENDED:
+            resume = below[-1]
     t_detect = time.perf_counter()
-    if lane(start.t, *start.x) == EXTENDED:
-        # sample_circle walks from the base point in double, so the path is
-        # tracked in double and only the point at t0 is corrected in the lane
-        walk = replace(start, t=complex(start.t).real,
-                       x=[complex(v) for v in start.x])
-        state = track_to(h, walk, t0, default_config())
-        state = newton_correct(h, state.t, [promote(v, EXTENDED)
-                                            for v in state.x], cfg)
-    else:
-        state = track_to(h, start, t0, cfg)
+    state = track_to(h, resume, t0, cfg)
     hs = recondition(h, t0)
     base = PathState.from_point(hs, 0.0, state.x)
     t_track = time.perf_counter()

@@ -530,9 +530,9 @@ def test_locate_extended_lane_monomial_system():
 
 def test_locate_extended_base_point_meets_the_extended_tolerance(
         monkeypatch):
-    # the extended lane tracks to t0 in double and corrects the point at t0
-    # once in double-double: the base point must come out in the lane, to
-    # the lane's relative tolerance
+    # with t0 given, the extended lane tracks from the start to t0 in
+    # double-double: the base point must come out in the lane, to the
+    # lane's relative tolerance
     bases = []
     series = radar.taylor_coefficients
 
@@ -551,6 +551,32 @@ def test_locate_extended_base_point_meets_the_extended_tolerance(
     scales = []
     resid = evaluate(hs, base.x, base.t, scales=scales)
     assert all(tracker._within(resid, scales, cfg.newton_tol))
+
+
+def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
+    # from (1, -1) a one-call double track of ojika1 to t0 jumps to the
+    # (1, 1) path. The extended lane resumes from the sweep's last
+    # checkpoint below t0, so the base point stays on the path the sweep
+    # read (the point every checkpoint sequence reaches)
+    bases = []
+    series = radar.taylor_coefficients
+
+    def captured(hs, base, *args):
+        bases.append(base)
+        return series(hs, base, *args)
+
+    monkeypatch.setattr(radar, "taylor_coefficients", captured)
+    h = fixture("ojika1")
+    cfg = default_config(EXTENDED)
+    start = newton_correct(h, 0.0, [promote(1.0, EXTENDED),
+                                    promote(-1.0, EXTENDED)], cfg)
+    run = locate_singularity(h, start, 64, cfg)
+    assert run.t0 == 0.9812641550043867
+    x = [complex(v) for v in bases[-1].x]
+    assert abs(x[0] - (0.964751153809947 - 0.13284929107864688j)) < 1e-12
+    assert abs(x[1] - (2.086912331024748 + 0.256234679292355j)) < 1e-12
+    assert run.status == "Converged"
+    assert float_magnitude(run.z - 1.0) < 1e-6
 
 
 def test_locate_double_lane_dominant_coordinate():

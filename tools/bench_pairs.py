@@ -8,9 +8,10 @@ untraced record <workload>-seed<s>-trace0.json on one side is paired with
 the record of the same workload and seed on the other. For every workload
 and end-to-end metric of BENCHMARK.json the file gives each side's values in
 seed order, median and [q1, q3], the change/parent ratio of the medians, and
-how many pairs the change won (ties count for neither side). The traced
-records of --trace-seed contribute their per-layer counts, and each side's
-provenance (commit, source digest, python, numpy, nproc) is kept.
+how many pairs the change won (ties count for neither side). Per job kind
+it gives each side's median job time and the kind's share of a pass. The
+traced records of --trace-seed contribute their per-layer counts, and each
+side's provenance (commit, source digest, python, numpy, nproc) is kept.
 """
 
 from __future__ import annotations
@@ -44,6 +45,30 @@ def _provenance(records: list) -> dict:
     return shared[0]
 
 
+def _job_kinds(recs: dict) -> dict:
+    """Per job kind: each side's median over seeds of the record's median
+    job time (at reference speed when the jobs were scaled), the kind's
+    share of the summed kind times on that side, and the change/parent
+    ratio."""
+    sides = {}
+    for side, rs in recs.items():
+        times = {}
+        for r in rs:
+            for kind, k in r["job_kinds"].items():
+                times.setdefault(kind, []).append(
+                    k.get("median_ref_s", k["median_s"]))
+        sides[side] = {kind: statistics.median(v) for kind, v in times.items()}
+    out = {}
+    for kind in sorted(sides["parent"]):
+        row = {}
+        for side, times in sides.items():
+            row[side] = {"median_s": times[kind],
+                         "share": times[kind] / sum(times.values())}
+        row["ratio"] = row["change"]["median_s"] / row["parent"]["median_s"]
+        out[kind] = row
+    return out
+
+
 def summarise(parent: Path, change: Path, seeds: list,
               trace_seed: int | None) -> dict:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fp:
@@ -66,7 +91,7 @@ def summarise(parent: Path, change: Path, seeds: list,
                        change_wins=wins, pairs=len(seeds),
                        ratio=row["change"]["median"] / base if base else None)
             metrics[name] = row
-        entry = {"metrics": metrics,
+        entry = {"metrics": metrics, "job_kinds": _job_kinds(recs),
                  "failed": {side: sum(r["failed"] for r in rs)
                             for side, rs in recs.items()},
                  "provenance": {side: _provenance(rs)
