@@ -82,3 +82,28 @@ def test_one_seed_is_an_argument_error(tmp_path, capsys):
                           "--out", str(tmp_path / "out.json")])
     assert exc.value.code == 2
     assert "at least two seeds" in capsys.readouterr().err
+
+
+def test_summarise_job_kinds_medians_shares_and_ratio(tmp_path):
+    write_side(tmp_path / "p", PARENT, "aaa")
+    write_side(tmp_path / "c", CHANGE, "bbb")
+    wl = BENCH["workloads"][0]["name"]
+    for side, scale in (("p", 1.0), ("c", 0.5)):
+        for i, seed in enumerate(SEEDS):
+            path = tmp_path / side / ("%s-seed%d-trace0.json" % (wl, seed))
+            record = json.loads(path.read_text(encoding="utf-8"))
+            # kind "a" is timed at reference speed, kind "b" is not scaled
+            record["job_kinds"] = {
+                "a": {"samples": 3, "median_s": 99.0,
+                      "median_ref_s": scale * (1.0 + i)},
+                "b": {"samples": 3, "median_s": 3.0}}
+            path.write_text(json.dumps(record), encoding="utf-8")
+    out = bench_pairs.summarise(tmp_path / "p", tmp_path / "c", SEEDS, None)
+    kinds = out["workloads"][wl]["job_kinds"]
+    assert kinds["a"] == {"parent": {"median_s": 3.0, "share": 0.5},
+                          "change": {"median_s": 1.5, "share": 1.5 / 4.5},
+                          "ratio": 0.5}
+    assert kinds["b"]["ratio"] == 1.0
+    assert kinds["b"]["parent"] == {"median_s": 3.0, "share": 0.5}
+    # records without job kinds, as the other workloads here, give none
+    assert out["workloads"][BENCH["workloads"][1]["name"]]["job_kinds"] == {}

@@ -49,12 +49,12 @@ def _job_kinds(recs: dict) -> dict:
     """Per job kind: each side's median over seeds of the record's median
     job time (at reference speed when the jobs were scaled), the kind's
     share of the summed kind times on that side, and the change/parent
-    ratio."""
+    ratio; empty for records without job kinds."""
     sides = {}
     for side, rs in recs.items():
         times = {}
         for r in rs:
-            for kind, k in r["job_kinds"].items():
+            for kind, k in r.get("job_kinds", {}).items():
                 times.setdefault(kind, []).append(
                     k.get("median_ref_s", k["median_s"]))
         sides[side] = {kind: statistics.median(v) for kind, v in times.items()}
