@@ -6,17 +6,22 @@ takes any count n >= 1; only ``inverse_dft`` needs a power of two. Samples
 walk the circle sequentially, each corrected from its neighbor, so the
 whole batch stays on one branch; a hop that moves too far re-walks its arc
 in finer substeps, and a wrap-around re-correction, relative to the size of
-the first sample, guards the monodromy. Both lanes walk in double and then
-lift all n samples at once to double-double by mixed-precision iterative
-refinement (Moler, JACM 14, 1967): the residual is evaluated in
-double-double on one ExtComplex per coordinate whose parts are (n,) arrays,
-and the correction is solved in double with the Jacobian at the hi parts,
-for all samples at once by an elimination that gives each sample the bits
-of the scalar one (``tracker._solve_batch``). The walk and the refinement stop on residuals relative to
-each equation's term sizes (TrackerConfig), so a scaled equation or
-coordinate walks the same way. The samples end in double-double whatever
-the caller's lane, so the exactly representable roots of unity keep the
-transform's rounding out of the coefficient error.
+the first sample, guards the monodromy. The angles t0 + step*w^k are
+formed once per circle, as one double-double product over the twiddle
+table, and an unsubdivided hop is corrected at its angle rounded to
+double: the same bits as the scalar product t0 + step*w^k rounded (a
+subdivided hop and the first sample still form theirs one at a time).
+Both lanes walk in double and then lift all n samples at once to
+double-double by mixed-precision iterative refinement (Moler, JACM 14,
+1967): the residual is evaluated in double-double on one ExtComplex per
+coordinate whose parts are (n,) arrays, and the correction is solved in
+double with the Jacobian at the hi parts, for all samples at once by an
+elimination that gives each sample the bits of the scalar one
+(``tracker._solve_batch``). The walk and the refinement stop on residuals
+relative to each equation's term sizes (TrackerConfig), so a scaled
+equation or coordinate walks the same way. The samples end in
+double-double whatever the caller's lane, so the exactly representable
+roots of unity keep the transform's rounding out of the coefficient error.
 
 The transforms run double-double arithmetic element-wise on four float64
 arrays (re.hi, re.lo, im.hi, im.lo): an iterative radix-2 kernel (bit-reversal
@@ -34,8 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (BranchJump, DivisionByZero, InvalidArgument,
-                     NoConvergence, SingularJacobian)
+from .errors import (BranchJump, InvalidArgument, NoConvergence,
+                     SingularJacobian)
 from .polysys import Homotopy, Powers, evaluate, jacobian, term_values
 from .scalars import (
     DOUBLE,
@@ -183,9 +188,9 @@ def default_step(t0) -> float:
     return 0.85 * abs(1.0 - complex(t0))
 
 
-def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed):
+def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed, t_hop):
     """Sample at angle k/n starting from the accepted sample at (k-1)/n,
-    by double Newton correction.
+    by double Newton correction; t_hop is that sample's t, in double.
 
     A hop that moves the point by more than half its own scale cannot be
     trusted as a Newton seed (the corrector may land on another branch or
@@ -197,9 +202,9 @@ def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed):
         walk = seed
         try:
             for j in range(1, m + 1):
-                t_sub = t0_ext + step_ext * root_of_unity(n * m,
-                                                          (k - 1) * m + j)
-                value = newton_correct(h, complex(t_sub), walk, cfg).x
+                t_sub = t_hop if m == 1 else complex(
+                    t0_ext + step_ext * root_of_unity(n * m, (k - 1) * m + j))
+                value = newton_correct(h, t_sub, walk, cfg).x
                 moved = max(abs(a - b) for a, b in zip(walk, value))
                 spread = max(map(abs, walk + value))
                 if moved > _WALK_GUARD * spread:
@@ -297,13 +302,15 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
         start = replace(base, t=t0_c.real, x=seed)
         seed = track_to(h, start, t0_c.real + float(step), cfg).x
     seed = [complex(v) for v in seed]
+    t = t0_ext + step_ext * _complex(roots_of_unity(n))
+    hops = _from_arrays(_quad(t), False)
     walk = [newton_correct(h, complex(t0_ext + step_ext), seed, cfg).x]
     for k in range(1, n + 1):
-        walk.append(_advance_arc(h, cfg, t0_ext, step_ext, n, k, walk[-1]))
+        walk.append(_advance_arc(h, cfg, t0_ext, step_ext, n, k, walk[-1],
+                                 hops[k % n]))
     drift = max(abs(a - b) for a, b in zip(walk.pop(), walk[0]))
     if drift > _WRAP_TOL * max(abs(v) for v in walk[0]):
         raise BranchJump("circle walk returned on a different branch")
-    t = t0_ext + step_ext * _complex(roots_of_unity(n))
     values = [_from_arrays(_quad(v), True)
               for v in _refine(h, t, np.array(walk, dtype=complex))]
     return CircleSamples(t0=base.t, h=float(step), n=n, values=values)
@@ -311,7 +318,9 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
 
 def _step_powers(step: float, n: int) -> tuple:
     """step^k in double-double, k = 0..n-1, as hi and lo arrays: each power
-    the previous one times step, as ExtReal multiplication rounds it."""
+    the previous one times step, as ExtReal multiplication rounds it. A
+    power that underflows to zero makes the step too small for n samples,
+    an argument error."""
     hi = np.empty(n)
     lo = np.empty(n)
     power = (1.0, 0.0)
@@ -319,13 +328,16 @@ def _step_powers(step: float, n: int) -> tuple:
         hi[k], lo[k] = power
         power = dd_mul(*power, step, 0.0)
     if not hi.all():
-        raise DivisionByZero("extended real division by exact zero")
+        k = int(np.flatnonzero(hi == 0.0)[0])
+        raise InvalidArgument(f"step {step!r} is too small for {n} samples: "
+                              f"step**{k} underflows to zero")
     return hi, lo
 
 
 def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
                         n: int, cfg: TrackerConfig | None = None) -> list:
-    """One TruncatedSeries per coordinate, truncation order n - 1."""
+    """One TruncatedSeries per coordinate, truncation order n - 1; a step
+    whose power step^(n-1) underflows to zero is an InvalidArgument."""
     if step is None:
         step = default_step(base.t)
     samples = sample_circle(h, base, step, n, cfg)

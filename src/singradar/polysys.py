@@ -25,6 +25,9 @@ residual and every Jacobian partial, and the q(t) of every term
 (``term_values``) can be computed once per t: a Newton correction, whose t
 is fixed, passes both in. Products keep the order of the unshared
 formulas, so the shared work changes no bit of any value.
+``_evaluate_double`` and ``_jacobian_double`` repeat the two for native
+float / complex points, the double lane's Newton corrector (``tracker``),
+without the per-value lane dispatch and with the same bits.
 """
 
 from __future__ import annotations
@@ -224,6 +227,61 @@ def jacobian(h: Homotopy, x, t, q=None, powers: Powers | None = None):
             for j, e, coefficient, pairs in partials:
                 row[j] = row[j] + c * e * _mono_value(coefficient, pairs,
                                                       powers)
+        rows.append(row)
+    return rows
+
+
+def _double_power(x, key):
+    """ipow(x_i, e) for a native x_i: float_magnitude is abs there."""
+    i, e = key
+    base = x[i]
+    if e < 0 and abs(base) == 0.0:
+        raise EvaluationSingular("negative exponent at zero coordinate")
+    return base ** e
+
+
+def _evaluate_double(h: Homotopy, x, q, powers: dict, scales=None):
+    """evaluate for native float / complex x and q, both given: the same
+    operations in the same order, with abs for float_magnitude and each
+    power stored in the dict powers on first use, in evaluate's order, so
+    a power that raises raises where it would there."""
+    if len(x) != h.dim:
+        raise InvalidArgument("point dimension mismatch")
+    out = []
+    for eq, q_eq in zip(h._values, q):
+        acc = size = 0.0
+        for monos, c in zip(eq, q_eq):
+            p = None
+            for v, pairs in monos:
+                for key in pairs:
+                    w = powers.get(key)
+                    if w is None:
+                        w = powers[key] = _double_power(x, key)
+                    v = v * w
+                p = v if p is None else p + v
+            value = c * p
+            acc = acc + value
+            if scales is not None:
+                size = size + abs(value)
+        out.append(acc)
+        if scales is not None:
+            scales.append(size)
+    return out
+
+
+def _jacobian_double(h: Homotopy, x, q, powers: dict):
+    """jacobian for native x and q, as _evaluate_double is evaluate."""
+    rows = []
+    for eq, q_eq in zip(h._partials, q):
+        row = [0.0] * h.dim
+        for partials, c in zip(eq, q_eq):
+            for j, e, v, pairs in partials:
+                for key in pairs:
+                    w = powers.get(key)
+                    if w is None:
+                        w = powers[key] = _double_power(x, key)
+                    v = v * w
+                row[j] = row[j] + c * e * v
         rows.append(row)
     return rows
 

@@ -10,10 +10,25 @@ iteration and step budgets below are fixed.
 A Newton correction runs at fixed t, so it evaluates the q(t) of every
 homotopy term once and shares the powers of each iterate between its
 residual and its Jacobian.
+
+``newton_correct`` picks its loop by the lane of t and x. Extended values
+run the generic loop (``evaluate``, ``jacobian``, ``_solve_linear``), whose
+every magnitude goes through ``float_magnitude`` and every power through
+``Powers``. Native float / complex values, the double walk and the track,
+run ``_correct_double``: the same loop on kernels that read the homotopy's
+evaluation plan directly (``polysys._evaluate_double``,
+``_jacobian_double``) and eliminate in ``_solve_double``, with ``abs``, a
+plain dict of powers and an explicit pivot loop. They do the generic
+kernels' operations in the same order (``float_magnitude`` of a native
+number is its ``abs``; the pivot loop keeps ``max``'s first maximum; powers
+are made on first use, in the same order), so every iterate, iteration
+count, polish decision and exception is the generic loop's, bit for bit;
+only the per-value dispatch is saved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +39,8 @@ from .errors import (
     SingularJacobian,
     StepUnderflow,
 )
-from .polysys import Homotopy, Powers, evaluate, jacobian, term_values
+from .polysys import (Homotopy, Powers, _evaluate_double, _jacobian_double,
+                      evaluate, jacobian, term_values)
 from .scalars import DOUBLE, EXTENDED, float_magnitude, lane, scalar_eps
 
 # fixed budgets: Newton iterations per correction; the tracker's first
@@ -105,6 +121,42 @@ def _solve_linear(jac, rhs, eps: float):
     return out
 
 
+def _solve_double(jac, rhs, eps: float):
+    """_solve_linear on native float / complex entries: the same operations
+    in the same order, with abs for float_magnitude and the pivot search
+    max's own rule, the first row of largest magnitude."""
+    n = len(rhs)
+    if n == 1 and 0.0 < abs(jac[0][0]) < math.inf:
+        return [rhs[0] / jac[0][0]]
+    m = [row + [b] for row, b in zip(jac, rhs)]
+    floor = 1e3 * eps * max((abs(v) for row in jac for v in row),
+                            default=0.0)
+    for col in range(n):
+        piv, largest = col, abs(m[col][col])
+        for r in range(col + 1, n):
+            mag = abs(m[r][col])
+            if mag > largest:
+                piv, largest = r, mag
+        if largest <= floor:
+            raise SingularJacobian("jacobian pivot below the precision floor")
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        top = m[col]
+        for r in range(col + 1, n):
+            row = m[r]
+            factor = row[col] / top[col]
+            for j in range(col, n + 1):
+                row[j] = row[j] - factor * top[j]
+    out = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = row[n]
+        for j in range(i + 1, n):
+            acc = acc - row[j] * out[j]
+        out[i] = acc / row[i]
+    return out
+
+
 def _cmul(ar, ai, br, bi):
     """CPython's complex a * b on float64 arrays (numpy's complex product
     may fuse a multiply-add and round differently)."""
@@ -172,18 +224,28 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
 
     t is fixed, so every term's q(t) is evaluated once per call, and the
     powers of each iterate are shared by its residual and its Jacobian.
+    Native t and x take the double kernels (module docstring).
     """
     x = list(x0)
-    eps = scalar_eps(lane(t, *x))
+    precision = lane(t, *x)
+    eps = scalar_eps(precision)
     if cfg.newton_tol < eps:
         raise InvalidArgument("newton_tol below the active precision floor")
     q = term_values(h, t)
+    correct = _correct_double if precision == DOUBLE else _correct_generic
+    return correct(h, t, x, q, cfg.newton_tol, eps, history)
+
+
+def _correct_generic(h: Homotopy, t, x: list, q, tol: float, eps: float,
+                     history: list | None) -> PathState:
+    """newton_correct's loop in any lane, on evaluate, jacobian and
+    _solve_linear."""
     iterations = None
     for it in range(_MAX_NEWTON_ITERS + 1):
         powers = Powers(x)
         scales = []
         resid = evaluate(h, x, t, q, powers, scales)
-        if all(_within(resid, scales, cfg.newton_tol)):
+        if all(_within(resid, scales, tol)):
             iterations = it
             break
         if it == _MAX_NEWTON_ITERS:
@@ -201,6 +263,37 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
             x, residual = polished, after
     return PathState(t=t, x=x, residual=residual,
                      newton_iterations=iterations)
+
+
+def _correct_double(h: Homotopy, t, x: list, q, tol: float, eps: float,
+                    history: list | None) -> PathState:
+    """newton_correct's loop for native float / complex t and x, on the
+    double kernels: every operation of the generic loop, in its order, with
+    abs for float_magnitude, so the iterates, the polish decision and any
+    exception are the generic loop's."""
+    iterations = None
+    for it in range(_MAX_NEWTON_ITERS + 1):
+        powers = {}
+        scales = []
+        resid = _evaluate_double(h, x, q, powers, scales)
+        if all([abs(r) <= tol * s for r, s in zip(resid, scales)]):
+            iterations = it
+            break
+        if it == _MAX_NEWTON_ITERS:
+            raise NoConvergence("newton iteration budget exhausted")
+        delta = _solve_double(_jacobian_double(h, x, q, powers), resid, eps)
+        x = [xi - di for xi, di in zip(x, delta)]
+        if history is not None:
+            history.append(list(x))
+    residual = max(map(abs, resid), default=0.0)
+    if residual != 0.0:
+        delta = _solve_double(_jacobian_double(h, x, q, powers), resid, eps)
+        polished = [xi - di for xi, di in zip(x, delta)]
+        after = max(map(abs, _evaluate_double(h, polished, q, {})),
+                    default=0.0)
+        if after < residual:
+            x, residual = polished, after
+    return PathState(t=t, x=x, residual=residual, newton_iterations=iterations)
 
 
 def track_to(h: Homotopy, start: PathState, t_target: float,

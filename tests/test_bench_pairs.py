@@ -107,3 +107,32 @@ def test_summarise_job_kinds_medians_shares_and_ratio(tmp_path):
     assert kinds["b"]["parent"] == {"median_s": 3.0, "share": 0.5}
     # records without job kinds, as the other workloads here, give none
     assert out["workloads"][BENCH["workloads"][1]["name"]]["job_kinds"] == {}
+
+
+def test_summarise_lists_the_work_counters_that_changed(tmp_path):
+    write_side(tmp_path / "p", PARENT, "aaa")
+    write_side(tmp_path / "c", CHANGE, "bbb")
+    wl = BENCH["workloads"][0]["name"]
+    counters = {
+        "p": {"tracker.newton_correct.calls": 10,
+              "polysys.evaluate.calls": 100, "scalars.ext_ops": 5,
+              "radar.detect_last_pole.checkpoints": 12,
+              "fourier.sample_circle.incl_s": 1.0},
+        "c": {"tracker.newton_correct.calls": 10,
+              "polysys.evaluate.calls": 60, "scalars.ext_ops": 4,
+              "fourier.sample_circle.incl_s": 0.5},
+    }
+    for side, values in counters.items():
+        path = tmp_path / side / ("%s-seed901-trace1.json" % wl)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["metrics"].update({k: {"value": v, "unit": "count"}
+                                  for k, v in values.items()})
+        path.write_text(json.dumps(record), encoding="utf-8")
+    out = bench_pairs.summarise(tmp_path / "p", tmp_path / "c", SEEDS, 901)
+    # equal counters and timings are left out; a missing counter is None
+    assert out["workloads"][wl]["trace"]["count_changes"] == {
+        "polysys.evaluate.calls": [100, 60],
+        "radar.detect_last_pole.checkpoints": [12, None],
+        "scalars.ext_ops": [5, 4]}
+    assert out["workloads"][BENCH["workloads"][1]["name"]]["trace"][
+        "count_changes"] == {}

@@ -369,6 +369,16 @@ def test_overflowing_extended_start_exits_two(argv):
     assert out == ""
 
 
+def test_step_too_small_for_the_sample_count_exits_two():
+    # --n 512 samples 1024 points, and 0.3^619 underflows to zero
+    code, out, err = run_cli(["radius", "--fixture", "sqrt", "--n", "512",
+                              "--step", "0.3", "--t0", "0.5"])
+    assert code == 2
+    assert err == ("error: step 0.3 is too small for 1024 samples: "
+                   "step**619 underflows to zero\n")
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # track
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from singradar import fourier
 from singradar.errors import BranchJump, InvalidArgument
 from singradar.fourier import (
     CircleSamples,
@@ -29,7 +30,8 @@ from singradar.scalars import (
     promote,
     root_of_unity,
 )
-from singradar.tracker import PathState, default_config, track_to
+from singradar.tracker import (PathState, default_config, newton_correct,
+                               track_to)
 
 
 def exact_sqrt_coeff(k):
@@ -523,6 +525,40 @@ def test_taylor_scaling_matches_extreal_division(name, step, n, precision):
                     want.re.hi, want.re.lo, want.im.hi, want.im.lo)
             else:
                 assert type(v) is complex and v == complex(want)
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+def test_step_too_small_for_the_sample_count_is_an_argument_error(precision):
+    # 0.002^127 underflows to zero, so the coefficients cannot be divided
+    # by the powers of the step; 0.004^127 above does not
+    h = fixture("sqrt")
+    base = PathState.from_point(h, 0.5, [promote(0.5 ** 0.5, precision)])
+    with pytest.raises(InvalidArgument, match=r"^step 0\.002 is too small "
+                       r"for 128 samples: step\*\*\d+ underflows to zero$"):
+        taylor_coefficients(h, base, 0.002, 128)
+
+
+def test_unsubdivided_hops_take_the_scalar_route_parameters(monkeypatch):
+    # the walk reads each hop's t from the batched twiddle product; every
+    # one must carry the bits of t0 + step * w^k formed one at a time
+    seen = []
+
+    def record(h, t, x, cfg, history=None):
+        seen.append(t)
+        return newton_correct(h, t, x, cfg, history)
+
+    monkeypatch.setattr(fourier, "newton_correct", record)
+    h = fixture("ojika1")
+    base = track_to(h, PathState.from_point(h, 0.0, [1.0, 1.0]), 0.3,
+                    default_config())
+    n, step = 16, 0.37
+    sample_circle(h, base, step, n)
+    t0, step_ext = promote(0.3, EXTENDED), ExtReal(step)
+    want = [complex(t0 + step_ext * root_of_unity(n, k))
+            for k in range(1, n + 1)]
+    # seen[0] is the first sample, at t0 + step
+    assert [(t.real.hex(), t.imag.hex()) for t in seen[1:]] == [
+        (t.real.hex(), t.imag.hex()) for t in want]
 
 
 def test_real_path_coefficients_stay_real():

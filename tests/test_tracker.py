@@ -1,12 +1,15 @@
 """Newton correction and path tracking on the benchmark fixtures."""
 
+import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from singradar import tracker
 from singradar.errors import (
+    EvaluationSingular,
     InvalidArgument,
     NoConvergence,
     SingularJacobian,
@@ -18,9 +21,13 @@ from singradar.polysys import (
     PolySystem,
     TMonomial,
     fixture,
+    homotopy_from_json,
     make_gamma_homotopy,
+    term_values,
 )
-from singradar.scalars import DOUBLE, EXTENDED, ExtReal, promote, scalar_eps
+from singradar.radar import recondition
+from singradar.scalars import (DOUBLE, EXTENDED, ExtReal, lane, promote,
+                               scalar_eps)
 from singradar.tracker import (
     PathState,
     TrackerConfig,
@@ -90,6 +97,140 @@ def test_solve_batch_raises_on_a_pivot_below_the_floor():
         tracker._solve_batch(jac, rhs, eps)
     re, im = tracker._solve_batch(jac[:1], rhs[:1], eps)
     assert re.tolist() == [[0.4, 0.2]] and im.tolist() == [[0.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# the double lane's corrector
+# ---------------------------------------------------------------------------
+
+# x/y = 1 - (0.3 + 0.1i) t and
+# (1 + (0.2 + 0.1i) t) (x^3 y + 0.5 x^-3 y) = 1.5 - (0.7 - 0.2i) t:
+# negative exponents, a two-monomial term and a q(t) other than 1 times
+# exponents whose products round, read from JSON
+NEGATIVE_EXPONENTS = {
+    "form": "explicit_t", "dim": 2,
+    "equations": [
+        [{"t_coeffs": [[1.0, 0.0]], "exp": [1, -1]},
+         {"t_coeffs": [[-1.0, 0.0], [0.3, 0.1]], "exp": [0, 0]}],
+        [{"t_coeffs": [[1.0, 0.0], [0.2, 0.1]],
+          "poly": [{"re": 1.0, "im": 0.0, "exp": [3, 1]},
+                   {"re": 0.5, "im": 0.0, "exp": [-3, 1]}]},
+         {"t_coeffs": [[-1.5, 0.0], [0.7, -0.2]], "exp": [0, 0]}]]}
+
+
+def _bits(v):
+    """v's type and the bytes of its real and imaginary parts."""
+    return type(v).__name__, struct.pack("<2d", v.real, v.imag)
+
+
+def _correction(correct, h, t, x0):
+    """What one corrector gives at (t, x0) in the double lane: the bits of
+    x, of the residual and of every iterate, and the iteration count; or
+    the type and message of the exception it raised."""
+    history = []
+    try:
+        s = correct(h, t, list(x0), term_values(h, t), 1e-12,
+                    scalar_eps(DOUBLE), history)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([_bits(v) for v in s.x], _bits(s.residual), s.newton_iterations,
+            [[_bits(v) for v in x] for x in history])
+
+
+def _double_cases():
+    """Seeded (name, h, t, x0) around points of each path: complex seeds at
+    complex and real t, real seeds at real t, in the original chart and in
+    the reconditioned one."""
+    rng = np.random.default_rng(2026)
+    cfg = default_config()
+    named = [(name, fixture(name))
+             for name in ("sqrt", "ojika1", "monomial4", "cusp")]
+    named.append(("negative-exponents",
+                  homotopy_from_json(NEGATIVE_EXPONENTS)))
+    cases = []
+    for name, h in named:
+        state = newton_correct(h, 0.0, [1.0] * h.dim, cfg)
+        for t0 in (0.0, 0.3, 0.6):
+            state = track_to(h, state, t0, cfg)
+            charts = [(name, h, t0)]
+            if t0:
+                charts.append((name + "-recondition", recondition(h, t0),
+                               0.0))
+            for label, hc, center in charts:
+                cases.append((label, hc, center, state.x))
+                for _ in range(4):
+                    r = 10.0 ** rng.uniform(-8.0, -1.0)
+                    scale = 10.0 ** rng.uniform(-10.0, -1.0)
+                    noise = rng.standard_normal((2, h.dim))
+                    x0 = [complex(v) + scale * complex(a, b)
+                          for v, a, b in zip(state.x, *noise)]
+                    t = center + r * cmath.exp(2j * math.pi * rng.random())
+                    cases.append((label, hc, t, x0))
+                    cases.append((label, hc, center + r, x0))
+                    real = [complex(v).real + scale * a
+                            for v, a in zip(state.x, noise[0])]
+                    cases.append((label + "-real", hc, center + r, real))
+    return cases
+
+
+def test_double_corrector_is_bit_identical_to_the_generic_loop():
+    iterations = set()
+    kept = raised = 0
+    cases = _double_cases()
+    for name, h, t, x0 in cases:
+        want = _correction(tracker._correct_generic, h, t, x0)
+        assert _correction(tracker._correct_double, h, t, x0) == want, (
+            name, t, x0)
+        if isinstance(want[0], type):
+            raised += 1
+        else:
+            iterations.add(want[2])
+            kept += want[0] != want[3][-1] if want[3] else 0
+    # the cases reach zero to several iterations and both polish decisions;
+    # few fail (real seeds cannot follow the complex negative-exponent path)
+    assert {0, 1, 2, 3} <= iterations
+    assert kept > 0 and raised <= len(cases) // 10
+
+
+@pytest.mark.parametrize("name, t, x0, error", [
+    ("sqrt", 0.5, [1e6 + 0j], NoConvergence),
+    ("sqrt", 0.5, [0.0], SingularJacobian),
+    ("monomial4", 0.3, [0j, 0j, 0j, 0j], SingularJacobian),
+    ("negative-exponents", 0.3, [1.0 + 0j, 0j], EvaluationSingular),
+    ("negative-exponents", 0.3, [0.0, 1.0], EvaluationSingular),
+    # with x_2 = x_3 = x_4 = 1 the first two equations of monomial4 have
+    # the same d/dx_1, so the pivot search meets a tie; the first row of
+    # largest magnitude is taken
+    ("monomial4", 0.1, [0.97, 1.0, 1.0, 1.0], None),
+    ("monomial4", 0.1 + 0.02j, [0.97 + 0.01j, 1 + 0j, 1 + 0j, 1 + 0j], None),
+], ids=["budget", "zero-jacobian-1", "zero-jacobian-4", "zero-coordinate",
+        "zero-coordinate-real", "tied-pivots-real", "tied-pivots"])
+def test_double_corrector_fails_and_pivots_as_the_generic_loop(name, t, x0,
+                                                               error):
+    h = (homotopy_from_json(NEGATIVE_EXPONENTS)
+         if name == "negative-exponents" else fixture(name))
+    want = _correction(tracker._correct_generic, h, t, x0)
+    if error is None:
+        assert want[2] is not None
+    else:
+        assert want[0] is error
+    assert _correction(tracker._correct_double, h, t, x0) == want
+
+
+def test_newton_correct_takes_the_double_corrector_for_native_numbers(
+        monkeypatch):
+    h = fixture("ojika1")
+    want = newton_correct(h, 0.3, [1.0, 1.0], default_config())
+
+    def generic_lane_only(h, t, x, *args):
+        assert lane(t, *x) == EXTENDED
+        return correct_generic(h, t, x, *args)
+
+    correct_generic = tracker._correct_generic
+    monkeypatch.setattr(tracker, "_correct_generic", generic_lane_only)
+    assert newton_correct(h, 0.3, [1.0, 1.0], default_config()) == want
+    newton_correct(h, 0.3, [promote(1.0, EXTENDED)] * 2,
+                   default_config(EXTENDED))
 
 
 # ---------------------------------------------------------------------------

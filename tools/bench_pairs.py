@@ -10,8 +10,11 @@ and end-to-end metric of BENCHMARK.json the file gives each side's values in
 seed order, median and [q1, q3], the change/parent ratio of the medians, and
 how many pairs the change won (ties count for neither side). Per job kind
 it gives each side's median job time and the kind's share of a pass. The
-traced records of --trace-seed contribute their per-layer counts, and each
-side's provenance (commit, source digest, python, numpy, nproc) is kept.
+traced records of --trace-seed contribute their per-layer counts, and
+count_changes lists [parent, change] for every work counter (calls,
+iterations, failures, samples, points, checkpoints, retries, ext_ops) that
+differs, so a speed-up can show whether it did the same work. Each side's
+provenance (commit, source digest, python, numpy, nproc) is kept.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# per-pass counters of work done, as opposed to time spent
+_WORK_SUFFIXES = (".calls", ".iterations", ".failed", ".samples", ".points",
+                  ".checkpoints", ".retries")
 
 
 def _record(out: Path, workload: str, seed: int, trace: int) -> dict:
@@ -69,6 +76,16 @@ def _job_kinds(recs: dict) -> dict:
     return out
 
 
+def _count_changes(parent: dict, change: dict) -> dict:
+    """[parent, change] per-pass value of every work counter that differs
+    between the sides; None stands for a counter one side lacks."""
+    names = sorted(name for name in set(parent) | set(change)
+                   if name.endswith(_WORK_SUFFIXES)
+                   or name == "scalars.ext_ops")
+    return {name: [parent.get(name), change.get(name)] for name in names
+            if parent.get(name) != change.get(name)}
+
+
 def summarise(parent: Path, change: Path, seeds: list,
               trace_seed: int | None) -> dict:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fp:
@@ -97,12 +114,15 @@ def summarise(parent: Path, change: Path, seeds: list,
                  "provenance": {side: _provenance(rs)
                                 for side, rs in recs.items()}}
         if trace_seed is not None:
-            entry["trace"] = {
+            trace = {
                 side: {"provenance": rec["provenance"],
                        "per_pass": {k: v["value"]
                                     for k, v in rec["metrics"].items()}}
                 for side, rec in (("parent", _record(parent, wl, trace_seed, 1)),
                                   ("change", _record(change, wl, trace_seed, 1)))}
+            trace["count_changes"] = _count_changes(
+                trace["parent"]["per_pass"], trace["change"]["per_pass"])
+            entry["trace"] = trace
         out["workloads"][wl] = entry
     return out
 
