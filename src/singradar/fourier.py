@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 from .errors import (BranchJump, InvalidArgument, NoConvergence,
                      SingularJacobian)
-from .polysys import Homotopy, Powers, evaluate, jacobian, term_values
+from .polysys import Homotopy, evaluate, jacobian, term_values
 from .scalars import (
     DOUBLE,
     EXTENDED,
@@ -147,6 +147,11 @@ def _radix2(parts) -> tuple:
 def _check_count(n: int):
     if n < 1:
         raise InvalidArgument("need at least one sample")
+
+
+def _check_step(step):
+    if not 0.0 < step < math.inf:
+        raise InvalidArgument("step must be positive and finite")
 
 
 def _check_power_of_two(n: int):
@@ -262,7 +267,7 @@ def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
 
     for it in range(_MAX_NEWTON_ITERS + 1):
         scales = []
-        resid = evaluate(h, x, t, q, Powers(x), scales)
+        resid = evaluate(h, x, t, q, {}, scales)
         active = ~np.logical_and.reduce(_within(resid, scales, tol))
         if not active.any():
             break
@@ -289,8 +294,7 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     _check_count(n)
     if cfg is None or cfg.newton_tol < scalar_eps(DOUBLE):
         cfg = default_config()
-    if not 0.0 < step < math.inf:
-        raise InvalidArgument("step must be positive and finite")
+    _check_step(step)
     t0_ext = promote(base.t, EXTENDED)
     step_ext = ExtReal.from_value(float(step))
     # real seeds stay real: real and complex powers round differently
@@ -337,13 +341,16 @@ def _step_powers(step: float, n: int) -> tuple:
 def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
                         n: int, cfg: TrackerConfig | None = None) -> list:
     """One TruncatedSeries per coordinate, truncation order n - 1; a step
-    whose power step^(n-1) underflows to zero is an InvalidArgument."""
+    whose power step^(n-1) underflows to zero is an InvalidArgument, raised
+    before the circle is walked."""
     if step is None:
         step = default_step(base.t)
+    _check_count(n)
+    _check_step(step)
+    p_hi, p_lo = _step_powers(float(step), n)
     samples = sample_circle(h, base, step, n, cfg)
     raw = [_to_arrays(inverse_dft(coord)) for coord in samples.values]
     re_hi, re_lo, im_hi, im_lo = (np.array(p) for p in zip(*raw))
-    p_hi, p_lo = _step_powers(float(step), n)
     scaled = (_dd_quotient(re_hi, re_lo, p_hi, p_lo)
               + _dd_quotient(im_hi, im_lo, p_hi, p_lo))
     lane_extended = lane(base.t, *base.x) == EXTENDED

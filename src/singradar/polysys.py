@@ -17,17 +17,18 @@ A homotopy's chart t = t0 + (1 - t0)*s (the identity t0 = 0 unless
 in the lane of s (double in the walk, double-double arrays in the circle
 refinement) and skips the identity.
 
-``evaluate`` and ``jacobian`` run one loop over the terms for every input,
-reading the plan each Homotopy builds of itself on construction: the
-nonzero (i, e) pairs of every monomial and of every Jacobian partial. Each
-power x_i^e is computed once per point (``Powers``) and shared by the
-residual and every Jacobian partial, and the q(t) of every term
-(``term_values``) can be computed once per t: a Newton correction, whose t
-is fixed, passes both in. Products keep the order of the unshared
-formulas, so the shared work changes no bit of any value.
-``_evaluate_double`` and ``_jacobian_double`` repeat the two for native
-float / complex points, the double lane's Newton corrector (``tracker``),
-without the per-value lane dispatch and with the same bits.
+``evaluate`` and ``jacobian`` run one loop over the terms for every input
+and lane, reading the plan each Homotopy builds of itself on construction:
+the nonzero (i, e) pairs of every monomial and of every Jacobian partial.
+Each power x_i^e is computed once per point, in a plain dict filled on
+first use, and shared by the residual and every Jacobian partial; the q(t)
+of every term (``term_values``) can be computed once per t: a Newton
+correction, whose t is fixed, passes both in. Products keep the order of
+the unshared formulas, so the shared work changes no bit of any value.
+The products are inlined, so a native value costs its arithmetic and a
+dict lookup per power; the one lane-dependent step, the magnitude of a
+residual's term sizes, is ``abs`` or ``float_magnitude`` as the caller
+passes it (the two agree on native numbers).
 """
 
 from __future__ import annotations
@@ -135,33 +136,13 @@ def _evaluation_plan(equations) -> tuple:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def ipow(base, e: int):
-    if e == 0:
-        return 1.0
+def _power(x, key):
+    """x_i ** e for the nonzero (i, e) key of an evaluation plan."""
+    i, e = key
+    base = x[i]
     if e < 0 and np.any(float_magnitude(base) == 0.0):
         raise EvaluationSingular("negative exponent at zero coordinate")
     return base ** e
-
-
-class Powers(dict):
-    """The powers ipow(x_i, e) of one point x, keyed (i, e) and computed on
-    first use, so the residual and every Jacobian partial at x share them."""
-
-    def __init__(self, x):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, key):
-        i, e = key
-        value = self[key] = ipow(self.x[i], e)
-        return value
-
-
-def _mono_value(coefficient, pairs, powers: Powers):
-    acc = coefficient
-    for key in pairs:
-        acc = acc * powers[key]
-    return acc
 
 
 def evalpoly(coeffs, t):
@@ -178,75 +159,23 @@ def term_values(h: Homotopy, s):
     return [[evalpoly(term.t_coeffs, t) for term in eq] for eq in h.equations]
 
 
-def evaluate(h: Homotopy, x, t, q=None, powers: Powers | None = None,
-             scales: list | None = None):
+def evaluate(h: Homotopy, x, t, q=None, powers: dict | None = None,
+             scales: list | None = None, _mag=float_magnitude):
     """Residual vector h(x, t).
 
-    q is term_values(h, t) and powers a Powers(x); a caller that evaluates
-    at one t or one x more than once passes them so they are computed once.
-    When a list is passed as scales, the size sum_terms |q(t)*P(x)| of each
-    equation is appended to it: the yardstick of a relative residual test.
+    q is term_values(h, t) and powers a dict of the powers of x, filled on
+    first use (empty at first); a caller that evaluates at one t or one x
+    more than once passes them so they are computed once. When a list is
+    passed as scales, the size sum_terms |q(t)*P(x)| of each equation is
+    appended to it: the yardstick of a relative residual test. _mag is
+    that |.|: float_magnitude, or abs when every value is native.
     """
     if len(x) != h.dim:
         raise InvalidArgument("point dimension mismatch")
     if q is None:
         q = term_values(h, t)
     if powers is None:
-        powers = Powers(x)
-    out = []
-    for eq, q_eq in zip(h._values, q):
-        acc = size = 0.0
-        for monos, c in zip(eq, q_eq):
-            p = None
-            for coefficient, pairs in monos:
-                v = _mono_value(coefficient, pairs, powers)
-                p = v if p is None else p + v
-            value = c * p
-            acc = acc + value
-            if scales is not None:
-                size = size + float_magnitude(value)
-        out.append(acc)
-        if scales is not None:
-            scales.append(size)
-    return out
-
-
-def jacobian(h: Homotopy, x, t, q=None, powers: Powers | None = None):
-    """Matrix of partials d h_i / d x_j at (x, t); q and powers as in
-    evaluate."""
-    if len(x) != h.dim:
-        raise InvalidArgument("point dimension mismatch")
-    if q is None:
-        q = term_values(h, t)
-    if powers is None:
-        powers = Powers(x)
-    rows = []
-    for eq, q_eq in zip(h._partials, q):
-        row = [0.0] * h.dim
-        for partials, c in zip(eq, q_eq):
-            for j, e, coefficient, pairs in partials:
-                row[j] = row[j] + c * e * _mono_value(coefficient, pairs,
-                                                      powers)
-        rows.append(row)
-    return rows
-
-
-def _double_power(x, key):
-    """ipow(x_i, e) for a native x_i: float_magnitude is abs there."""
-    i, e = key
-    base = x[i]
-    if e < 0 and abs(base) == 0.0:
-        raise EvaluationSingular("negative exponent at zero coordinate")
-    return base ** e
-
-
-def _evaluate_double(h: Homotopy, x, q, powers: dict, scales=None):
-    """evaluate for native float / complex x and q, both given: the same
-    operations in the same order, with abs for float_magnitude and each
-    power stored in the dict powers on first use, in evaluate's order, so
-    a power that raises raises where it would there."""
-    if len(x) != h.dim:
-        raise InvalidArgument("point dimension mismatch")
+        powers = {}
     out = []
     for eq, q_eq in zip(h._values, q):
         acc = size = 0.0
@@ -256,21 +185,28 @@ def _evaluate_double(h: Homotopy, x, q, powers: dict, scales=None):
                 for key in pairs:
                     w = powers.get(key)
                     if w is None:
-                        w = powers[key] = _double_power(x, key)
+                        w = powers[key] = _power(x, key)
                     v = v * w
                 p = v if p is None else p + v
             value = c * p
             acc = acc + value
             if scales is not None:
-                size = size + abs(value)
+                size = size + _mag(value)
         out.append(acc)
         if scales is not None:
             scales.append(size)
     return out
 
 
-def _jacobian_double(h: Homotopy, x, q, powers: dict):
-    """jacobian for native x and q, as _evaluate_double is evaluate."""
+def jacobian(h: Homotopy, x, t, q=None, powers: dict | None = None):
+    """Matrix of partials d h_i / d x_j at (x, t); q and powers as in
+    evaluate."""
+    if len(x) != h.dim:
+        raise InvalidArgument("point dimension mismatch")
+    if q is None:
+        q = term_values(h, t)
+    if powers is None:
+        powers = {}
     rows = []
     for eq, q_eq in zip(h._partials, q):
         row = [0.0] * h.dim
@@ -279,7 +215,7 @@ def _jacobian_double(h: Homotopy, x, q, powers: dict):
                 for key in pairs:
                     w = powers.get(key)
                     if w is None:
-                        w = powers[key] = _double_power(x, key)
+                        w = powers[key] = _power(x, key)
                     v = v * w
                 row[j] = row[j] + c * e * v
         rows.append(row)

@@ -11,24 +11,18 @@ A Newton correction runs at fixed t, so it evaluates the q(t) of every
 homotopy term once and shares the powers of each iterate between its
 residual and its Jacobian.
 
-``newton_correct`` picks its loop by the lane of t and x. Extended values
-run the generic loop (``evaluate``, ``jacobian``, ``_solve_linear``), whose
-every magnitude goes through ``float_magnitude`` and every power through
-``Powers``. Native float / complex values, the double walk and the track,
-run ``_correct_double``: the same loop on kernels that read the homotopy's
-evaluation plan directly (``polysys._evaluate_double``,
-``_jacobian_double``) and eliminate in ``_solve_double``, with ``abs``, a
-plain dict of powers and an explicit pivot loop. They do the generic
-kernels' operations in the same order (``float_magnitude`` of a native
-number is its ``abs``; the pivot loop keeps ``max``'s first maximum; powers
-are made on first use, in the same order), so every iterate, iteration
-count, polish decision and exception is the generic loop's, bit for bit;
-only the per-value dispatch is saved.
+One loop corrects in both lanes (``newton_correct`` on ``evaluate``,
+``jacobian`` and ``_solve_linear``). Its kernels read the homotopy's
+evaluation plan inline, keep powers in a plain dict and search pivots with
+an explicit loop, so a native value costs its arithmetic and little else.
+The only lane-dependent step is the magnitude of the relative test, the
+residual norm and the pivot search: ``abs`` on native float / complex
+values, ``float_magnitude`` on extended ones, picked once per correction.
+The two agree on native numbers, so the choice moves no bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +33,7 @@ from .errors import (
     SingularJacobian,
     StepUnderflow,
 )
-from .polysys import (Homotopy, Powers, _evaluate_double, _jacobian_double,
-                      evaluate, jacobian, term_values)
+from .polysys import Homotopy, evaluate, jacobian, term_values
 from .scalars import DOUBLE, EXTENDED, float_magnitude, lane, scalar_eps
 
 # fixed budgets: Newton iterations per correction; the tracker's first
@@ -93,50 +86,23 @@ def _within(resid, scales, tol: float) -> list:
     return [float_magnitude(r) <= tol * s for r, s in zip(resid, scales)]
 
 
-def _solve_linear(jac, rhs, eps: float):
+def _solve_linear(jac, rhs, eps: float, mag=float_magnitude):
     """Partial-pivot elimination, generic over the scalar lane; one unknown
-    with a regular pivot takes the same single division directly."""
+    with a regular pivot takes the same single division directly. mag is
+    |.| (abs when every entry is native); the pivot is the first row of
+    largest magnitude."""
     n = len(rhs)
-    if n == 1 and 0.0 < float_magnitude(jac[0][0]) < np.inf:
+    if n == 1 and 0.0 < mag(jac[0][0]) < np.inf:
         return [rhs[0] / jac[0][0]]
-    m = [list(jac[i]) + [rhs[i]] for i in range(n)]
-    floor = 1e3 * eps * max((float_magnitude(v) for row in jac for v in row),
+    m = [[*row, b] for row, b in zip(jac, rhs)]
+    floor = 1e3 * eps * max((mag(v) for row in jac for v in row),
                             default=0.0)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: float_magnitude(m[r][col]))
-        if float_magnitude(m[piv][col]) <= floor:
-            raise SingularJacobian("jacobian pivot below the precision floor")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+        piv, largest = col, mag(m[col][col])
         for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            for j in range(col, n + 1):
-                m[r][j] = m[r][j] - factor * m[col][j]
-    out = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = m[i][n]
-        for j in range(i + 1, n):
-            acc = acc - m[i][j] * out[j]
-        out[i] = acc / m[i][i]
-    return out
-
-
-def _solve_double(jac, rhs, eps: float):
-    """_solve_linear on native float / complex entries: the same operations
-    in the same order, with abs for float_magnitude and the pivot search
-    max's own rule, the first row of largest magnitude."""
-    n = len(rhs)
-    if n == 1 and 0.0 < abs(jac[0][0]) < math.inf:
-        return [rhs[0] / jac[0][0]]
-    m = [row + [b] for row, b in zip(jac, rhs)]
-    floor = 1e3 * eps * max((abs(v) for row in jac for v in row),
-                            default=0.0)
-    for col in range(n):
-        piv, largest = col, abs(m[col][col])
-        for r in range(col + 1, n):
-            mag = abs(m[r][col])
-            if mag > largest:
-                piv, largest = r, mag
+            size = mag(m[r][col])
+            if size > largest:
+                piv, largest = r, size
         if largest <= floor:
             raise SingularJacobian("jacobian pivot below the precision floor")
         if piv != col:
@@ -224,73 +190,36 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
 
     t is fixed, so every term's q(t) is evaluated once per call, and the
     powers of each iterate are shared by its residual and its Jacobian.
-    Native t and x take the double kernels (module docstring).
+    Magnitudes are abs in the double lane and float_magnitude in the
+    extended one (module docstring).
     """
     x = list(x0)
     precision = lane(t, *x)
     eps = scalar_eps(precision)
-    if cfg.newton_tol < eps:
+    tol = cfg.newton_tol
+    if tol < eps:
         raise InvalidArgument("newton_tol below the active precision floor")
+    mag = abs if precision == DOUBLE else float_magnitude
     q = term_values(h, t)
-    correct = _correct_double if precision == DOUBLE else _correct_generic
-    return correct(h, t, x, q, cfg.newton_tol, eps, history)
-
-
-def _correct_generic(h: Homotopy, t, x: list, q, tol: float, eps: float,
-                     history: list | None) -> PathState:
-    """newton_correct's loop in any lane, on evaluate, jacobian and
-    _solve_linear."""
-    iterations = None
-    for it in range(_MAX_NEWTON_ITERS + 1):
-        powers = Powers(x)
-        scales = []
-        resid = evaluate(h, x, t, q, powers, scales)
-        if all(_within(resid, scales, tol)):
-            iterations = it
-            break
-        if it == _MAX_NEWTON_ITERS:
-            raise NoConvergence("newton iteration budget exhausted")
-        delta = _solve_linear(jacobian(h, x, t, q, powers), resid, eps)
-        x = [xi - di for xi, di in zip(x, delta)]
-        if history is not None:
-            history.append(list(x))
-    residual = _residual_norm(resid)
-    if residual != 0.0:
-        delta = _solve_linear(jacobian(h, x, t, q, powers), resid, eps)
-        polished = [xi - di for xi, di in zip(x, delta)]
-        after = _residual_norm(evaluate(h, polished, t, q))
-        if after < residual:
-            x, residual = polished, after
-    return PathState(t=t, x=x, residual=residual,
-                     newton_iterations=iterations)
-
-
-def _correct_double(h: Homotopy, t, x: list, q, tol: float, eps: float,
-                    history: list | None) -> PathState:
-    """newton_correct's loop for native float / complex t and x, on the
-    double kernels: every operation of the generic loop, in its order, with
-    abs for float_magnitude, so the iterates, the polish decision and any
-    exception are the generic loop's."""
     iterations = None
     for it in range(_MAX_NEWTON_ITERS + 1):
         powers = {}
         scales = []
-        resid = _evaluate_double(h, x, q, powers, scales)
-        if all([abs(r) <= tol * s for r, s in zip(resid, scales)]):
+        resid = evaluate(h, x, t, q, powers, scales, mag)
+        if all([mag(r) <= tol * s for r, s in zip(resid, scales)]):
             iterations = it
             break
         if it == _MAX_NEWTON_ITERS:
             raise NoConvergence("newton iteration budget exhausted")
-        delta = _solve_double(_jacobian_double(h, x, q, powers), resid, eps)
+        delta = _solve_linear(jacobian(h, x, t, q, powers), resid, eps, mag)
         x = [xi - di for xi, di in zip(x, delta)]
         if history is not None:
             history.append(list(x))
-    residual = max(map(abs, resid), default=0.0)
+    residual = max(map(mag, resid), default=0.0)
     if residual != 0.0:
-        delta = _solve_double(_jacobian_double(h, x, q, powers), resid, eps)
+        delta = _solve_linear(jacobian(h, x, t, q, powers), resid, eps, mag)
         polished = [xi - di for xi, di in zip(x, delta)]
-        after = max(map(abs, _evaluate_double(h, polished, q, {})),
-                    default=0.0)
+        after = max(map(mag, evaluate(h, polished, t, q)), default=0.0)
         if after < residual:
             x, residual = polished, after
     return PathState(t=t, x=x, residual=residual, newton_iterations=iterations)

@@ -136,3 +136,27 @@ def test_summarise_lists_the_work_counters_that_changed(tmp_path):
         "scalars.ext_ops": [5, 4]}
     assert out["workloads"][BENCH["workloads"][1]["name"]]["trace"][
         "count_changes"] == {}
+
+
+def test_summarise_counts_each_checkouts_source_lines(tmp_path):
+    # each side's out directory is <checkout>/perfbench/out; the count is
+    # of <checkout>/src/singradar/*.py, other files and directories aside
+    sources = {"p": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
+               "c": {"a.py": "x = 1\n"}}
+    outs = {}
+    for side, files in sources.items():
+        package = tmp_path / side / "src" / "singradar"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text, encoding="utf-8")
+        (package / "notes.txt").write_text("not\ncounted\n", encoding="utf-8")
+        (tmp_path / side / "perfbench").mkdir()
+        outs[side] = tmp_path / side / "perfbench" / "out"
+    write_side(outs["p"], PARENT, "aaa")
+    write_side(outs["c"], CHANGE, "bbb")
+    out = bench_pairs.summarise(outs["p"], outs["c"], SEEDS, None)
+    assert out["src_lines"] == [3, 1]
+    # out directories outside a checkout have no count
+    write_side(tmp_path / "bare", PARENT, "aaa")
+    out = bench_pairs.summarise(tmp_path / "bare", outs["c"], SEEDS, None)
+    assert out["src_lines"] == [None, 1]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from singradar import fourier
+from singradar import fourier, tracker
 from singradar.errors import BranchJump, InvalidArgument
 from singradar.fourier import (
     CircleSamples,
@@ -536,6 +536,32 @@ def test_step_too_small_for_the_sample_count_is_an_argument_error(precision):
     with pytest.raises(InvalidArgument, match=r"^step 0\.002 is too small "
                        r"for 128 samples: step\*\*\d+ underflows to zero$"):
         taylor_coefficients(h, base, 0.002, 128)
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+def test_step_is_checked_before_the_circle_is_walked(precision, monkeypatch):
+    # a step too small for the sample count, or not positive, is rejected
+    # before any Newton correction: the walk would be wasted work
+    seen = []
+
+    def record(h, t, x, cfg, history=None):
+        seen.append(t)
+        return newton_correct(h, t, x, cfg, history)
+
+    monkeypatch.setattr(fourier, "newton_correct", record)
+    monkeypatch.setattr(tracker, "newton_correct", record)
+    h = fixture("sqrt")
+    base = PathState.from_point(h, 0.5, [promote(0.5 ** 0.5, precision)])
+    with pytest.raises(InvalidArgument, match=r"^step 0\.002 is too small "
+                       r"for 128 samples: step\*\*\d+ underflows to zero$"):
+        taylor_coefficients(h, base, 0.002, 128)
+    with pytest.raises(InvalidArgument,
+                       match="^step must be positive and finite$"):
+        taylor_coefficients(h, base, 0.0, 128)
+    assert seen == []
+    # the patched corrector sees the walk of a step that is accepted
+    taylor_coefficients(h, base, 0.3, 8)
+    assert len(seen) >= 8
 
 
 def test_unsubdivided_hops_take_the_scalar_route_parameters(monkeypatch):

@@ -26,8 +26,8 @@ from singradar.polysys import (
     term_values,
 )
 from singradar.radar import recondition
-from singradar.scalars import (DOUBLE, EXTENDED, ExtReal, lane, promote,
-                               scalar_eps)
+from singradar.scalars import (DOUBLE, EXTENDED, ExtComplex, ExtReal,
+                               float_magnitude, lane, promote, scalar_eps)
 from singradar.tracker import (
     PathState,
     TrackerConfig,
@@ -100,8 +100,132 @@ def test_solve_batch_raises_on_a_pivot_below_the_floor():
 
 
 # ---------------------------------------------------------------------------
-# the double lane's corrector
+# newton_correct against a frozen reference loop
 # ---------------------------------------------------------------------------
+# A frozen copy of the lane-generic corrector as it was before one loop
+# served both lanes: float_magnitude for every magnitude, powers made by a
+# dict subclass on first use, a monomial's value by its own call and the
+# pivot chosen by max(key=...). newton_correct must give its bits in both
+# lanes: every iterate, the residual, the iteration count and any exception.
+
+def _ref_ipow(base, e):
+    if e == 0:
+        return 1.0
+    if e < 0 and np.any(float_magnitude(base) == 0.0):
+        raise EvaluationSingular("negative exponent at zero coordinate")
+    return base ** e
+
+
+class _RefPowers(dict):
+    def __init__(self, x):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, key):
+        i, e = key
+        value = self[key] = _ref_ipow(self.x[i], e)
+        return value
+
+
+def _ref_mono_value(coefficient, pairs, powers):
+    acc = coefficient
+    for key in pairs:
+        acc = acc * powers[key]
+    return acc
+
+
+def _ref_evaluate(h, x, q, powers, scales=None):
+    out = []
+    for eq, q_eq in zip(h._values, q):
+        acc = size = 0.0
+        for monos, c in zip(eq, q_eq):
+            p = None
+            for coefficient, pairs in monos:
+                v = _ref_mono_value(coefficient, pairs, powers)
+                p = v if p is None else p + v
+            value = c * p
+            acc = acc + value
+            if scales is not None:
+                size = size + float_magnitude(value)
+        out.append(acc)
+        if scales is not None:
+            scales.append(size)
+    return out
+
+
+def _ref_jacobian(h, q, powers):
+    rows = []
+    for eq, q_eq in zip(h._partials, q):
+        row = [0.0] * h.dim
+        for partials, c in zip(eq, q_eq):
+            for j, e, coefficient, pairs in partials:
+                row[j] = row[j] + c * e * _ref_mono_value(coefficient, pairs,
+                                                          powers)
+        rows.append(row)
+    return rows
+
+
+def _ref_solve_linear(jac, rhs, eps):
+    n = len(rhs)
+    if n == 1 and 0.0 < float_magnitude(jac[0][0]) < np.inf:
+        return [rhs[0] / jac[0][0]]
+    m = [list(jac[i]) + [rhs[i]] for i in range(n)]
+    floor = 1e3 * eps * max((float_magnitude(v) for row in jac for v in row),
+                            default=0.0)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: float_magnitude(m[r][col]))
+        if float_magnitude(m[piv][col]) <= floor:
+            raise SingularJacobian("jacobian pivot below the precision floor")
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            for j in range(col, n + 1):
+                m[r][j] = m[r][j] - factor * m[col][j]
+    out = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = m[i][n]
+        for j in range(i + 1, n):
+            acc = acc - m[i][j] * out[j]
+        out[i] = acc / m[i][i]
+    return out
+
+
+def _ref_norm(values):
+    return max((float_magnitude(v) for v in values), default=0.0)
+
+
+def _ref_newton_correct(h, t, x0, cfg, history=None):
+    x = list(x0)
+    eps = scalar_eps(lane(t, *x))
+    if cfg.newton_tol < eps:
+        raise InvalidArgument("newton_tol below the active precision floor")
+    q = term_values(h, t)
+    iterations = None
+    for it in range(tracker._MAX_NEWTON_ITERS + 1):
+        powers = _RefPowers(x)
+        scales = []
+        resid = _ref_evaluate(h, x, q, powers, scales)
+        if all(float_magnitude(r) <= cfg.newton_tol * s
+               for r, s in zip(resid, scales)):
+            iterations = it
+            break
+        if it == tracker._MAX_NEWTON_ITERS:
+            raise NoConvergence("newton iteration budget exhausted")
+        delta = _ref_solve_linear(_ref_jacobian(h, q, powers), resid, eps)
+        x = [xi - di for xi, di in zip(x, delta)]
+        if history is not None:
+            history.append(list(x))
+    residual = _ref_norm(resid)
+    if residual != 0.0:
+        delta = _ref_solve_linear(_ref_jacobian(h, q, powers), resid, eps)
+        polished = [xi - di for xi, di in zip(x, delta)]
+        after = _ref_norm(_ref_evaluate(h, polished, q, _RefPowers(polished)))
+        if after < residual:
+            x, residual = polished, after
+    return PathState(t=t, x=x, residual=residual,
+                     newton_iterations=iterations)
+
 
 # x/y = 1 - (0.3 + 0.1i) t and
 # (1 + (0.2 + 0.1i) t) (x^3 y + 0.5 x^-3 y) = 1.5 - (0.7 - 0.2i) t:
@@ -119,22 +243,31 @@ NEGATIVE_EXPONENTS = {
 
 
 def _bits(v):
-    """v's type and the bytes of its real and imaginary parts."""
-    return type(v).__name__, struct.pack("<2d", v.real, v.imag)
+    """v's type and the bytes of its parts (hi and lo of an extended one)."""
+    if isinstance(v, ExtComplex):
+        parts = (v.re.hi, v.re.lo, v.im.hi, v.im.lo)
+    elif isinstance(v, ExtReal):
+        parts = (v.hi, v.lo)
+    else:
+        parts = (v.real, v.imag)
+    return type(v).__name__, struct.pack("<%dd" % len(parts), *parts)
 
 
 def _correction(correct, h, t, x0):
-    """What one corrector gives at (t, x0) in the double lane: the bits of
-    x, of the residual and of every iterate, and the iteration count; or
-    the type and message of the exception it raised."""
+    """What one corrector gives at (t, x0), at its lane's default
+    tolerance: the bits of x, of the residual and of every iterate, and the
+    iteration count; or the type and message of the exception it raised."""
     history = []
     try:
-        s = correct(h, t, list(x0), term_values(h, t), 1e-12,
-                    scalar_eps(DOUBLE), history)
+        s = correct(h, t, list(x0), default_config(lane(t, *x0)), history)
     except Exception as exc:
         return type(exc), str(exc)
     return ([_bits(v) for v in s.x], _bits(s.residual), s.newton_iterations,
             [[_bits(v) for v in x] for x in history])
+
+
+def _promoted(t, x0):
+    return promote(t, EXTENDED), [promote(v, EXTENDED) for v in x0]
 
 
 def _double_cases():
@@ -174,63 +307,75 @@ def _double_cases():
 
 
 def test_double_corrector_is_bit_identical_to_the_generic_loop():
-    iterations = set()
-    kept = raised = 0
+    # the double cases as they are, then promoted to the extended lane,
+    # whose tolerance is 1e-26; mismatches are collected per lane, so a
+    # failure shows which lane departs from the reference
     cases = _double_cases()
-    for name, h, t, x0 in cases:
-        want = _correction(tracker._correct_generic, h, t, x0)
-        assert _correction(tracker._correct_double, h, t, x0) == want, (
-            name, t, x0)
-        if isinstance(want[0], type):
-            raised += 1
-        else:
-            iterations.add(want[2])
-            kept += want[0] != want[3][-1] if want[3] else 0
-    # the cases reach zero to several iterations and both polish decisions;
-    # few fail (real seeds cannot follow the complex negative-exponent path)
-    assert {0, 1, 2, 3} <= iterations
-    assert kept > 0 and raised <= len(cases) // 10
+    mismatches = {}
+    for precision in (DOUBLE, EXTENDED):
+        iterations = set()
+        kept = raised = 0
+        lane_cases = cases if precision == DOUBLE else [
+            (name, h) + _promoted(t, x0) for name, h, t, x0 in cases]
+        mismatches[precision] = []
+        for name, h, t, x0 in lane_cases:
+            want = _correction(_ref_newton_correct, h, t, x0)
+            if _correction(newton_correct, h, t, x0) != want:
+                mismatches[precision].append((name, t))
+            if isinstance(want[0], type):
+                raised += 1
+            else:
+                iterations.add(want[2])
+                kept += want[0] != want[3][-1] if want[3] else 0
+        # the cases reach zero to several iterations and both polish
+        # decisions; few fail (real seeds cannot follow the complex
+        # negative-exponent path)
+        assert {0, 1, 2, 3} <= iterations, precision
+        assert kept > 0 and raised <= len(lane_cases) // 10, precision
+    assert mismatches == {DOUBLE: [], EXTENDED: []}
 
 
-@pytest.mark.parametrize("name, t, x0, error", [
-    ("sqrt", 0.5, [1e6 + 0j], NoConvergence),
-    ("sqrt", 0.5, [0.0], SingularJacobian),
-    ("monomial4", 0.3, [0j, 0j, 0j, 0j], SingularJacobian),
-    ("negative-exponents", 0.3, [1.0 + 0j, 0j], EvaluationSingular),
-    ("negative-exponents", 0.3, [0.0, 1.0], EvaluationSingular),
+@pytest.mark.parametrize("name, t, x0, error, precision", [
+    ("sqrt", 0.5, [1e6 + 0j], NoConvergence, DOUBLE),
+    ("sqrt", 0.5, [0.0], SingularJacobian, DOUBLE),
+    ("monomial4", 0.3, [0j, 0j, 0j, 0j], SingularJacobian, DOUBLE),
+    ("negative-exponents", 0.3, [1.0 + 0j, 0j], EvaluationSingular, DOUBLE),
+    ("negative-exponents", 0.3, [0.0, 1.0], EvaluationSingular, DOUBLE),
     # with x_2 = x_3 = x_4 = 1 the first two equations of monomial4 have
     # the same d/dx_1, so the pivot search meets a tie; the first row of
     # largest magnitude is taken
-    ("monomial4", 0.1, [0.97, 1.0, 1.0, 1.0], None),
-    ("monomial4", 0.1 + 0.02j, [0.97 + 0.01j, 1 + 0j, 1 + 0j, 1 + 0j], None),
+    ("monomial4", 0.1, [0.97, 1.0, 1.0, 1.0], None, DOUBLE),
+    ("monomial4", 0.1 + 0.02j, [0.97 + 0.01j, 1 + 0j, 1 + 0j, 1 + 0j], None,
+     DOUBLE),
+    ("sqrt", 0.5, [0.0], SingularJacobian, EXTENDED),
+    ("monomial4", 0.3, [0j, 0j, 0j, 0j], SingularJacobian, EXTENDED),
+    ("monomial4", 0.1, [0.97, 1.0, 1.0, 1.0], None, EXTENDED),
+    ("monomial4", 0.1 + 0.02j, [0.97 + 0.01j, 1 + 0j, 1 + 0j, 1 + 0j], None,
+     EXTENDED),
+    # near this path point two double-double pivot candidates differ but
+    # their magnitudes, rounded to double, tie
+    ("monomial4", 0.6000000172627065,
+     [0.6464050753738696 - 6.734335709971288e-10j,
+      0.7368062999017724 - 5.125202059561096e-10j,
+      4.605039373490911 + 4.5447520562523383e-10j,
+      0.4000000004137627 + 1.890713221807288e-10j], None, EXTENDED),
 ], ids=["budget", "zero-jacobian-1", "zero-jacobian-4", "zero-coordinate",
-        "zero-coordinate-real", "tied-pivots-real", "tied-pivots"])
-def test_double_corrector_fails_and_pivots_as_the_generic_loop(name, t, x0,
-                                                               error):
+        "zero-coordinate-real", "tied-pivots-real", "tied-pivots",
+        "zero-jacobian-1-extended", "zero-jacobian-4-extended",
+        "tied-pivots-real-extended", "tied-pivots-extended",
+        "rounded-tie-extended"])
+def test_double_corrector_fails_and_pivots_as_the_generic_loop(
+        name, t, x0, error, precision):
     h = (homotopy_from_json(NEGATIVE_EXPONENTS)
          if name == "negative-exponents" else fixture(name))
-    want = _correction(tracker._correct_generic, h, t, x0)
+    if precision == EXTENDED:
+        t, x0 = _promoted(t, x0)
+    want = _correction(_ref_newton_correct, h, t, x0)
     if error is None:
         assert want[2] is not None
     else:
         assert want[0] is error
-    assert _correction(tracker._correct_double, h, t, x0) == want
-
-
-def test_newton_correct_takes_the_double_corrector_for_native_numbers(
-        monkeypatch):
-    h = fixture("ojika1")
-    want = newton_correct(h, 0.3, [1.0, 1.0], default_config())
-
-    def generic_lane_only(h, t, x, *args):
-        assert lane(t, *x) == EXTENDED
-        return correct_generic(h, t, x, *args)
-
-    correct_generic = tracker._correct_generic
-    monkeypatch.setattr(tracker, "_correct_generic", generic_lane_only)
-    assert newton_correct(h, 0.3, [1.0, 1.0], default_config()) == want
-    newton_correct(h, 0.3, [promote(1.0, EXTENDED)] * 2,
-                   default_config(EXTENDED))
+    assert _correction(newton_correct, h, t, x0) == want
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ traced records of --trace-seed contribute their per-layer counts, and
 count_changes lists [parent, change] for every work counter (calls,
 iterations, failures, samples, points, checkpoints, retries, ext_ops) that
 differs, so a speed-up can show whether it did the same work. Each side's
-provenance (commit, source digest, python, numpy, nproc) is kept.
+provenance (commit, source digest, python, numpy, nproc) is kept, and
+src_lines gives [parent, change] line counts of src/singradar/*.py in the
+checkouts that hold the two perfbench/out directories (None for a side
+without them).
 """
 
 from __future__ import annotations
@@ -76,6 +79,14 @@ def _job_kinds(recs: dict) -> dict:
     return out
 
 
+def _src_lines(out: Path) -> int | None:
+    """Lines of src/singradar/*.py in the checkout whose perfbench/out is
+    out, or None when it has none."""
+    files = (out.resolve().parent.parent / "src" / "singradar").glob("*.py")
+    counts = [f.read_bytes().count(b"\n") for f in files]
+    return sum(counts) if counts else None
+
+
 def _count_changes(parent: dict, change: dict) -> dict:
     """[parent, change] per-pass value of every work counter that differs
     between the sides; None stands for a counter one side lacks."""
@@ -91,7 +102,9 @@ def summarise(parent: Path, change: Path, seeds: list,
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fp:
         bench = json.load(fp)
     workloads = [w["name"] for w in bench["workloads"]]
-    out = {"seeds": seeds, "trace_seed": trace_seed, "workloads": {}}
+    out = {"seeds": seeds, "trace_seed": trace_seed,
+           "src_lines": [_src_lines(parent), _src_lines(change)],
+           "workloads": {}}
     for wl in workloads:
         recs = {side: [_record(d, wl, s, 0) for s in seeds]
                 for side, d in (("parent", parent), ("change", change))}
