@@ -64,7 +64,7 @@ from .scalars import (
     scalar_eps,
 )
 from .series import TruncatedSeries
-from .tracker import (_MAX_NEWTON_ITERS, PathState, TrackerConfig,
+from .tracker import (_MAX_NEWTON_ITERS, PathState, TrackerConfig, _jumped,
                       _solve_batch, _within, default_config, newton_correct,
                       track_to)
 
@@ -73,7 +73,6 @@ from .tracker import (_MAX_NEWTON_ITERS, PathState, TrackerConfig,
 import numpy as np
 
 _WRAP_TOL = 1e-6  # of max |x| over the first sample
-_WALK_GUARD = 0.5
 _MAX_SUBSTEPS = 64
 
 
@@ -210,9 +209,7 @@ def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed, t_hop):
                 t_sub = t_hop if m == 1 else complex(
                     t0_ext + step_ext * root_of_unity(n * m, (k - 1) * m + j))
                 value = newton_correct(h, t_sub, walk, cfg).x
-                moved = max(abs(a - b) for a, b in zip(walk, value))
-                spread = max(map(abs, walk + value))
-                if moved > _WALK_GUARD * spread:
+                if _jumped(walk, value):
                     raise NoConvergence("hop moved too far to trust")
                 walk = value
             return value

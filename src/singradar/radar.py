@@ -24,9 +24,10 @@ from .errors import (
 )
 from .fourier import taylor_coefficients
 from .polysys import Homotopy
-from .scalars import EXTENDED, float_magnitude, lane, scalar_eps
+from .scalars import EXTENDED, float_magnitude, lane, promote, scalar_eps
 from .series import TruncatedSeries
-from .tracker import PathState, TrackerConfig, default_config, track_to
+from .tracker import (PathState, TrackerConfig, default_config,
+                      newton_correct, track_to)
 
 CONVERGED = "Converged"
 INCONCLUSIVE = "Inconclusive"
@@ -180,6 +181,18 @@ def _dominant_coordinate(series_list) -> int:
                key=lambda i: float_magnitude(series_list[i].coeffs[-1]))
 
 
+def _track(h: Homotopy, start: PathState, t: float, cfg: TrackerConfig):
+    """track_to in double, in both lanes. An extended start comes back as
+    an extended end point: the double one corrected once in the extended
+    lane at t, which restores double-double accuracy."""
+    if lane(*start.x) != EXTENDED:
+        return track_to(h, start, t, cfg)
+    demoted = replace(start, x=[complex(v) for v in start.x])
+    end = track_to(h, demoted, t, default_config())
+    return newton_correct(h, end.t, [promote(v, EXTENDED) for v in end.x],
+                          cfg)
+
+
 def _checkpoint_estimate(h: Homotopy, state: PathState, radius: float,
                          cfg: TrackerConfig):
     """Fabry estimate at one checkpoint, shrinking the circle on failure.
@@ -202,14 +215,14 @@ def _checkpoint_estimate(h: Homotopy, state: PathState, radius: float,
 
 
 def detect_last_pole(h: Homotopy, start: PathState,
-                     cfg: TrackerConfig | None = None, *, _visited=None):
+                     cfg: TrackerConfig | None = None):
     """Sweep t toward 1, watching for the interior pole nearest the end.
 
     Returns (rho, t_star, t0): the dominating complex pole (None when the
     endpoint is the only singularity in sight), the parameter where the pole
     and the endpoint are equidistant, and the recommended base point.
-    A list passed as _visited receives (t, state) for every checkpoint the
-    sweep tracked to, so locate_singularity can resume the track there.
+    The path is tracked from checkpoint to checkpoint in double, and in the
+    extended lane each checkpoint's point is lifted once (_track).
     """
     if cfg is None:
         cfg = default_config()
@@ -222,11 +235,9 @@ def detect_last_pole(h: Homotopy, start: PathState,
     prev_z = None
     while 1.0 - t_c > _SWEEP_FLOOR:
         try:
-            state = track_to(h, state, t_c, cfg)
+            state = _track(h, state, t_c, cfg)
         except (NoConvergence, StepUnderflow, SingularJacobian):
             break
-        if _visited is not None:
-            _visited.append((t_c, state))
         gap = 1.0 - t_c
         radius = 0.85 * gap
         if prev_z is not None:
@@ -309,19 +320,10 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
         cfg = default_config()
     t_begin = time.perf_counter()
     rho = t_star = None
-    resume = start
     if t0 is None:
-        visited = []
-        rho, t_star, t0 = detect_last_pole(h, start, cfg, _visited=visited)
-        # the sweep has tracked the path to the checkpoints below t0 already.
-        # In the extended lane that track is the costly part, so it resumes
-        # from the last of them (the double lane's re-track from start is
-        # cheap and kept as it was)
-        below = [state for t, state in visited if t <= t0]
-        if below and lane(start.t, *start.x) == EXTENDED:
-            resume = below[-1]
+        rho, t_star, t0 = detect_last_pole(h, start, cfg)
     t_detect = time.perf_counter()
-    state = track_to(h, resume, t0, cfg)
+    state = _track(h, start, t0, cfg)
     hs = recondition(h, t0)
     base = PathState.from_point(hs, 0.0, state.x)
     t_track = time.perf_counter()

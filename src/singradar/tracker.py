@@ -2,8 +2,10 @@
 
 The predictor is zeroth order on purpose: steps adapt by halving on Newton
 failure and doubling after three straight successes, which is all the
-benchmark systems need. Failure to advance above _MIN_STEP is the signal the
-caller cares about (a singularity is adjacent) and surfaces as StepUnderflow.
+benchmark systems need. A step that moves the point too far to trust it on
+its path (``_jumped``, the circle walk's hop rule too) fails as well.
+Failure to advance above _MIN_STEP is the signal the caller cares about (a
+singularity is adjacent) and surfaces as StepUnderflow.
 The one run setting is the lane's Newton tolerance (TrackerConfig); the
 iteration and step budgets below are fixed.
 
@@ -42,6 +44,7 @@ _MAX_NEWTON_ITERS = 8
 _INITIAL_STEP = 0.05
 _MIN_STEP = 1e-8
 _MAX_STEPS = 10000
+_WALK_GUARD = 0.5  # the largest trusted move, relative (_jumped)
 
 
 @dataclass
@@ -84,6 +87,12 @@ def _residual_norm(values) -> float:
 def _within(resid, scales, tol: float) -> list:
     """Per equation, |h_i| <= tol * scale_i (element-wise on arrays)."""
     return [float_magnitude(r) <= tol * s for r, s in zip(resid, scales)]
+
+
+def _jumped(before, after) -> bool:
+    """The move exceeds _WALK_GUARD times max |x_i| over both points."""
+    moved = max(float_magnitude(a - b) for a, b in zip(before, after))
+    return moved > _WALK_GUARD * max(map(float_magnitude, [*before, *after]))
 
 
 def _solve_linear(jac, rhs, eps: float, mag=float_magnitude):
@@ -251,6 +260,8 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
             t_next = t_cur + direction * step
         try:
             state = newton_correct(h, t_next, x, cfg)
+            if _jumped(x, state.x):
+                raise NoConvergence("step moved too far to trust")
         except (NoConvergence, SingularJacobian):
             successes = 0
             step *= 0.5

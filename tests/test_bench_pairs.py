@@ -19,10 +19,10 @@ PARENT = [1.0, 2.0, 3.0, 4.0, 5.0]
 CHANGE = [2.0, 2.0, 1.0, 5.0, 5.0]
 
 
-def write_side(out: Path, values: list, commit: str):
+def write_side(out: Path, values: list, commit: str, seeds=SEEDS):
     out.mkdir()
     for wl in BENCH["workloads"]:
-        for seed, value, trace in ([(s, v, 0) for s, v in zip(SEEDS, values)]
+        for seed, value, trace in ([(s, v, 0) for s, v in zip(seeds, values)]
                                    + [(901, 7.0, 1)]):
             record = {
                 "provenance": {"commit": commit, "python": "3.11",
@@ -61,6 +61,34 @@ def test_summarise_medians_quartiles_wins_and_ratio(tmp_path):
             assert row["pairs"] == 5
             assert row["ratio"] == pytest.approx(2.0 / 3.0)
             assert row["bound"] == m["bound"]
+
+
+TEN = list(range(21, 31))
+PARENT_TEN = [10.0 + 0.1 * i for i in range(10)]  # median 10.45, q3-q1 0.45
+
+
+@pytest.mark.parametrize("change,verdicts", [
+    # ahead by 1.0 in 9 of 10 pairs: the median gap 0.9 beats the spread;
+    # +8.6% is within setup_s's 25% bound and past peak_rss_mb's 2%
+    ([p + 1.0 for p in PARENT_TEN[:9]] + [PARENT_TEN[9] - 0.1],
+     {"jobs_per_s": "gain", "setup_s": "within", "peak_rss_mb": "worse"}),
+    # the same gap, but ahead in only 8 of 10 pairs
+    ([p + 1.0 for p in PARENT_TEN[:8]] + [p - 0.1 for p in PARENT_TEN[8:]],
+     {"jobs_per_s": "within", "setup_s": "within", "peak_rss_mb": "worse"}),
+    # ahead in every pair by 0.3, less than the parent's spread
+    ([p + 0.3 for p in PARENT_TEN],
+     {"jobs_per_s": "within", "setup_s": "within", "peak_rss_mb": "worse"}),
+    # 30% lower: past jobs_per_s's 20% bound, a gain where lower is better
+    ([0.7 * p for p in PARENT_TEN],
+     {"jobs_per_s": "worse", "setup_s": "gain", "peak_rss_mb": "gain"}),
+], ids=["gain", "eight-wins", "small-gap", "worse"])
+def test_summarise_verdict_per_metric(tmp_path, change, verdicts):
+    write_side(tmp_path / "p", PARENT_TEN, "aaa", TEN)
+    write_side(tmp_path / "c", change, "bbb", TEN)
+    out = bench_pairs.summarise(tmp_path / "p", tmp_path / "c", TEN, None)
+    for wl in BENCH["workloads"]:
+        metrics = out["workloads"][wl["name"]]["metrics"]
+        assert {m: metrics[m]["verdict"] for m in verdicts} == verdicts
 
 
 def test_summarise_rejects_mixed_provenance(tmp_path):

@@ -330,6 +330,25 @@ def test_radius_start_reaches_the_run():
     assert out == ""
 
 
+@pytest.mark.parametrize("pinned", [[], ["--t0", repr(OJIKA1_BASE)]],
+                         ids=["sweep", "t0"])
+def test_radius_lanes_follow_the_same_path(pinned):
+    # both lanes track the (1, -1) path of ojika1 in double, so they read
+    # the same t0 and pole and agree on z; the double lane once jumped to
+    # the (1, 1) path (t0 0.94375 after its sweep)
+    reps = []
+    for precision in ("double", "extended"):
+        code, out, _ = run_cli(["radius", "--fixture", "ojika1",
+                                "--start=1,-1", "--precision", precision,
+                                *pinned])
+        assert code == 0
+        reps.append(json.loads(out))
+    double, extended = reps
+    assert double["t0"] == extended["t0"]
+    assert double["rho"] == extended["rho"]
+    assert abs(complex(*double["z"]) - complex(*extended["z"])) <= 1e-6
+
+
 @pytest.mark.parametrize("gamma", ["nan", "nan+1j"])
 def test_radius_nan_gamma_exits_two(gamma):
     code, out, err = run_cli(["radius", "--fixture", "sqrt", "--gamma", gamma])

@@ -531,8 +531,8 @@ def test_locate_extended_lane_monomial_system():
 def test_locate_extended_base_point_meets_the_extended_tolerance(
         monkeypatch):
     # with t0 given, the extended lane tracks from the start to t0 in
-    # double-double: the base point must come out in the lane, to the
-    # lane's relative tolerance
+    # double and lifts the end point: the base point must come out in the
+    # lane, to the lane's relative tolerance
     bases = []
     series = radar.taylor_coefficients
 
@@ -554,10 +554,9 @@ def test_locate_extended_base_point_meets_the_extended_tolerance(
 
 
 def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
-    # from (1, -1) a one-call double track of ojika1 to t0 jumps to the
-    # (1, 1) path. The extended lane resumes from the sweep's last
-    # checkpoint below t0, so the base point stays on the path the sweep
-    # read (the point every checkpoint sequence reaches)
+    # from (1, -1) an unguarded one-call double track of ojika1 to t0
+    # jumped to the (1, 1) path. The base point must stay on the path the
+    # sweep read (the point every checkpoint sequence reaches)
     bases = []
     series = radar.taylor_coefficients
 
@@ -577,6 +576,23 @@ def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
     assert abs(x[1] - (2.086912331024748 + 0.256234679292355j)) < 1e-12
     assert run.status == "Converged"
     assert float_magnitude(run.z - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("name,t", [("sqrt", 0.3), ("ojika1", 0.3),
+                                    ("monomial4", 0.3), ("cusp", 0.3),
+                                    ("ojika1", OJIKA1_BASE)])
+def test_double_track_lifted_once_matches_the_extended_track(name, t):
+    # one extended correction of the double end point restores
+    # double-double accuracy: it agrees with a double-double track_to
+    h = fixture(name)
+    cfg = default_config(EXTENDED)
+    start = newton_correct(h, 0.0, [promote(1.0, EXTENDED)] * h.dim, cfg)
+    lifted = radar._track(h, start, t, cfg)
+    ref = track_to(h, start, t, cfg)
+    assert lifted.t == ref.t == t
+    assert all(is_extended(v) for v in lifted.x)
+    moved = max(float_magnitude(a - b) for a, b in zip(lifted.x, ref.x))
+    assert moved <= 1e-28 * max(map(float_magnitude, ref.x))
 
 
 def test_locate_double_lane_dominant_coordinate():

@@ -1,6 +1,7 @@
 """Newton correction and path tracking on the benchmark fixtures."""
 
 import cmath
+import functools
 import math
 import struct
 
@@ -541,6 +542,54 @@ def test_track_trace_rows():
     assert ts[-1] == 0.5
     assert rows[-1].x == out.x
     assert all(r.residual <= 1e-12 for r in rows)
+
+
+@functools.lru_cache(maxsize=None)
+def ojika1_reference(start, t):
+    """ojika1's path from start at t = 0 to t by 1,000 equal double
+    newton_correct steps, each too short to leave the path."""
+    h = fixture("ojika1")
+    cfg = default_config()
+    x = list(start)
+    for k in range(1, 1001):
+        x = newton_correct(h, t * k / 1000, x, cfg).x
+    return x
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+@pytest.mark.parametrize("start", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0),
+                                   (-1.0, -1.0)],
+                         ids=["1,1", "1,-1", "-1,1", "-1,-1"])
+def test_track_ojika1_keeps_the_path_on_every_route(start, precision):
+    # one call or through either checkpoint sequence, the track must end on
+    # the start's own path. Without the step guard, (1, -1) jumped to the
+    # (1, 1) path and (-1, 1) to the (-1, -1) one
+    h = fixture("ojika1")
+    cfg = default_config(precision)
+    first = newton_correct(h, 0.0, [promote(v, precision) for v in start],
+                           cfg)
+    for target in (0.9, OJIKA1_T0):
+        ref = ojika1_reference(start, target)
+        for route in ((), (0.3, 0.6, 0.9), (0.5, 0.75, 0.875, 0.9375)):
+            state = first
+            for t in [c for c in route if c < target] + [target]:
+                state = track_to(h, state, t, cfg)
+            moved = max(abs(complex(a) - b) for a, b in zip(state.x, ref))
+            assert moved <= 1e-10 * max(map(abs, ref)), (target, route)
+
+
+def test_track_retries_a_step_that_jumps():
+    # cusp's path is x = (1 - t)^2: a step longer than 0.29 of the distance
+    # left to t = 1 moves x by more than half its size, so near t = 1 the
+    # guard halves the step (unguarded, 0.9 -> 0.99 was one step)
+    h = fixture("cusp")
+    start = PathState.from_point(h, 0.0, [1.0])
+    rows = [start]
+    out = track_to(h, start, 0.99, default_config(), trace=rows)
+    assert abs(out.x[0] - 1e-4) <= 1e-10
+    xs = [r.x[0] for r in rows]
+    assert all(abs(b - a) <= tracker._WALK_GUARD * max(abs(a), abs(b))
+               for a, b in zip(xs, xs[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ untraced record <workload>-seed<s>-trace0.json on one side is paired with
 the record of the same workload and seed on the other. For every workload
 and end-to-end metric of BENCHMARK.json the file gives each side's values in
 seed order, median and [q1, q3], the change/parent ratio of the medians, and
-how many pairs the change won (ties count for neither side). Per job kind
+how many pairs the change won (ties count for neither side), and a verdict:
+"gain" when the change won at least 9 in 10 pairs and its median is better
+than the parent's by more than the parent's q3 - q1, "worse" when its
+median is past the metric's bound, relative to the parent's median, in the
+bad direction, and "within" otherwise. Per job kind
 it gives each side's median job time and the kind's share of a pass. The
 traced records of --trace-seed contribute their per-layer counts, and
 count_changes lists [parent, change] for every work counter (calls,
@@ -44,6 +48,18 @@ def _summary(values: list) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": statistics.median(values),
             "q1_q3": [q1, q3]}
+
+
+def _verdict(row: dict, higher: bool) -> str:
+    """gain, worse or within for one metric's row (module docstring)."""
+    parent = row["parent"]["median"]
+    gap = (row["change"]["median"] - parent) * (1.0 if higher else -1.0)
+    q1, q3 = row["parent"]["q1_q3"]
+    if row["change_wins"] >= 0.9 * row["pairs"] and gap > q3 - q1:
+        return "gain"
+    if gap < -row["bound"] * abs(parent):
+        return "worse"
+    return "within"
 
 
 def _provenance(records: list) -> dict:
@@ -120,6 +136,7 @@ def summarise(parent: Path, change: Path, seeds: list,
             row.update(unit=m["unit"], better=m["better"], bound=m["bound"],
                        change_wins=wins, pairs=len(seeds),
                        ratio=row["change"]["median"] / base if base else None)
+            row["verdict"] = _verdict(row, higher)
             metrics[name] = row
         entry = {"metrics": metrics, "job_kinds": _job_kinds(recs),
                  "failed": {side: sum(r["failed"] for r in rs)
