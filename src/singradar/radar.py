@@ -5,7 +5,9 @@ singular parameter value nearest the expansion point. Extrapolating the
 ratios at n = 2, 4, ..., 2^N kills the O(1/n) error terms one power at a
 time, and rescaling plus recentering (reconditioning) keeps the target
 singularity dominant so the limit is clean. The substitution t = t0 + r s
-is evaluated in the lane of s, never expanded into new coefficients.
+is evaluated in the lane of s, never expanded into new coefficients. Both
+lanes track in double (the circle walk demotes its base point anyway); the
+extended lane lifts each point it reaches by one extended correction (_track).
 """
 
 from __future__ import annotations
@@ -182,9 +184,8 @@ def _dominant_coordinate(series_list) -> int:
 
 
 def _track(h: Homotopy, start: PathState, t: float, cfg: TrackerConfig):
-    """track_to in double, in both lanes. An extended start comes back as
-    an extended end point: the double one corrected once in the extended
-    lane at t, which restores double-double accuracy."""
+    """track_to in double; from an extended start, the end point lifted by
+    one extended newton_correct at t (the double-double tracker's point)."""
     if lane(*start.x) != EXTENDED:
         return track_to(h, start, t, cfg)
     demoted = replace(start, x=[complex(v) for v in start.x])
@@ -221,8 +222,7 @@ def detect_last_pole(h: Homotopy, start: PathState,
     Returns (rho, t_star, t0): the dominating complex pole (None when the
     endpoint is the only singularity in sight), the parameter where the pole
     and the endpoint are equidistant, and the recommended base point.
-    The path is tracked from checkpoint to checkpoint in double, and in the
-    extended lane each checkpoint's point is lifted once (_track).
+    Each checkpoint is tracked to from the one before it by _track.
     """
     if cfg is None:
         cfg = default_config()
@@ -308,7 +308,8 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     power-of-two order thus gives n_used == order; any other order rounds
     down or up to a power of two (order 126 gives 64, order 127 gives 128).
     Pass t0 in [0, 1) to skip pole detection and recondition at a known
-    base point, and step to override the sampling radius in s units.
+    base point, and step to override the sampling radius in s units. The
+    base point is tracked to from start, in both lanes, by _track.
     """
     if order < 4:
         raise InvalidArgument("need order at least 4")

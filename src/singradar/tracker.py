@@ -1,11 +1,10 @@
 """Newton correction and predictor-corrector tracking along real t.
 
 The predictor is zeroth order on purpose: steps adapt by halving on Newton
-failure and doubling after three straight successes, which is all the
-benchmark systems need. A step that moves the point too far to trust it on
-its path (``_jumped``, the circle walk's hop rule too) fails as well.
-Failure to advance above _MIN_STEP is the signal the caller cares about (a
-singularity is adjacent) and surfaces as StepUnderflow.
+failure or on a move too long to trust (``_jumped``, the circle walk's hop
+rule too) and by doubling after three straight successes: enough for the
+benchmark systems. Failure to advance above _MIN_STEP is the signal the
+caller cares about (a singularity is adjacent) and surfaces as StepUnderflow.
 The one run setting is the lane's Newton tolerance (TrackerConfig); the
 iteration and step budgets below are fixed.
 

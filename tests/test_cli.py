@@ -330,12 +330,14 @@ def test_radius_start_reaches_the_run():
     assert out == ""
 
 
-@pytest.mark.parametrize("pinned", [[], ["--t0", repr(OJIKA1_BASE)]],
-                         ids=["sweep", "t0"])
-def test_radius_lanes_follow_the_same_path(pinned):
-    # both lanes track the (1, -1) path of ojika1 in double, so they read
-    # the same t0 and pole and agree on z; the double lane once jumped to
-    # the (1, 1) path (t0 0.94375 after its sweep)
+@pytest.mark.parametrize("pinned,t0,z", [
+    ([], 0.9812641550043867, 1.0000004676050833 - 4.6e-8j),
+    (["--t0", repr(OJIKA1_BASE)], OJIKA1_BASE, 0.9999538304713781 - 3.01e-5j),
+], ids=["sweep", "t0"])
+def test_radius_lanes_follow_the_same_path(pinned, t0, z):
+    # both lanes follow the (1, -1) path of ojika1, so they read the same
+    # t0 and pole and agree on z. The double lane once jumped to the (1, 1)
+    # path: t0 0.94375 after its sweep, z 0.99999907 + 1.4e-6i at the t0
     reps = []
     for precision in ("double", "extended"):
         code, out, _ = run_cli(["radius", "--fixture", "ojika1",
@@ -344,9 +346,10 @@ def test_radius_lanes_follow_the_same_path(pinned):
         assert code == 0
         reps.append(json.loads(out))
     double, extended = reps
-    assert double["t0"] == extended["t0"]
+    assert double["t0"] == extended["t0"] == t0
     assert double["rho"] == extended["rho"]
     assert abs(complex(*double["z"]) - complex(*extended["z"])) <= 1e-6
+    assert abs(complex(*double["z"]) - z) <= 1e-6
 
 
 @pytest.mark.parametrize("gamma", ["nan", "nan+1j"])

@@ -588,7 +588,7 @@ def test_track_retries_a_step_that_jumps():
     out = track_to(h, start, 0.99, default_config(), trace=rows)
     assert abs(out.x[0] - 1e-4) <= 1e-10
     xs = [r.x[0] for r in rows]
-    assert all(abs(b - a) <= tracker._WALK_GUARD * max(abs(a), abs(b))
+    assert all(abs(b - a) <= 0.5 * max(abs(a), abs(b))
                for a, b in zip(xs, xs[1:]))
 
 
