@@ -6,8 +6,8 @@ ratios at n = 2, 4, ..., 2^N kills the O(1/n) error terms one power at a
 time, and rescaling plus recentering (reconditioning) keeps the target
 singularity dominant so the limit is clean. The substitution t = t0 + r s
 is evaluated in the lane of s, never expanded into new coefficients. Both
-lanes track in double (the circle walk demotes its base point anyway); the
-extended lane lifts each point it reaches by one extended correction (_track).
+lanes track in double (a circle walk demotes its base point); the extended
+lane lifts only the series' base point, by one extended correction (_track).
 """
 
 from __future__ import annotations
@@ -183,15 +183,15 @@ def _dominant_coordinate(series_list) -> int:
                key=lambda i: float_magnitude(series_list[i].coeffs[-1]))
 
 
-def _track(h: Homotopy, start: PathState, t: float, cfg: TrackerConfig):
-    """track_to in double; from an extended start, the end point lifted by
-    one extended newton_correct at t (the double-double tracker's point)."""
+def _track(h: Homotopy, start: PathState, t: float, cfg: TrackerConfig,
+           lift: bool):
+    """track_to in double, back in start's lane; lift: one extended Newton."""
     if lane(*start.x) != EXTENDED:
         return track_to(h, start, t, cfg)
-    demoted = replace(start, x=[complex(v) for v in start.x])
-    end = track_to(h, demoted, t, default_config())
-    return newton_correct(h, end.t, [promote(v, EXTENDED) for v in end.x],
-                          cfg)
+    end = track_to(h, replace(start, x=[complex(v) for v in start.x]), t,
+                   default_config())
+    x = [promote(v, EXTENDED) for v in end.x]
+    return newton_correct(h, end.t, x, cfg) if lift else replace(end, x=x)
 
 
 def _checkpoint_estimate(h: Homotopy, state: PathState, radius: float,
@@ -222,7 +222,7 @@ def detect_last_pole(h: Homotopy, start: PathState,
     Returns (rho, t_star, t0): the dominating complex pole (None when the
     endpoint is the only singularity in sight), the parameter where the pole
     and the endpoint are equidistant, and the recommended base point.
-    Each checkpoint is tracked to from the one before it by _track.
+    Each checkpoint is tracked to from the one before by _track, unlifted.
     """
     if cfg is None:
         cfg = default_config()
@@ -235,7 +235,7 @@ def detect_last_pole(h: Homotopy, start: PathState,
     prev_z = None
     while 1.0 - t_c > _SWEEP_FLOOR:
         try:
-            state = _track(h, state, t_c, cfg)
+            state = _track(h, state, t_c, cfg, lift=False)
         except (NoConvergence, StepUnderflow, SingularJacobian):
             break
         gap = 1.0 - t_c
@@ -308,8 +308,7 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     power-of-two order thus gives n_used == order; any other order rounds
     down or up to a power of two (order 126 gives 64, order 127 gives 128).
     Pass t0 in [0, 1) to skip pole detection and recondition at a known
-    base point, and step to override the sampling radius in s units. The
-    base point is tracked to from start, in both lanes, by _track.
+    base point, and step to override the sampling radius in s units.
     """
     if order < 4:
         raise InvalidArgument("need order at least 4")
@@ -324,7 +323,7 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     if t0 is None:
         rho, t_star, t0 = detect_last_pole(h, start, cfg)
     t_detect = time.perf_counter()
-    state = _track(h, start, t0, cfg)
+    state = _track(h, start, t0, cfg, lift=True)
     hs = recondition(h, t0)
     base = PathState.from_point(hs, 0.0, state.x)
     t_track = time.perf_counter()

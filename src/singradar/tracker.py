@@ -1,12 +1,12 @@
 """Newton correction and predictor-corrector tracking along real t.
 
 The predictor is zeroth order on purpose: steps adapt by halving on Newton
-failure or on a move too long to trust (``_jumped``, the circle walk's hop
-rule too) and by doubling after three straight successes: enough for the
-benchmark systems. Failure to advance above _MIN_STEP is the signal the
-caller cares about (a singularity is adjacent) and surfaces as StepUnderflow.
-The one run setting is the lane's Newton tolerance (TrackerConfig); the
-iteration and step budgets below are fixed.
+failure or on a move over half of max(1, |x_i|) (``_jumped``; the unit lets a
+path cross x = 0, the circle walk's hops drop it) and by doubling after three
+straight successes: enough for the benchmark systems. Failure to advance above
+_MIN_STEP is the signal the caller cares about (a singularity is adjacent) and
+surfaces as StepUnderflow. The one run setting is the lane's Newton tolerance
+(TrackerConfig); the iteration and step budgets below are fixed.
 
 A Newton correction runs at fixed t, so it evaluates the q(t) of every
 homotopy term once and shares the powers of each iterate between its
@@ -88,10 +88,11 @@ def _within(resid, scales, tol: float) -> list:
     return [float_magnitude(r) <= tol * s for r, s in zip(resid, scales)]
 
 
-def _jumped(before, after) -> bool:
-    """The move exceeds _WALK_GUARD times max |x_i| over both points."""
+def _jumped(before, after, floor: float = 0.0) -> bool:
+    """Moved over _WALK_GUARD times max(floor, |x_i| of both points)."""
     moved = max(float_magnitude(a - b) for a, b in zip(before, after))
-    return moved > _WALK_GUARD * max(map(float_magnitude, [*before, *after]))
+    sizes = map(float_magnitude, [*before, *after])
+    return moved > _WALK_GUARD * max(floor, *sizes)
 
 
 def _solve_linear(jac, rhs, eps: float, mag=float_magnitude):
@@ -259,7 +260,7 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
             t_next = t_cur + direction * step
         try:
             state = newton_correct(h, t_next, x, cfg)
-            if _jumped(x, state.x):
+            if _jumped(x, state.x, 1.0):
                 raise NoConvergence("step moved too far to trust")
         except (NoConvergence, SingularJacobian):
             successes = 0

@@ -583,16 +583,22 @@ def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
                                     ("ojika1", OJIKA1_BASE)])
 def test_double_track_lifted_once_matches_the_extended_track(name, t):
     # one extended correction of the double end point restores
-    # double-double accuracy: it agrees with a double-double track_to
+    # double-double accuracy: it agrees with a double-double track_to.
+    # Unlifted (the sweep's checkpoints), it is the double point promoted
     h = fixture(name)
     cfg = default_config(EXTENDED)
     start = newton_correct(h, 0.0, [promote(1.0, EXTENDED)] * h.dim, cfg)
-    lifted = radar._track(h, start, t, cfg)
+    lifted = radar._track(h, start, t, cfg, lift=True)
     ref = track_to(h, start, t, cfg)
     assert lifted.t == ref.t == t
     assert all(is_extended(v) for v in lifted.x)
     moved = max(float_magnitude(a - b) for a, b in zip(lifted.x, ref.x))
     assert moved <= 1e-28 * max(map(float_magnitude, ref.x))
+    plain = radar._track(h, start, t, cfg, lift=False)
+    demoted = PathState.from_point(h, 0.0, [complex(v) for v in start.x])
+    double = track_to(h, demoted, t, default_config())
+    assert all(is_extended(v) for v in plain.x)
+    assert [complex(v) for v in plain.x] == double.x
 
 
 def test_locate_double_lane_dominant_coordinate():

@@ -579,17 +579,33 @@ def test_track_ojika1_keeps_the_path_on_every_route(start, precision):
 
 
 def test_track_retries_a_step_that_jumps():
-    # cusp's path is x = (1 - t)^2: a step longer than 0.29 of the distance
-    # left to t = 1 moves x by more than half its size, so near t = 1 the
-    # guard halves the step (unguarded, 0.9 -> 0.99 was one step)
-    h = fixture("cusp")
-    start = PathState.from_point(h, 0.0, [1.0])
+    # every accepted step moves x by at most half of max(1, |x_i|) over its
+    # two points (unguarded, a step from (-1, 1) lands on the (-1, -1) path)
+    h = fixture("ojika1")
+    start = PathState.from_point(h, 0.0, [-1.0, 1.0])
     rows = [start]
-    out = track_to(h, start, 0.99, default_config(), trace=rows)
-    assert abs(out.x[0] - 1e-4) <= 1e-10
-    xs = [r.x[0] for r in rows]
-    assert all(abs(b - a) <= 0.5 * max(abs(a), abs(b))
-               for a, b in zip(xs, xs[1:]))
+    out = track_to(h, start, 0.9, default_config(), trace=rows)
+    ref = ojika1_reference((-1.0, 1.0), 0.9)
+    assert max(abs(a - b) for a, b in zip(out.x, ref)) <= (
+        1e-10 * max(map(abs, ref)))
+    for a, b in zip(rows, rows[1:]):
+        moved = max(abs(p - q) for p, q in zip(a.x, b.x))
+        assert moved <= 0.5 * max(1.0, *map(abs, [*a.x, *b.x]))
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+@pytest.mark.parametrize("q0, q1, x0", [(-0.5, 1.0, 0.5), (0.0, -1.0, 0.0)],
+                         ids=["through-0", "from-0"])
+def test_track_runs_through_the_origin(q0, q1, x0, precision):
+    # x + q0 + q1*t = 0 is regular everywhere; its path x = -q0 - q1*t
+    # crosses x = 0 at t = 0.5 or starts there, and the step guard must
+    # not read a move near zero as a jump
+    h = Homotopy(dim=1, gamma=1.0, equations=[[
+        TMonomial((1.0,), (1,)), TMonomial((q0, q1), (0,))]])
+    start = PathState.from_point(h, 0.0, [promote(x0, precision)])
+    out = track_to(h, start, 1.0, default_config(precision))
+    assert complex(out.t) == 1.0
+    assert abs(complex(out.x[0]) + q0 + q1) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
