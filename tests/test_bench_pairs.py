@@ -67,23 +67,34 @@ TEN = list(range(21, 31))
 PARENT_TEN = [10.0 + 0.1 * i for i in range(10)]  # median 10.45, q3-q1 0.45
 
 
-@pytest.mark.parametrize("change,verdicts", [
+@pytest.mark.parametrize("parent,change,verdicts", [
     # ahead by 1.0 in 9 of 10 pairs: the median gap 0.9 beats the spread;
     # +8.6% is within setup_s's 25% bound and past peak_rss_mb's 2%
-    ([p + 1.0 for p in PARENT_TEN[:9]] + [PARENT_TEN[9] - 0.1],
+    (PARENT_TEN, [p + 1.0 for p in PARENT_TEN[:9]] + [PARENT_TEN[9] - 0.1],
      {"jobs_per_s": "gain", "setup_s": "within", "peak_rss_mb": "worse"}),
     # the same gap, but ahead in only 8 of 10 pairs
-    ([p + 1.0 for p in PARENT_TEN[:8]] + [p - 0.1 for p in PARENT_TEN[8:]],
+    (PARENT_TEN,
+     [p + 1.0 for p in PARENT_TEN[:8]] + [p - 0.1 for p in PARENT_TEN[8:]],
      {"jobs_per_s": "within", "setup_s": "within", "peak_rss_mb": "worse"}),
     # ahead in every pair by 0.3, less than the parent's spread
-    ([p + 0.3 for p in PARENT_TEN],
+    (PARENT_TEN, [p + 0.3 for p in PARENT_TEN],
      {"jobs_per_s": "within", "setup_s": "within", "peak_rss_mb": "worse"}),
     # 30% lower: past jobs_per_s's 20% bound, a gain where lower is better
-    ([0.7 * p for p in PARENT_TEN],
+    (PARENT_TEN, [0.7 * p for p in PARENT_TEN],
      {"jobs_per_s": "worse", "setup_s": "gain", "peak_rss_mb": "gain"}),
-], ids=["gain", "eight-wins", "small-gap", "worse"])
-def test_summarise_verdict_per_metric(tmp_path, change, verdicts):
-    write_side(tmp_path / "p", PARENT_TEN, "aaa", TEN)
+    # no move at all: the parent's spread 0.45 is inside jobs_per_s's and
+    # setup_s's bounds but wider than peak_rss_mb's 2% (0.209)
+    (PARENT_TEN, list(PARENT_TEN),
+     {"jobs_per_s": "within", "setup_s": "within",
+      "peak_rss_mb": "unresolved"}),
+    # a spread of 1.0, still past peak_rss_mb's bound, but every change run
+    # is below every parent run: not a gain (0.6 < 1.0), yet resolved
+    ([10.0] * 5 + [11.0] * 5, [9.9] * 10,
+     {"jobs_per_s": "within", "setup_s": "within", "peak_rss_mb": "within"}),
+], ids=["gain", "eight-wins", "small-gap", "worse", "noisy-parent",
+        "clear-of-noise"])
+def test_summarise_verdict_per_metric(tmp_path, parent, change, verdicts):
+    write_side(tmp_path / "p", parent, "aaa", TEN)
     write_side(tmp_path / "c", change, "bbb", TEN)
     out = bench_pairs.summarise(tmp_path / "p", tmp_path / "c", TEN, None)
     for wl in BENCH["workloads"]:

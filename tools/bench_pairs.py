@@ -12,7 +12,9 @@ how many pairs the change won (ties count for neither side), and a verdict:
 "gain" when the change won at least 9 in 10 pairs and its median is better
 than the parent's by more than the parent's q3 - q1, "worse" when its
 median is past the metric's bound, relative to the parent's median, in the
-bad direction, and "within" otherwise. Per job kind
+bad direction, "unresolved" when the parent's q3 - q1 alone is wider than
+that bound (the pairs cannot rule a regression out) unless every change run
+beats every parent run, and "within" otherwise. Per job kind
 it gives each side's median job time and the kind's share of a pass. The
 traced records of --trace-seed contribute their per-layer counts, and
 count_changes lists [parent, change] for every work counter (calls,
@@ -51,14 +53,20 @@ def _summary(values: list) -> dict:
 
 
 def _verdict(row: dict, higher: bool) -> str:
-    """gain, worse or within for one metric's row (module docstring)."""
+    """gain, worse, unresolved or within for one metric's row (module
+    docstring)."""
+    sign = 1.0 if higher else -1.0
     parent = row["parent"]["median"]
-    gap = (row["change"]["median"] - parent) * (1.0 if higher else -1.0)
+    gap = (row["change"]["median"] - parent) * sign
     q1, q3 = row["parent"]["q1_q3"]
     if row["change_wins"] >= 0.9 * row["pairs"] and gap > q3 - q1:
         return "gain"
     if gap < -row["bound"] * abs(parent):
         return "worse"
+    clear = (min(sign * v for v in row["change"]["values"])
+             > max(sign * v for v in row["parent"]["values"]))
+    if q3 - q1 > row["bound"] * abs(parent) and not clear:
+        return "unresolved"
     return "within"
 
 
