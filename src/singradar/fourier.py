@@ -11,17 +11,18 @@ formed once per circle, as one double-double product over the twiddle
 table, and an unsubdivided hop is corrected at its angle rounded to
 double: the same bits as the scalar product t0 + step*w^k rounded (a
 subdivided hop and the first sample still form theirs one at a time).
-Both lanes walk in double and then lift all n samples at once to
-double-double by mixed-precision iterative refinement (Moler, JACM 14,
+Both lanes walk in double. The final circle then lifts all n samples at once
+to double-double by mixed-precision iterative refinement (Moler, JACM 14,
 1967): the residual is evaluated in double-double on one ExtComplex per
 coordinate whose parts are (n,) arrays, and the correction is solved in
 double with the Jacobian at the hi parts, for all samples at once by an
 elimination that gives each sample the bits of the scalar one
 (``tracker._solve_batch``). The walk and the refinement stop on residuals
 relative to each equation's term sizes (TrackerConfig), so a scaled
-equation or coordinate walks the same way. The samples end in
-double-double whatever the caller's lane, so the exactly representable
-roots of unity keep the transform's rounding out of the coefficient error.
+equation or coordinate walks the same way. Lifted samples are double-double
+in either lane, so the exactly representable roots of unity keep the
+transform's rounding out of the coefficient error; the pole sweep's
+checkpoints read the walked double samples unlifted (``lift=False``).
 
 The transforms run double-double arithmetic element-wise on four float64
 arrays (re.hi, re.lo, im.hi, im.lo): an iterative radix-2 kernel (bit-reversal
@@ -56,7 +57,6 @@ from .scalars import (
     dd_div,
     dd_mul,
     float_magnitude,
-    is_extended,
     lane,
     promote,
     root_of_unity,
@@ -65,8 +65,8 @@ from .scalars import (
 )
 from .series import TruncatedSeries
 from .tracker import (_MAX_NEWTON_ITERS, PathState, TrackerConfig, _jumped,
-                      _solve_batch, _within, default_config, newton_correct,
-                      track_to)
+                      _solve_batch, _within, default_config, demoted,
+                      newton_correct, track_to, walk_config)
 
 # imported after the package's own modules (scalars imports numpy): numpy
 # imported before them leaves the process's resident set about 0.6 MB larger
@@ -153,15 +153,12 @@ def _check_step(step):
         raise InvalidArgument("step must be positive and finite")
 
 
-def _check_power_of_two(n: int):
-    if n < 1 or (n & (n - 1)) != 0:
-        raise InvalidArgument("length must be a power of two")
-
-
 def inverse_dft(values) -> list:
     """Coefficients g with values_j = sum_k g_k w^{jk}, w = exp(2*pi*i/n)."""
-    _check_power_of_two(len(values))
-    out = _divide(_radix2(_to_arrays(values)), len(values))
+    n = len(values)
+    if n < 1 or n & (n - 1):
+        raise InvalidArgument("length must be a power of two")
+    out = _divide(_radix2(_to_arrays(values)), n)
     return _from_arrays(out, lane(*values) == EXTENDED)
 
 
@@ -280,29 +277,28 @@ def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
 
 
 def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
-                  cfg: TrackerConfig | None = None) -> CircleSamples:
-    """Newton-corrected samples x(t0 + step*w^k), k = 0..n-1, in
-    double-double, for any count n >= 1: the pipeline's power-of-two
-    circles and the reference tables' 17 and 65 samples all walk here.
+                  cfg: TrackerConfig | None = None,
+                  lift: bool = True) -> CircleSamples:
+    """Newton-corrected samples x(t0 + step*w^k), k = 0..n-1, for any count
+    n >= 1: the pipeline's power-of-two circles and the reference tables'
+    17 and 65 samples all walk here.
 
-    Both lanes walk in double, at cfg's tolerance or, when that is below
-    the double floor (the extended lane's), at the double default; then
-    all n samples are refined at once (_refine)."""
+    Both lanes walk in double from the demoted base point, at
+    walk_config(cfg); with lift, all n samples are then refined at once to
+    double-double (_refine), else they come back as the walk's complex."""
     _check_count(n)
-    if cfg is None or cfg.newton_tol < scalar_eps(DOUBLE):
-        cfg = default_config()
+    cfg = walk_config(cfg)
     _check_step(step)
     t0_ext = promote(base.t, EXTENDED)
     step_ext = ExtReal.from_value(float(step))
-    # real seeds stay real: real and complex powers round differently
-    seed = [complex(v) if is_extended(v) else v for v in base.x]
+    seed = demoted(base)
     t0_c = complex(base.t)
     if t0_c.imag == 0.0:
         # reach the first sample by continuation; one Newton leap from the
         # center is not reliable for systems with high-degree monomials
-        start = replace(base, t=t0_c.real, x=seed)
-        seed = track_to(h, start, t0_c.real + float(step), cfg).x
-    seed = [complex(v) for v in seed]
+        seed = track_to(h, replace(seed, t=t0_c.real),
+                        t0_c.real + float(step), cfg)
+    seed = [complex(v) for v in seed.x]
     t = t0_ext + step_ext * _complex(roots_of_unity(n))
     hops = _from_arrays(_quad(t), False)
     walk = [newton_correct(h, complex(t0_ext + step_ext), seed, cfg).x]
@@ -312,8 +308,9 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     drift = max(abs(a - b) for a, b in zip(walk.pop(), walk[0]))
     if drift > _WRAP_TOL * max(abs(v) for v in walk[0]):
         raise BranchJump("circle walk returned on a different branch")
-    values = [_from_arrays(_quad(v), True)
-              for v in _refine(h, t, np.array(walk, dtype=complex))]
+    walked = np.array(walk, dtype=complex)
+    values = ([_from_arrays(_quad(v), True) for v in _refine(h, t, walked)]
+              if lift else walked.T.tolist())
     return CircleSamples(t0=base.t, h=float(step), n=n, values=values)
 
 
@@ -336,21 +333,22 @@ def _step_powers(step: float, n: int) -> tuple:
 
 
 def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
-                        n: int, cfg: TrackerConfig | None = None) -> list:
-    """One TruncatedSeries per coordinate, truncation order n - 1; a step
-    whose power step^(n-1) underflows to zero is an InvalidArgument, raised
-    before the circle is walked."""
+                        n: int, cfg: TrackerConfig | None = None,
+                        lift: bool = True) -> list:
+    """One TruncatedSeries per coordinate, truncation order n - 1, in base's
+    lane, or in double without lift (sample_circle); a step whose power
+    step^(n-1) underflows to zero is an InvalidArgument, raised first."""
     if step is None:
         step = default_step(base.t)
     _check_count(n)
     _check_step(step)
     p_hi, p_lo = _step_powers(float(step), n)
-    samples = sample_circle(h, base, step, n, cfg)
+    samples = sample_circle(h, base, step, n, cfg, lift)
     raw = [_to_arrays(inverse_dft(coord)) for coord in samples.values]
     re_hi, re_lo, im_hi, im_lo = (np.array(p) for p in zip(*raw))
     scaled = (_dd_quotient(re_hi, re_lo, p_hi, p_lo)
               + _dd_quotient(im_hi, im_lo, p_hi, p_lo))
-    lane_extended = lane(base.t, *base.x) == EXTENDED
+    lane_extended = lift and lane(base.t, *base.x) == EXTENDED
     return [TruncatedSeries(_from_arrays(tuple(p[i] for p in scaled),
                                          lane_extended), order=n - 1)
             for i in range(len(raw))]

@@ -6,8 +6,8 @@ ratios at n = 2, 4, ..., 2^N kills the O(1/n) error terms one power at a
 time, and rescaling plus recentering (reconditioning) keeps the target
 singularity dominant so the limit is clean. The substitution t = t0 + r s
 is evaluated in the lane of s, never expanded into new coefficients. Both
-lanes track in double (a circle walk demotes its base point); the extended
-lane lifts only the series' base point, by one extended correction (_track).
+lanes run the same pole sweep, all in double; the extended lane lifts only
+the series' base point (_track) and the final circle (sample_circle).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .fourier import taylor_coefficients
 from .polysys import Homotopy
 from .scalars import EXTENDED, float_magnitude, lane, promote, scalar_eps
 from .series import TruncatedSeries
-from .tracker import (PathState, TrackerConfig, default_config,
-                      newton_correct, track_to)
+from .tracker import (PathState, TrackerConfig, default_config, demoted,
+                      newton_correct, track_to, walk_config)
 
 CONVERGED = "Converged"
 INCONCLUSIVE = "Inconclusive"
@@ -183,15 +183,13 @@ def _dominant_coordinate(series_list) -> int:
                key=lambda i: float_magnitude(series_list[i].coeffs[-1]))
 
 
-def _track(h: Homotopy, start: PathState, t: float, cfg: TrackerConfig,
-           lift: bool):
-    """track_to in double, back in start's lane; lift: one extended Newton."""
+def _track(h: Homotopy, start: PathState, t: float, cfg: TrackerConfig):
+    """track_to in double from the demoted start; an extended start's end
+    point is lifted back to its lane by one extended Newton correction."""
+    end = track_to(h, demoted(start), t, walk_config(cfg))
     if lane(*start.x) != EXTENDED:
-        return track_to(h, start, t, cfg)
-    end = track_to(h, replace(start, x=[complex(v) for v in start.x]), t,
-                   default_config())
-    x = [promote(v, EXTENDED) for v in end.x]
-    return newton_correct(h, end.t, x, cfg) if lift else replace(end, x=x)
+        return end
+    return newton_correct(h, end.t, [promote(v, EXTENDED) for v in end.x], cfg)
 
 
 def _checkpoint_estimate(h: Homotopy, state: PathState, radius: float,
@@ -205,7 +203,7 @@ def _checkpoint_estimate(h: Homotopy, state: PathState, radius: float,
     for _ in range(_SWEEP_RETRIES):
         try:
             series = taylor_coefficients(h, state, radius, _SWEEP_SAMPLES,
-                                         cfg)
+                                         cfg, lift=False)
         except (BranchJump, NoConvergence, SingularJacobian, StepUnderflow):
             radius *= 0.5
             continue
@@ -222,11 +220,10 @@ def detect_last_pole(h: Homotopy, start: PathState,
     Returns (rho, t_star, t0): the dominating complex pole (None when the
     endpoint is the only singularity in sight), the parameter where the pole
     and the endpoint are equidistant, and the recommended base point.
-    Each checkpoint is tracked to from the one before by _track, unlifted.
+    Both lanes sweep alike, in double from the demoted start (walk_config).
     """
-    if cfg is None:
-        cfg = default_config()
-    state = start
+    cfg = walk_config(cfg)
+    state = demoted(start)
     candidates = []
     first_clean = None
     clean_streak = vanish_streak = 0
@@ -235,7 +232,7 @@ def detect_last_pole(h: Homotopy, start: PathState,
     prev_z = None
     while 1.0 - t_c > _SWEEP_FLOOR:
         try:
-            state = _track(h, state, t_c, cfg, lift=False)
+            state = track_to(h, state, t_c, cfg)
         except (NoConvergence, StepUnderflow, SingularJacobian):
             break
         gap = 1.0 - t_c
@@ -289,13 +286,6 @@ def detect_last_pole(h: Homotopy, start: PathState,
 # full pipeline
 # ---------------------------------------------------------------------------
 
-def _next_power_of_two(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def locate_singularity(h: Homotopy, start: PathState, order: int,
                        cfg: TrackerConfig | None = None,
                        t0: float | None = None,
@@ -323,11 +313,11 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     if t0 is None:
         rho, t_star, t0 = detect_last_pole(h, start, cfg)
     t_detect = time.perf_counter()
-    state = _track(h, start, t0, cfg, lift=True)
+    state = _track(h, start, t0, cfg)
     hs = recondition(h, t0)
     base = PathState.from_point(hs, 0.0, state.x)
     t_track = time.perf_counter()
-    n_samples = _next_power_of_two(order + 2)
+    n_samples = 1 << (order + 1).bit_length()  # least 2^k >= order + 2
     series = taylor_coefficients(hs, base, step, n_samples, cfg)
     if coordinate is None:
         coordinate = _dominant_coordinate(series)

@@ -13,18 +13,16 @@ homotopy term once and shares the powers of each iterate between its
 residual and its Jacobian.
 
 One loop corrects in both lanes (``newton_correct`` on ``evaluate``,
-``jacobian`` and ``_solve_linear``). Its kernels read the homotopy's
-evaluation plan inline, keep powers in a plain dict and search pivots with
-an explicit loop, so a native value costs its arithmetic and little else.
-The only lane-dependent step is the magnitude of the relative test, the
-residual norm and the pivot search: ``abs`` on native float / complex
-values, ``float_magnitude`` on extended ones, picked once per correction.
-The two agree on native numbers, so the choice moves no bit.
+``jacobian`` and ``_solve_linear``). Only its magnitude is lane-dependent:
+``abs`` on native values, ``float_magnitude`` on extended ones, picked once
+per correction; the two agree on native numbers, so the choice moves no bit.
+Both lanes walk in double: ``demoted`` rounds a start's extended coordinates
+and ``walk_config`` picks the double tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +33,8 @@ from .errors import (
     StepUnderflow,
 )
 from .polysys import Homotopy, evaluate, jacobian, term_values
-from .scalars import DOUBLE, EXTENDED, float_magnitude, lane, scalar_eps
+from .scalars import (DOUBLE, EXTENDED, float_magnitude, is_extended, lane,
+                      scalar_eps)
 
 # fixed budgets: Newton iterations per correction; the tracker's first
 # (and, doubled, largest) step, its smallest step and its step count
@@ -77,6 +76,19 @@ def default_config(precision: str = DOUBLE) -> TrackerConfig:
     if precision == EXTENDED:
         return TrackerConfig(newton_tol=1e-26)
     return TrackerConfig(newton_tol=1e-12)
+
+
+def walk_config(cfg: TrackerConfig | None) -> TrackerConfig:
+    """cfg, or the double default if it is None or below the double floor."""
+    if cfg is None or cfg.newton_tol < scalar_eps(DOUBLE):
+        return default_config()
+    return cfg
+
+
+def demoted(state: PathState) -> PathState:
+    """Extended coordinates rounded to complex; real seeds stay real."""
+    return replace(state, x=[complex(v) if is_extended(v) else v
+                             for v in state.x])
 
 
 def _residual_norm(values) -> float:

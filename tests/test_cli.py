@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from singradar import fourier, radar
 from singradar.cli import gamma_from_seed, main
 from singradar.polysys import Homotopy, TMonomial, fixture, homotopy_to_json
 from singradar.radar import locate_singularity, richardson
+from singradar.scalars import is_extended
 from singradar.tracker import default_config, newton_correct
 
 OJIKA1_BASE = 0.955647336181678
@@ -350,6 +352,39 @@ def test_radius_lanes_follow_the_same_path(pinned, t0, z):
     assert double["rho"] == extended["rho"]
     assert abs(complex(*double["z"]) - complex(*extended["z"])) <= 1e-6
     assert abs(complex(*double["z"]) - z) <= 1e-6
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_radius_lifts_only_the_final_circle(monkeypatch, precision):
+    # the sweep reads its checkpoints from the walked double samples, so a
+    # run lifts one circle, the final one, and every checkpoint series is
+    # native complex in both lanes
+    lifts = []
+    refine = fourier._refine
+
+    def counted(*args):
+        lifts.append(args)
+        return refine(*args)
+
+    series = []
+    coefficients = radar.taylor_coefficients
+
+    def captured(*args, **kwargs):
+        series.append(coefficients(*args, **kwargs))
+        return series[-1]
+
+    monkeypatch.setattr(fourier, "_refine", counted)
+    monkeypatch.setattr(radar, "taylor_coefficients", captured)
+    code, _, _ = run_cli(["radius", "--fixture", "ojika1",
+                          "--precision", precision])
+    assert code == 0
+    assert len(lifts) == 1
+    *checkpoints, final = series
+    assert checkpoints
+    assert all(type(c) is complex
+               for s in checkpoints for c in s[0].coeffs + s[1].coeffs)
+    assert all(is_extended(c) == (precision == "extended")
+               for c in final[0].coeffs)
 
 
 @pytest.mark.parametrize("gamma", ["nan", "nan+1j"])

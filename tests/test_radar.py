@@ -437,6 +437,31 @@ def test_detect_seed7_pole_needs_the_half_radius_retry():
     assert abs(t_star - (1.0 - abs(p) ** 2) / (2.0 * (1.0 - p.real))) < 0.01
 
 
+@pytest.mark.parametrize("name,seed,x0", [
+    ("sqrt", None, (1.0,)),
+    ("ojika1", None, (1.0, 1.0)),
+    ("monomial4", None, (1.0,) * 4),
+    ("cusp", None, (1.0,)),
+    ("sqrt", 7, (1.0,)),
+    ("ojika1", None, (-1.0, 1.0)),
+    ("ojika1", None, (1.0, -1.0)),
+], ids=["sqrt", "ojika1", "monomial4", "cusp", "sqrt-seed7", "ojika1--1,1",
+        "ojika1-1,-1"])
+def test_detect_lanes_sweep_alike(name, seed, x0):
+    # the sweep demotes its start and tracks, walks and reads every
+    # checkpoint in double, so both lanes answer alike to the bit (the
+    # extended lane once differed in the last digits on seed 7 and -1,1)
+    h = fixture(name, None if seed is None else gamma_from_seed(seed))
+    answers = []
+    for precision in (DOUBLE, EXTENDED):
+        cfg = default_config(precision)
+        x = list(x0) if precision == DOUBLE else [promote(v, EXTENDED)
+                                                 for v in x0]
+        start = newton_correct(h, 0.0, x, cfg)
+        answers.append(detect_last_pole(h, start, cfg))
+    assert answers[0] == answers[1]
+
+
 def test_detect_stops_after_a_streak_of_vanishing_tails(monkeypatch):
     # cusp's path (1 - t)^2 is a polynomial, so the checkpoints at t = 0 and
     # 0.5 both read a vanishing tail and the sweep ends there, instead of
@@ -560,9 +585,9 @@ def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
     bases = []
     series = radar.taylor_coefficients
 
-    def captured(hs, base, *args):
+    def captured(hs, base, *args, **kwargs):
         bases.append(base)
-        return series(hs, base, *args)
+        return series(hs, base, *args, **kwargs)
 
     monkeypatch.setattr(radar, "taylor_coefficients", captured)
     h = fixture("ojika1")
@@ -583,22 +608,20 @@ def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
                                     ("ojika1", OJIKA1_BASE)])
 def test_double_track_lifted_once_matches_the_extended_track(name, t):
     # one extended correction of the double end point restores
-    # double-double accuracy: it agrees with a double-double track_to.
-    # Unlifted (the sweep's checkpoints), it is the double point promoted
+    # double-double accuracy: it agrees with a double-double track_to. A
+    # double start is tracked as it is, with no lift
     h = fixture(name)
     cfg = default_config(EXTENDED)
     start = newton_correct(h, 0.0, [promote(1.0, EXTENDED)] * h.dim, cfg)
-    lifted = radar._track(h, start, t, cfg, lift=True)
+    lifted = radar._track(h, start, t, cfg)
     ref = track_to(h, start, t, cfg)
     assert lifted.t == ref.t == t
     assert all(is_extended(v) for v in lifted.x)
     moved = max(float_magnitude(a - b) for a, b in zip(lifted.x, ref.x))
     assert moved <= 1e-28 * max(map(float_magnitude, ref.x))
-    plain = radar._track(h, start, t, cfg, lift=False)
     demoted = PathState.from_point(h, 0.0, [complex(v) for v in start.x])
     double = track_to(h, demoted, t, default_config())
-    assert all(is_extended(v) for v in plain.x)
-    assert [complex(v) for v in plain.x] == double.x
+    assert radar._track(h, demoted, t, default_config()).x == double.x
 
 
 def test_locate_double_lane_dominant_coordinate():

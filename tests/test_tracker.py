@@ -545,10 +545,10 @@ def test_track_trace_rows():
 
 
 @functools.lru_cache(maxsize=None)
-def ojika1_reference(start, t):
-    """ojika1's path from start at t = 0 to t by 1,000 equal double
+def path_reference(name, start, t):
+    """The fixture's path from start at t = 0 to t by 1,000 equal double
     newton_correct steps, each too short to leave the path."""
-    h = fixture("ojika1")
+    h = fixture(name)
     cfg = default_config()
     x = list(start)
     for k in range(1, 1001):
@@ -557,19 +557,24 @@ def ojika1_reference(start, t):
 
 
 @pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
-@pytest.mark.parametrize("start", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0),
-                                   (-1.0, -1.0)],
-                         ids=["1,1", "1,-1", "-1,1", "-1,-1"])
-def test_track_ojika1_keeps_the_path_on_every_route(start, precision):
+@pytest.mark.parametrize("name,start,targets", [
+    *[("ojika1", s, (0.9, OJIKA1_T0))
+      for s in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))],
+    ("monomial4", (1.0,) * 4, (0.9, 0.99)),
+    ("cusp", (1.0,), (0.9, 0.99)),
+], ids=["1,1", "1,-1", "-1,1", "-1,-1", "monomial4", "cusp"])
+def test_track_ojika1_keeps_the_path_on_every_route(name, start, targets,
+                                                    precision):
     # one call or through either checkpoint sequence, the track must end on
-    # the start's own path. Without the step guard, (1, -1) jumped to the
-    # (1, 1) path and (-1, 1) to the (-1, -1) one
-    h = fixture("ojika1")
+    # the start's own path. Without the step guard, ojika1's (1, -1) jumped
+    # to the (1, 1) path and (-1, 1) to the (-1, -1) one; monomial4 and cusp
+    # go from their all-ones start
+    h = fixture(name)
     cfg = default_config(precision)
     first = newton_correct(h, 0.0, [promote(v, precision) for v in start],
                            cfg)
-    for target in (0.9, OJIKA1_T0):
-        ref = ojika1_reference(start, target)
+    for target in targets:
+        ref = path_reference(name, start, target)
         for route in ((), (0.3, 0.6, 0.9), (0.5, 0.75, 0.875, 0.9375)):
             state = first
             for t in [c for c in route if c < target] + [target]:
@@ -585,7 +590,7 @@ def test_track_retries_a_step_that_jumps():
     start = PathState.from_point(h, 0.0, [-1.0, 1.0])
     rows = [start]
     out = track_to(h, start, 0.9, default_config(), trace=rows)
-    ref = ojika1_reference((-1.0, 1.0), 0.9)
+    ref = path_reference("ojika1", (-1.0, 1.0), 0.9)
     assert max(abs(a - b) for a, b in zip(out.x, ref)) <= (
         1e-10 * max(map(abs, ref)))
     for a, b in zip(rows, rows[1:]):
