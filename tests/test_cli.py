@@ -333,7 +333,7 @@ def test_radius_start_reaches_the_run():
 
 
 @pytest.mark.parametrize("pinned,t0,z", [
-    ([], 0.9812641550043867, 1.0000004676050833 - 4.6e-8j),
+    ([], 0.9812641550034839, 1.0000004676050833 - 4.6e-8j),
     (["--t0", repr(OJIKA1_BASE)], OJIKA1_BASE, 0.9999538304713781 - 3.01e-5j),
 ], ids=["sweep", "t0"])
 def test_radius_lanes_follow_the_same_path(pinned, t0, z):

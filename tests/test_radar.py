@@ -595,10 +595,10 @@ def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
     start = newton_correct(h, 0.0, [promote(1.0, EXTENDED),
                                     promote(-1.0, EXTENDED)], cfg)
     run = locate_singularity(h, start, 64, cfg)
-    assert run.t0 == 0.9812641550043867
+    assert run.t0 == 0.9812641550034839
     x = [complex(v) for v in bases[-1].x]
-    assert abs(x[0] - (0.964751153809947 - 0.13284929107864688j)) < 1e-12
-    assert abs(x[1] - (2.086912331024748 + 0.256234679292355j)) < 1e-12
+    assert abs(x[0] - (0.9647511538092635 - 0.13284929108341886j)) < 1e-12
+    assert abs(x[1] - (2.086912331027336 + 0.25623467930136784j)) < 1e-12
     assert run.status == "Converged"
     assert float_magnitude(run.z - 1.0) < 1e-6
 
