@@ -336,8 +336,8 @@ def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
                         n: int, cfg: TrackerConfig | None = None,
                         lift: bool = True) -> list:
     """One TruncatedSeries per coordinate, truncation order n - 1, in base's
-    lane, or in double without lift (sample_circle); a step whose power
-    step^(n-1) underflows to zero is an InvalidArgument, raised first."""
+    lane (lift as in sample_circle); a step whose power step^(n-1)
+    underflows to zero is an InvalidArgument, raised before the walk."""
     if step is None:
         step = default_step(base.t)
     _check_count(n)
@@ -348,7 +348,7 @@ def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
     re_hi, re_lo, im_hi, im_lo = (np.array(p) for p in zip(*raw))
     scaled = (_dd_quotient(re_hi, re_lo, p_hi, p_lo)
               + _dd_quotient(im_hi, im_lo, p_hi, p_lo))
-    lane_extended = lift and lane(base.t, *base.x) == EXTENDED
+    lane_extended = lane(base.t, *base.x) == EXTENDED
     return [TruncatedSeries(_from_arrays(tuple(p[i] for p in scaled),
                                          lane_extended), order=n - 1)
             for i in range(len(raw))]
