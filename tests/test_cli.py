@@ -382,9 +382,9 @@ def test_radius_lifts_only_the_final_circle(monkeypatch, precision):
     *checkpoints, final = series
     assert checkpoints
     assert all(type(c) is complex
-               for s in checkpoints for c in s[0].coeffs + s[1].coeffs)
+               for s in checkpoints for part in s for c in part.coeffs)
     assert all(is_extended(c) == (precision == "extended")
-               for c in final[0].coeffs)
+               for part in final for c in part.coeffs)
 
 
 @pytest.mark.parametrize("gamma", ["nan", "nan+1j"])
