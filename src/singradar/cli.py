@@ -179,7 +179,11 @@ def cmd_radius(args):
     tcfg = default_config(args.precision)
     gamma = args.gamma if args.seed is None else gamma_from_seed(args.seed)
     h, x0 = _load_homotopy(args.fixture, args.file, args.start, gamma)
-    start = _start_state(h, x0, args.precision, tcfg)
+    # corrected in double and promoted exactly: the pipeline walks in
+    # double, and its one lift is the final circle
+    start = _start_state(h, x0, DOUBLE, default_config())
+    if args.precision == EXTENDED:
+        start.x = [promote(v, EXTENDED) for v in start.x]
     run = locate_singularity(h, start, n, tcfg, t0=args.t0, step=args.step)
     report = {
         "command": "radius",

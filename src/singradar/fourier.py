@@ -42,9 +42,8 @@ from dataclasses import dataclass, replace
 
 from .errors import (BranchJump, InvalidArgument, NoConvergence,
                      SingularJacobian)
-from .polysys import Homotopy, evaluate, jacobian, term_values
+from .polysys import Homotopy
 from .scalars import (
-    DOUBLE,
     EXTENDED,
     ExtComplex,
     ExtReal,
@@ -56,17 +55,15 @@ from .scalars import (
     cdd_sub,
     dd_div,
     dd_mul,
-    float_magnitude,
     lane,
     promote,
     root_of_unity,
     roots_of_unity,
-    scalar_eps,
 )
 from .series import TruncatedSeries
-from .tracker import (_MAX_NEWTON_ITERS, PathState, TrackerConfig, _jumped,
-                      _solve_batch, _within, default_config, demoted,
-                      newton_correct, track_to, walk_config)
+from .tracker import (PathState, TrackerConfig, _jumped, _refine,
+                      default_config, demoted, newton_correct, track_to,
+                      walk_config)
 
 # imported after the package's own modules (scalars imports numpy): numpy
 # imported before them leaves the process's resident set about 0.6 MB larger
@@ -217,65 +214,6 @@ def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed, t_hop):
                     "sampling hops kept jumping at the finest subdivision")
 
 
-def _norms(values):
-    """newton_correct's residual norm, max_i |values_i|, per sample."""
-    return np.maximum.reduce([float_magnitude(v) for v in values])
-
-
-def _refine(h: Homotopy, t: ExtComplex, walked) -> list:
-    """Lift the walked double samples, an (n, dim) complex array, to
-    double-double at the batched angles t: one array-valued ExtComplex per
-    coordinate.
-
-    Mixed-precision iterative refinement: the residual is evaluated in
-    double-double, the correction solved in double with the Jacobian at
-    the hi parts, and added in double-double. The stopping rule is
-    newton_correct's, applied to every sample: each equation must reach
-    the extended relative tolerance, and one more step is kept where it
-    lowers the residual.
-    """
-    tol = default_config(EXTENDED).newton_tol
-    eps = scalar_eps(DOUBLE)
-    n = len(walked)
-    zero = np.zeros(n)
-    x = [_complex((c.real, zero, c.imag, zero)) for c in walked.T]
-    t_hi = t.re.hi + 1j * t.im.hi
-    q = term_values(h, t)
-    q_hi = term_values(h, t_hi)
-
-    def step(x, resid, active):
-        jac = np.empty((n, h.dim, h.dim), dtype=complex)
-        rows = jacobian(h, [v.re.hi + 1j * v.im.hi for v in x], t_hi, q_hi)
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                jac[:, i, j] = entry
-        rhs = np.empty((n, h.dim), dtype=complex)
-        for i, r in enumerate(resid):
-            rhs[:, i] = r.re.hi + 1j * r.im.hi
-        d_re = np.zeros((n, h.dim))
-        d_im = np.zeros((n, h.dim))
-        d_re[active], d_im[active] = _solve_batch(jac[active], rhs[active],
-                                                  eps)
-        return [v - _complex((a, 0.0, b, 0.0))
-                for v, a, b in zip(x, d_re.T, d_im.T)]
-
-    for it in range(_MAX_NEWTON_ITERS + 1):
-        scales = []
-        resid = evaluate(h, x, t, q, {}, scales)
-        active = ~np.logical_and.reduce(_within(resid, scales, tol))
-        if not active.any():
-            break
-        if it == _MAX_NEWTON_ITERS:
-            raise NoConvergence("refinement budget exhausted")
-        x = step(x, resid, active)
-    norms = _norms(resid)
-    polished = step(x, resid, norms != 0.0)
-    keep = _norms(evaluate(h, polished, t, q)) < norms
-    return [_complex(tuple(np.where(keep, a, b)
-                           for a, b in zip(_quad(p), _quad(v))))
-            for p, v in zip(polished, x)]
-
-
 def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
                   cfg: TrackerConfig | None = None,
                   lift: bool = True) -> CircleSamples:
@@ -309,8 +247,11 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     if drift > _WRAP_TOL * max(abs(v) for v in walk[0]):
         raise BranchJump("circle walk returned on a different branch")
     walked = np.array(walk, dtype=complex)
-    values = ([_from_arrays(_quad(v), True) for v in _refine(h, t, walked)]
-              if lift else walked.T.tolist())
+    if lift:
+        lifted, _ = _refine(h, t, walked, default_config(EXTENDED))
+        values = [_from_arrays(_quad(v), True) for v in lifted]
+    else:
+        values = walked.T.tolist()
     return CircleSamples(t0=base.t, h=float(step), n=n, values=values)
 
 

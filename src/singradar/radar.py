@@ -29,7 +29,7 @@ from .polysys import Homotopy
 from .scalars import EXTENDED, float_magnitude, lane, promote, scalar_eps
 from .series import TruncatedSeries
 from .tracker import (PathState, TrackerConfig, default_config, demoted,
-                      newton_correct, track_to, walk_config)
+                      track_to, walk_config)
 
 CONVERGED = "Converged"
 INCONCLUSIVE = "Inconclusive"
@@ -184,12 +184,13 @@ def _dominant_coordinate(series_list) -> int:
 
 
 def _track(h: Homotopy, start: PathState, t: float, cfg: TrackerConfig):
-    """track_to in double from the demoted start; an extended start's end
-    point is lifted back to its lane by one extended Newton correction."""
+    """track_to in double from the demoted start. An extended start's end
+    point comes back promoted exactly, unlifted: the type only carries the
+    lane to taylor_coefficients, whose final circle is the one lift."""
     end = track_to(h, demoted(start), t, walk_config(cfg))
     if lane(*start.x) != EXTENDED:
         return end
-    return newton_correct(h, end.t, [promote(v, EXTENDED) for v in end.x], cfg)
+    return replace(end, x=[promote(v, EXTENDED) for v in end.x])
 
 
 def _checkpoint_estimate(h: Homotopy, state: PathState, radius: float,

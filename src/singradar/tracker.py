@@ -12,12 +12,15 @@ A Newton correction runs at fixed t, so it evaluates the q(t) of every
 homotopy term once and shares the powers of each iterate between its
 residual and its Jacobian.
 
-One loop corrects in both lanes (``newton_correct`` on ``evaluate``,
-``jacobian`` and ``_solve_linear``). Only its magnitude is lane-dependent:
-``abs`` on native values, ``float_magnitude`` on extended ones, picked once
-per correction; the two agree on native numbers, so the choice moves no bit.
-Both lanes walk in double: ``demoted`` rounds a start's extended coordinates
-and ``walk_config`` picks the double tolerance.
+Newton runs in double only. ``_refine`` is the one producer of double-double
+points: it lifts k double points at once by mixed-precision iterative
+refinement (Moler, JACM 14, 1967), with the residual, q(t) included, in
+double-double at the exact t and the correction solved in double
+(``_solve_batch``, each system with ``_solve_linear``'s bits). An extended
+``newton_correct`` is a double correction lifted as one sample; the circle
+walk lifts its samples all at once. Both lanes walk in double: ``demoted``
+rounds a start's extended coordinates and ``walk_config`` picks the double
+tolerance.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .errors import (
     StepUnderflow,
 )
 from .polysys import Homotopy, evaluate, jacobian, term_values
-from .scalars import (DOUBLE, EXTENDED, float_magnitude, is_extended, lane,
-                      scalar_eps)
+from .scalars import (DOUBLE, EXTENDED, ExtComplex, _complex, _quad,
+                      float_magnitude, is_extended, lane, promote, scalar_eps)
 
 # fixed budgets: Newton iterations per correction; the tracker's first
 # (and, doubled, largest) step, its smallest step and its step count
@@ -85,10 +88,14 @@ def walk_config(cfg: TrackerConfig | None) -> TrackerConfig:
     return cfg
 
 
+def _double(v):
+    """v rounded to complex if extended; a native v, real or not, as is."""
+    return complex(v) if is_extended(v) else v
+
+
 def demoted(state: PathState) -> PathState:
     """Extended coordinates rounded to complex; real seeds stay real."""
-    return replace(state, x=[complex(v) if is_extended(v) else v
-                             for v in state.x])
+    return replace(state, x=[_double(v) for v in state.x])
 
 
 def _residual_norm(values) -> float:
@@ -107,21 +114,20 @@ def _jumped(before, after, floor: float = 0.0) -> bool:
     return moved > _WALK_GUARD * max(floor, *sizes)
 
 
-def _solve_linear(jac, rhs, eps: float, mag=float_magnitude):
-    """Partial-pivot elimination, generic over the scalar lane; one unknown
-    with a regular pivot takes the same single division directly. mag is
-    |.| (abs when every entry is native); the pivot is the first row of
-    largest magnitude."""
+def _solve_linear(jac, rhs, eps: float):
+    """Partial-pivot elimination on native numbers; one unknown with a
+    regular pivot takes the same single division directly. The pivot is the
+    first row of largest magnitude."""
     n = len(rhs)
-    if n == 1 and 0.0 < mag(jac[0][0]) < np.inf:
+    if n == 1 and 0.0 < abs(jac[0][0]) < np.inf:
         return [rhs[0] / jac[0][0]]
     m = [[*row, b] for row, b in zip(jac, rhs)]
-    floor = 1e3 * eps * max((mag(v) for row in jac for v in row),
+    floor = 1e3 * eps * max((abs(v) for row in jac for v in row),
                             default=0.0)
     for col in range(n):
-        piv, largest = col, mag(m[col][col])
+        piv, largest = col, abs(m[col][col])
         for r in range(col + 1, n):
-            size = mag(m[r][col])
+            size = abs(m[r][col])
             if size > largest:
                 piv, largest = r, size
         if largest <= floor:
@@ -200,6 +206,67 @@ def _solve_batch(jac, rhs, eps: float):
     return out_re, out_im
 
 
+def _norms(values):
+    """newton_correct's residual norm, max_i |values_i|, per point."""
+    return np.maximum.reduce([float_magnitude(v) for v in values])
+
+
+def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
+    """Lift k double points, a (k, dim) complex array, to double-double at
+    t, one ExtComplex (array parts give each point its own t). Returns one
+    array-valued ExtComplex per coordinate and the residual norm per point.
+
+    Mixed-precision iterative refinement: the residual is evaluated in
+    double-double, the correction solved in double with the Jacobian at
+    the hi parts, and added in double-double. The stopping rule is
+    newton_correct's, applied to every point: each equation must reach
+    cfg's relative tolerance, and one more step is kept where it lowers
+    the residual (none is taken when every residual is already zero).
+    """
+    eps = scalar_eps(DOUBLE)
+    n = len(walked)
+    zero = np.zeros(n)
+    x = [_complex((c.real, zero, c.imag, zero)) for c in walked.T]
+    t_hi = t.re.hi + 1j * t.im.hi
+    q = term_values(h, t)
+    q_hi = term_values(h, t_hi)
+
+    def step(x, resid, active):
+        jac = np.empty((n, h.dim, h.dim), dtype=complex)
+        rows = jacobian(h, [v.re.hi + 1j * v.im.hi for v in x], t_hi, q_hi)
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                jac[:, i, j] = entry
+        rhs = np.empty((n, h.dim), dtype=complex)
+        for i, r in enumerate(resid):
+            rhs[:, i] = r.re.hi + 1j * r.im.hi
+        d_re = np.zeros((n, h.dim))
+        d_im = np.zeros((n, h.dim))
+        d_re[active], d_im[active] = _solve_batch(jac[active], rhs[active],
+                                                  eps)
+        return [v - _complex((a, 0.0, b, 0.0))
+                for v, a, b in zip(x, d_re.T, d_im.T)]
+
+    for it in range(_MAX_NEWTON_ITERS + 1):
+        scales = []
+        resid = evaluate(h, x, t, q, {}, scales)
+        active = ~np.logical_and.reduce(_within(resid, scales, cfg.newton_tol))
+        if not active.any():
+            break
+        if it == _MAX_NEWTON_ITERS:
+            raise NoConvergence("refinement budget exhausted")
+        x = step(x, resid, active)
+    norms = _norms(resid)
+    if not norms.any():
+        return x, norms
+    polished = step(x, resid, norms != 0.0)
+    after = _norms(evaluate(h, polished, t, q))
+    keep = after < norms
+    return ([_complex(tuple(np.where(keep, a, b)
+                            for a, b in zip(_quad(p), _quad(v))))
+             for p, v in zip(polished, x)], np.where(keep, after, norms))
+
+
 def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
                    history: list | None = None) -> PathState:
     """Correct x0 to h(x, t) = 0 at fixed t, to cfg's relative tolerance.
@@ -211,38 +278,44 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
 
     t is fixed, so every term's q(t) is evaluated once per call, and the
     powers of each iterate are shared by its residual and its Jacobian.
-    Magnitudes are abs in the double lane and float_magnitude in the
-    extended one (module docstring).
+    Newton runs in double, at walk_config(cfg) when t or x0 is extended;
+    the double point is then lifted to cfg's tolerance as one sample of
+    _refine at the exact t. Iterations and history are the double loop's.
     """
-    x = list(x0)
-    precision = lane(t, *x)
-    eps = scalar_eps(precision)
-    tol = cfg.newton_tol
-    if tol < eps:
+    precision = lane(t, *x0)
+    if cfg.newton_tol < scalar_eps(precision):
         raise InvalidArgument("newton_tol below the active precision floor")
-    mag = abs if precision == DOUBLE else float_magnitude
-    q = term_values(h, t)
+    tol = walk_config(cfg).newton_tol
+    eps = scalar_eps(DOUBLE)
+    t_walk = _double(t)
+    x = [_double(v) for v in x0]
+    q = term_values(h, t_walk)
     iterations = None
     for it in range(_MAX_NEWTON_ITERS + 1):
         powers = {}
         scales = []
-        resid = evaluate(h, x, t, q, powers, scales, mag)
-        if all([mag(r) <= tol * s for r, s in zip(resid, scales)]):
+        resid = evaluate(h, x, t_walk, q, powers, scales, abs)
+        if all([abs(r) <= tol * s for r, s in zip(resid, scales)]):
             iterations = it
             break
         if it == _MAX_NEWTON_ITERS:
             raise NoConvergence("newton iteration budget exhausted")
-        delta = _solve_linear(jacobian(h, x, t, q, powers), resid, eps, mag)
+        delta = _solve_linear(jacobian(h, x, t_walk, q, powers), resid, eps)
         x = [xi - di for xi, di in zip(x, delta)]
         if history is not None:
             history.append(list(x))
-    residual = max(map(mag, resid), default=0.0)
+    residual = max(map(abs, resid), default=0.0)
     if residual != 0.0:
-        delta = _solve_linear(jacobian(h, x, t, q, powers), resid, eps, mag)
+        delta = _solve_linear(jacobian(h, x, t_walk, q, powers), resid, eps)
         polished = [xi - di for xi, di in zip(x, delta)]
-        after = max(map(mag, evaluate(h, polished, t, q)), default=0.0)
+        after = max(map(abs, evaluate(h, polished, t_walk, q)), default=0.0)
         if after < residual:
             x, residual = polished, after
+    if precision == EXTENDED:
+        lifted, norms = _refine(h, promote(t, EXTENDED),
+                                np.array([x], dtype=complex), cfg)
+        x = [_complex([float(p[0]) for p in _quad(v)]) for v in lifted]
+        residual = float(norms[0])
     return PathState(t=t, x=x, residual=residual, newton_iterations=iterations)
 
 

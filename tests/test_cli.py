@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from singradar import fourier, radar
+from singradar import cli, fourier, radar, tracker
 from singradar.cli import gamma_from_seed, main
 from singradar.polysys import Homotopy, TMonomial, fixture, homotopy_to_json
 from singradar.radar import locate_singularity, richardson
-from singradar.scalars import is_extended
+from singradar.scalars import DOUBLE, is_extended, lane
 from singradar.tracker import default_config, newton_correct
 
 OJIKA1_BASE = 0.955647336181678
@@ -356,15 +356,24 @@ def test_radius_lanes_follow_the_same_path(pinned, t0, z):
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
 def test_radius_lifts_only_the_final_circle(monkeypatch, precision):
-    # the sweep reads its checkpoints from the walked double samples, so a
-    # run lifts one circle, the final one, and every checkpoint series is
-    # native complex in both lanes
+    # the sweep reads its checkpoints from the walked double samples, and
+    # the start and the base point are corrected and tracked in double, so
+    # a run lifts one circle, the final one, counted at both names of the
+    # one lift; no Newton correction sees an extended value, and every
+    # checkpoint series is native complex in both lanes
     lifts = []
-    refine = fourier._refine
+    for module in (tracker, fourier):
+        def counted(*args, refine=module._refine):
+            lifts.append(args)
+            return refine(*args)
+        monkeypatch.setattr(module, "_refine", counted)
 
-    def counted(*args):
-        lifts.append(args)
-        return refine(*args)
+    corrected = []
+    for module in (tracker, fourier, cli):
+        def corrector(h, t, x0, *args, correct=module.newton_correct):
+            corrected.append(lane(t, *x0))
+            return correct(h, t, x0, *args)
+        monkeypatch.setattr(module, "newton_correct", corrector)
 
     series = []
     coefficients = radar.taylor_coefficients
@@ -373,12 +382,12 @@ def test_radius_lifts_only_the_final_circle(monkeypatch, precision):
         series.append(coefficients(*args, **kwargs))
         return series[-1]
 
-    monkeypatch.setattr(fourier, "_refine", counted)
     monkeypatch.setattr(radar, "taylor_coefficients", captured)
     code, _, _ = run_cli(["radius", "--fixture", "ojika1",
                           "--precision", precision])
     assert code == 0
     assert len(lifts) == 1
+    assert corrected and set(corrected) == {DOUBLE}
     *checkpoints, final = series
     assert checkpoints
     assert all(type(c) is complex
@@ -463,6 +472,21 @@ def test_track_cusp_path_values():
     for row in rows:
         t, re, im = float(row[0]), float(row[1]), float(row[2])
         assert abs(complex(re, im) - (1.0 - t) ** 2) <= 1e-10
+
+
+def test_track_cusp_extended_rows_sit_on_the_path():
+    # every row is a double step lifted at its exact t, so it is
+    # double-double accurate even where q = (t - 1)^4 cancels in double;
+    # each lifted at a float t, in double, rows were up to 41% off
+    code, out, _ = run_cli(["track", "--fixture", "cusp",
+                            "--precision", "extended"])
+    _, rows = parse_csv(out)
+    assert code == 1 and len(rows) > 20
+    for row in rows:
+        t, x = Fraction(float(row[0])), Fraction(float(row[1]))
+        exact = (1 - t) ** 2
+        assert abs(x - exact) <= Fraction(1e-14) * exact, row
+        assert row[2] == "0.0"
 
 
 def test_track_ojika1_reaches_target():

@@ -33,6 +33,8 @@ from singradar.scalars import (
 from singradar.tracker import (PathState, default_config, newton_correct,
                                track_to)
 
+from mp_oracle import mp_solve, mp_value
+
 
 def exact_sqrt_coeff(k):
     c = Fraction(1)
@@ -204,11 +206,6 @@ def test_direct_bit_identical_to_object_kernel(m):
                              reference_direct_inverse_dft(v), extended)
 
 
-def mp_value(v):
-    return mpmath.mpc(mpmath.mpf(v.re.hi) + mpmath.mpf(v.re.lo),
-                      mpmath.mpf(v.im.hi) + mpmath.mpf(v.im.lo))
-
-
 def test_root_of_unity_mpmath_oracle():
     with mpmath.workdps(50):
         for n, k in ((3, 1), (5, 2), (7, 3), (12, 5), (17, 4), (64, 9),
@@ -345,38 +342,6 @@ def test_double_lane_negative_exponent_mpmath_oracle():
     base = PathState.from_point(h, 0.0, [1.0])
     s = sample_circle(h, base, 0.5, 128, default_config())
     assert sqrt_path_error(s.values[0], 128, 0.5) <= 1e-31
-
-
-def mp_residual(h, x, t):
-    """The original homotopy h(x, t) and its Jacobian in mpmath, from the
-    stored t_coeffs and monomials; the chart is not used."""
-    f = [mpmath.mpc(0)] * h.dim
-    jac = mpmath.zeros(h.dim, h.dim)
-    for i, eq in enumerate(h.equations):
-        for term in eq:
-            q = mpmath.polyval([mpmath.mpc(c) for c in term.t_coeffs[::-1]], t)
-            for mono in term.poly:
-                c = q * mpmath.mpc(mono.coefficient)
-                f[i] += c * mpmath.fprod(v ** e for v, e in
-                                         zip(x, mono.exponents))
-                for j, e in enumerate(mono.exponents):
-                    if e:
-                        jac[i, j] += c * e * mpmath.fprod(
-                            v ** (d - (k == j)) for k, (v, d) in
-                            enumerate(zip(x, mono.exponents)))
-    return f, jac
-
-
-def mp_solve(h, x, t):
-    """Newton on the original h at t from x, to 50 digits."""
-    x = mpmath.matrix(x)
-    for _ in range(8):
-        f, jac = mp_residual(h, list(x), t)
-        delta = mpmath.lu_solve(jac, mpmath.matrix(f))
-        x -= delta
-        if mpmath.norm(delta) <= mpmath.mpf(10) ** -45 * mpmath.norm(x):
-            return list(x)
-    raise AssertionError("mpmath Newton did not converge")
 
 
 @pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])

@@ -36,9 +36,12 @@ from singradar.series import TruncatedSeries
 from singradar.tracker import (
     PathState,
     default_config,
+    demoted,
     newton_correct,
     track_to,
 )
+
+from mp_oracle import exact_point, lift_tolerance, relative_error
 
 
 def exact_sqrt_coeff(k):
@@ -553,31 +556,6 @@ def test_locate_extended_lane_monomial_system():
     assert float_magnitude(est.z - 1.0) <= 1e-8
 
 
-def test_locate_extended_base_point_meets_the_extended_tolerance(
-        monkeypatch):
-    # with t0 given, the extended lane tracks from the start to t0 in
-    # double and lifts the end point: the base point must come out in the
-    # lane, to the lane's relative tolerance
-    bases = []
-    series = radar.taylor_coefficients
-
-    def captured(hs, base, *args):
-        bases.append((hs, base))
-        return series(hs, base, *args)
-
-    monkeypatch.setattr(radar, "taylor_coefficients", captured)
-    h = fixture("ojika1")
-    cfg = default_config(EXTENDED)
-    start = newton_correct(h, 0.0, [promote(1.0, EXTENDED)] * 2, cfg)
-    run = locate_singularity(h, start, 16, cfg, t0=OJIKA1_BASE)
-    assert run.t0 == OJIKA1_BASE
-    [(hs, base)] = bases
-    assert all(is_extended(v) for v in base.x)
-    scales = []
-    resid = evaluate(hs, base.x, base.t, scales=scales)
-    assert all(tracker._within(resid, scales, cfg.newton_tol))
-
-
 def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
     # from (1, -1) an unguarded one-call double track of ojika1 to t0
     # jumped to the (1, 1) path. The base point must stay on the path the
@@ -607,21 +585,24 @@ def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
                                     ("monomial4", 0.3), ("cusp", 0.3),
                                     ("ojika1", OJIKA1_BASE)])
 def test_double_track_lifted_once_matches_the_extended_track(name, t):
-    # one extended correction of the double end point restores
-    # double-double accuracy: it agrees with a double-double track_to. A
-    # double start is tracked as it is, with no lift
+    # _track carries an extended start's lane on the double end point,
+    # promoted exactly. Lifted once at the exact t, that point meets the
+    # 50-digit root there, as the extended track_to's end point does. A
+    # double start is tracked as it is
     h = fixture(name)
     cfg = default_config(EXTENDED)
     start = newton_correct(h, 0.0, [promote(1.0, EXTENDED)] * h.dim, cfg)
-    lifted = radar._track(h, start, t, cfg)
-    ref = track_to(h, start, t, cfg)
-    assert lifted.t == ref.t == t
-    assert all(is_extended(v) for v in lifted.x)
-    moved = max(float_magnitude(a - b) for a, b in zip(lifted.x, ref.x))
-    assert moved <= 1e-28 * max(map(float_magnitude, ref.x))
-    demoted = PathState.from_point(h, 0.0, [complex(v) for v in start.x])
-    double = track_to(h, demoted, t, default_config())
-    assert radar._track(h, demoted, t, default_config()).x == double.x
+    end = radar._track(h, start, t, cfg)
+    double = track_to(h, demoted(start), t, default_config())
+    assert end.t == t
+    assert end.x == [promote(v, EXTENDED) for v in double.x]
+    exact = exact_point(h, t, double.x)
+    lifted = newton_correct(h, t, end.x, cfg)
+    for point in (lifted, track_to(h, start, t, cfg)):
+        assert point.t == t
+        assert all(is_extended(v) for v in point.x)
+        assert relative_error(point.x, exact) <= lift_tolerance(h, t)
+    assert radar._track(h, demoted(start), t, default_config()).x == double.x
 
 
 def test_locate_double_lane_dominant_coordinate():
