@@ -179,8 +179,7 @@ def cmd_radius(args):
     tcfg = default_config(args.precision)
     gamma = args.gamma if args.seed is None else gamma_from_seed(args.seed)
     h, x0 = _load_homotopy(args.fixture, args.file, args.start, gamma)
-    # corrected in double and promoted exactly: the pipeline walks in
-    # double, and its one lift is the final circle
+    # in double, promoted exactly: the run's one lift is the final circle
     start = _start_state(h, x0, DOUBLE, default_config())
     if args.precision == EXTENDED:
         start.x = [promote(v, EXTENDED) for v in start.x]

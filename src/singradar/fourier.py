@@ -12,17 +12,12 @@ table, and an unsubdivided hop is corrected at its angle rounded to
 double: the same bits as the scalar product t0 + step*w^k rounded (a
 subdivided hop and the first sample still form theirs one at a time).
 Both lanes walk in double. The final circle then lifts all n samples at once
-to double-double by mixed-precision iterative refinement (Moler, JACM 14,
-1967): the residual is evaluated in double-double on one ExtComplex per
-coordinate whose parts are (n,) arrays, and the correction is solved in
-double with the Jacobian at the hi parts, for all samples at once by an
-elimination that gives each sample the bits of the scalar one
-(``tracker._solve_batch``). The walk and the refinement stop on residuals
-relative to each equation's term sizes (TrackerConfig), so a scaled
-equation or coordinate walks the same way. Lifted samples are double-double
-in either lane, so the exactly representable roots of unity keep the
-transform's rounding out of the coefficient error; the pole sweep's
-checkpoints read the walked double samples unlifted (``lift=False``).
+to double-double (``tracker._refine``). The walk and the lift stop on
+residuals relative to each equation's term sizes (TrackerConfig), so a
+scaled equation or coordinate walks the same way. Lifted samples are
+double-double in either lane, so the exactly representable roots of unity
+keep the transform's rounding out of the coefficient error; the pole
+sweep's checkpoints read the walked double samples unlifted (``lift=False``).
 
 The transforms run double-double arithmetic element-wise on four float64
 arrays (re.hi, re.lo, im.hi, im.lo): an iterative radix-2 kernel (bit-reversal
@@ -222,8 +217,9 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     17 and 65 samples all walk here.
 
     Both lanes walk in double from the demoted base point, at
-    walk_config(cfg); with lift, all n samples are then refined at once to
-    double-double (_refine), else they come back as the walk's complex."""
+    walk_config(cfg), so base's lane is not read; with lift, all n samples
+    are then lifted at once to double-double (_refine, at the extended
+    default tolerance), else they come back as the walk's complex."""
     _check_count(n)
     cfg = walk_config(cfg)
     _check_step(step)
@@ -278,7 +274,9 @@ def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
                         lift: bool = True) -> list:
     """One TruncatedSeries per coordinate, truncation order n - 1, in base's
     lane (lift as in sample_circle); a step whose power step^(n-1)
-    underflows to zero is an InvalidArgument, raised before the walk."""
+    underflows to zero is an InvalidArgument, raised before the walk. An
+    extended base only carries the lane: the samples never read its lo
+    parts, and the pipeline's base is an exact promoted double point."""
     if step is None:
         step = default_step(base.t)
     _check_count(n)

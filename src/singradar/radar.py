@@ -6,8 +6,8 @@ ratios at n = 2, 4, ..., 2^N kills the O(1/n) error terms one power at a
 time, and rescaling plus recentering (reconditioning) keeps the target
 singularity dominant so the limit is clean. The substitution t = t0 + r s
 is evaluated in the lane of s, never expanded into new coefficients. Both
-lanes run the same pole sweep, all in double; the extended lane lifts only
-the series' base point (_track) and the final circle (sample_circle).
+lanes run the same pole sweep and track to t0, all in double; a run lifts
+only the final circle (sample_circle), in either lane.
 """
 
 from __future__ import annotations
@@ -183,16 +183,6 @@ def _dominant_coordinate(series_list) -> int:
                key=lambda i: float_magnitude(series_list[i].coeffs[-1]))
 
 
-def _track(h: Homotopy, start: PathState, t: float, cfg: TrackerConfig):
-    """track_to in double from the demoted start. An extended start's end
-    point comes back promoted exactly, unlifted: the type only carries the
-    lane to taylor_coefficients, whose final circle is the one lift."""
-    end = track_to(h, demoted(start), t, walk_config(cfg))
-    if lane(*start.x) != EXTENDED:
-        return end
-    return replace(end, x=[promote(v, EXTENDED) for v in end.x])
-
-
 def _checkpoint_estimate(h: Homotopy, state: PathState, radius: float,
                          cfg: TrackerConfig):
     """Fabry estimate at one checkpoint, shrinking the circle on failure.
@@ -300,6 +290,9 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     down or up to a power of two (order 126 gives 64, order 127 gives 128).
     Pass t0 in [0, 1) to skip pole detection and recondition at a known
     base point, and step to override the sampling radius in s units.
+    An extended start only carries the lane to taylor_coefficients: it is
+    demoted for the sweep and the track, and the base point is their double
+    end point, promoted exactly.
     """
     if order < 4:
         raise InvalidArgument("need order at least 4")
@@ -314,9 +307,11 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     if t0 is None:
         rho, t_star, t0 = detect_last_pole(h, start, cfg)
     t_detect = time.perf_counter()
-    state = _track(h, start, t0, cfg)
+    x = track_to(h, demoted(start), t0, walk_config(cfg)).x
+    if lane(*start.x) == EXTENDED:  # the lane rides on x, unlifted
+        x = [promote(v, EXTENDED) for v in x]
     hs = recondition(h, t0)
-    base = PathState.from_point(hs, 0.0, state.x)
+    base = PathState.from_point(hs, 0.0, x)
     t_track = time.perf_counter()
     n_samples = 1 << (order + 1).bit_length()  # least 2^k >= order + 2
     series = taylor_coefficients(hs, base, step, n_samples, cfg)

@@ -12,15 +12,11 @@ A Newton correction runs at fixed t, so it evaluates the q(t) of every
 homotopy term once and shares the powers of each iterate between its
 residual and its Jacobian.
 
-Newton runs in double only. ``_refine`` is the one producer of double-double
-points: it lifts k double points at once by mixed-precision iterative
-refinement (Moler, JACM 14, 1967), with the residual, q(t) included, in
-double-double at the exact t and the correction solved in double
-(``_solve_batch``, each system with ``_solve_linear``'s bits). An extended
-``newton_correct`` is a double correction lifted as one sample; the circle
-walk lifts its samples all at once. Both lanes walk in double: ``demoted``
-rounds a start's extended coordinates and ``walk_config`` picks the double
-tolerance.
+Newton runs in double; ``_refine`` alone makes double-double points, by
+mixed-precision refinement of k double points at once (Moler, JACM 14,
+1967). An extended ``newton_correct`` is a double one lifted as one sample;
+a circle lifts all its samples together. Both lanes walk in double:
+``demoted`` rounds extended coordinates, ``walk_config`` picks the tolerance.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ class PathState:
     @classmethod
     def from_point(cls, h: Homotopy, t, x, newton_iterations: int = 0):
         """Build a state with the residual recomputed."""
-        res = _residual_norm(evaluate(h, list(x), t))
+        res = float(_norms(evaluate(h, list(x), t)))
         return cls(t=t, x=list(x), residual=res,
                    newton_iterations=newton_iterations)
 
@@ -98,13 +94,10 @@ def demoted(state: PathState) -> PathState:
     return replace(state, x=[_double(v) for v in state.x])
 
 
-def _residual_norm(values) -> float:
-    return max((float_magnitude(v) for v in values), default=0.0)
-
-
-def _within(resid, scales, tol: float) -> list:
-    """Per equation, |h_i| <= tol * scale_i (element-wise on arrays)."""
-    return [float_magnitude(r) <= tol * s for r, s in zip(resid, scales)]
+def _norms(values):
+    """The residual norm max_i |values_i|, per point on array values."""
+    return np.maximum.reduce([float_magnitude(v) for v in values],
+                             initial=0.0)
 
 
 def _jumped(before, after, floor: float = 0.0) -> bool:
@@ -206,24 +199,19 @@ def _solve_batch(jac, rhs, eps: float):
     return out_re, out_im
 
 
-def _norms(values):
-    """newton_correct's residual norm, max_i |values_i|, per point."""
-    return np.maximum.reduce([float_magnitude(v) for v in values])
-
-
 def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
     """Lift k double points, a (k, dim) complex array, to double-double at
     t, one ExtComplex (array parts give each point its own t). Returns one
     array-valued ExtComplex per coordinate and the residual norm per point.
 
-    Mixed-precision iterative refinement: the residual is evaluated in
-    double-double, the correction solved in double with the Jacobian at
-    the hi parts, and added in double-double. The stopping rule is
-    newton_correct's, applied to every point: each equation must reach
-    cfg's relative tolerance, and one more step is kept where it lowers
-    the residual (none is taken when every residual is already zero).
+    The residual, q(t) included, is evaluated in double-double at the
+    exact t, the correction solved in double with the Jacobian at the hi
+    parts (_solve_batch, each point with _solve_linear's bits) and added in
+    double-double. The stopping rule is newton_correct's for every point:
+    each equation within cfg's relative tolerance, then one more step, kept
+    where it lowers the residual (none when every residual is zero).
     """
-    eps = scalar_eps(DOUBLE)
+    tol, eps = cfg.newton_tol, scalar_eps(DOUBLE)
     n = len(walked)
     zero = np.zeros(n)
     x = [_complex((c.real, zero, c.imag, zero)) for c in walked.T]
@@ -250,7 +238,8 @@ def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
     for it in range(_MAX_NEWTON_ITERS + 1):
         scales = []
         resid = evaluate(h, x, t, q, {}, scales)
-        active = ~np.logical_and.reduce(_within(resid, scales, cfg.newton_tol))
+        active = ~np.logical_and.reduce([float_magnitude(r) <= tol * s
+                                         for r, s in zip(resid, scales)])
         if not active.any():
             break
         if it == _MAX_NEWTON_ITERS:

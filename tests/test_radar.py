@@ -584,25 +584,35 @@ def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
 @pytest.mark.parametrize("name,t", [("sqrt", 0.3), ("ojika1", 0.3),
                                     ("monomial4", 0.3), ("cusp", 0.3),
                                     ("ojika1", OJIKA1_BASE)])
-def test_double_track_lifted_once_matches_the_extended_track(name, t):
-    # _track carries an extended start's lane on the double end point,
-    # promoted exactly. Lifted once at the exact t, that point meets the
-    # 50-digit root there, as the extended track_to's end point does. A
-    # double start is tracked as it is
+def test_double_track_lifted_once_matches_the_extended_track(
+        monkeypatch, name, t):
+    # locate_singularity tracks the start to t0 in double and hands
+    # taylor_coefficients the end point, promoted exactly for an extended
+    # start, so the lane rides on it unlifted. Lifted once at the exact t,
+    # that point meets the 50-digit root there, as the extended track_to's
+    # end point does
+    bases = []
+    series = radar.taylor_coefficients
+
+    def captured(hs, base, *args, **kwargs):
+        bases.append(base)
+        return series(hs, base, *args, **kwargs)
+
+    monkeypatch.setattr(radar, "taylor_coefficients", captured)
     h = fixture(name)
     cfg = default_config(EXTENDED)
     start = newton_correct(h, 0.0, [promote(1.0, EXTENDED)] * h.dim, cfg)
-    end = radar._track(h, start, t, cfg)
     double = track_to(h, demoted(start), t, default_config())
-    assert end.t == t
-    assert end.x == [promote(v, EXTENDED) for v in double.x]
+    promoted = [promote(v, EXTENDED) for v in double.x]
+    locate_singularity(h, start, 16, cfg, t0=t)
+    locate_singularity(h, demoted(start), 16, default_config(), t0=t)
+    assert [base.x for base in bases] == [promoted, double.x]
     exact = exact_point(h, t, double.x)
-    lifted = newton_correct(h, t, end.x, cfg)
+    lifted = newton_correct(h, t, promoted, cfg)
     for point in (lifted, track_to(h, start, t, cfg)):
         assert point.t == t
         assert all(is_extended(v) for v in point.x)
         assert relative_error(point.x, exact) <= lift_tolerance(h, t)
-    assert radar._track(h, demoted(start), t, default_config()).x == double.x
 
 
 def test_locate_double_lane_dominant_coordinate():
