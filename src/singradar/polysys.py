@@ -14,8 +14,8 @@ lower into terms as follows:
 A homotopy's chart t = t0 + (1 - t0)*s (the identity t0 = 0 unless
 ``radar.recondition`` set it) leaves every q in the original t:
 ``term_values``, the one place q is evaluated, substitutes t0 + (1 - t0)*s
-in the lane of s (double in the walk, double-double arrays in the circle
-refinement) and skips the identity.
+in the lane of s (double in Newton and the walk, double-double arrays in
+``tracker._refine``) and skips the identity.
 
 ``evaluate`` and ``jacobian`` run one loop over the terms for every input
 and lane, reading the plan each Homotopy builds of itself on construction:
