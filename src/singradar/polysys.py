@@ -17,18 +17,18 @@ A homotopy's chart t = t0 + (1 - t0)*s (the identity t0 = 0 unless
 in the lane of s (double in Newton and the walk, double-double arrays in
 ``tracker._refine``) and skips the identity.
 
-``evaluate`` and ``jacobian`` run one loop over the terms for every input
-and lane, reading the plan each Homotopy builds of itself on construction:
-the nonzero (i, e) pairs of every monomial and of every Jacobian partial.
-Each power x_i^e is computed once per point, in a plain dict filled on
-first use, and shared by the residual and every Jacobian partial; the q(t)
-of every term (``term_values``) can be computed once per t: a Newton
-correction, whose t is fixed, passes both in. Products keep the order of
-the unshared formulas, so the shared work changes no bit of any value.
-The products are inlined, so a native value costs its arithmetic and a
-dict lookup per power; the one lane-dependent step, the magnitude of a
-residual's term sizes, is ``abs`` or ``float_magnitude`` as the caller
-passes it (the two agree on native numbers).
+``evaluate`` and ``jacobian`` call two straight-line programs that each
+Homotopy generates of itself on construction (``_programs``). They repeat a
+loop over equations, terms and monomials in its order, so every value keeps
+its bits, a zero's sign included: each power x_i^e is formed once per call
+(``x[i] ** e``, or ``_power``, which rejects a zero base, for e < 0), and
+coefficients are names bound in the programs' namespace, not printed in
+their source. The residual program also returns each equation's size
+sum_terms |q(t)*P(x)| under the caller's magnitude, ``abs`` or
+``float_magnitude`` (alike on native numbers). Using only ``*``, ``+`` and
+``**``, one program serves scalar doubles and double-doubles and
+``tracker._refine``'s array-part ExtComplex values. The q(t) of every term
+(``term_values``) can be computed once per t and passed in.
 """
 
 from __future__ import annotations
@@ -103,46 +103,74 @@ class Homotopy:
     def __post_init__(self):
         if len(self.equations) != self.dim:
             raise InvalidArgument("a homotopy needs one equation per unknown")
-        for eq in self.equations:
-            for term in eq:
-                for mono in term.poly:
-                    if len(mono.exponents) != self.dim:
-                        raise InvalidArgument("exponent vector length != dim")
-        self._values, self._partials = _evaluation_plan(self.equations)
-
-
-def _nonzero(exponents) -> tuple:
-    return tuple((i, e) for i, e in enumerate(exponents) if e != 0)
-
-
-def _evaluation_plan(equations) -> tuple:
-    """What evaluate and jacobian read, per equation and term: each
-    monomial as (coefficient, its nonzero (i, e) pairs in order of i), and
-    each nonzero partial d/dx_j of each monomial as (j, e, coefficient,
-    pairs of the exponents with e - 1 at j), in the order jacobian sums
-    them."""
-    values = tuple(tuple(tuple((m.coefficient, _nonzero(m.exponents))
-                               for m in term.poly) for term in eq)
-                   for eq in equations)
-    partials = tuple(tuple(tuple(
-        (j, e, m.coefficient,
-         _nonzero(m.exponents[:j] + (e - 1,) + m.exponents[j + 1:]))
-        for m in term.poly for j, e in enumerate(m.exponents) if e != 0)
-        for term in eq) for eq in equations)
-    return values, partials
+        self._residual, self._jacobian = _programs(self.equations)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _power(x, key):
-    """x_i ** e for the nonzero (i, e) key of an evaluation plan."""
-    i, e = key
-    base = x[i]
-    if e < 0 and np.any(float_magnitude(base) == 0.0):
+def _power(base, e: int):
+    """base ** e for a negative e; a zero base is singular."""
+    if np.any(float_magnitude(base) == 0.0):
         raise EvaluationSingular("negative exponent at zero coordinate")
     return base ** e
+
+
+def _product(coefficient: str, exponents, powers: dict, lines: list) -> str:
+    """coefficient times the powers x_i ** e of the nonzero exponents; the
+    first use of a power in a program appends the line forming it."""
+    factors = [coefficient]
+    for i, e in enumerate(exponents):
+        if e != 0:
+            if (i, e) not in powers:
+                powers[i, e] = "w%d" % len(powers)
+                form = "x[%d] ** %d" if e > 0 else "_power(x[%d], %d)"
+                lines.append(powers[i, e] + " = " + form % (i, e))
+            factors.append(powers[i, e])
+    return " * ".join(factors)
+
+
+def _programs(equations) -> tuple:
+    """The straight-line programs residual(x, q, _mag) -> (values, scales)
+    and jacobian(x, q) -> rows of a square system (module docstring)."""
+    n = len(equations)
+    namespace = {"_power": _power}
+    q_rows, rows = [], []
+    residual, jac, residual_powers, jac_powers = [], [], {}, {}
+    for i, eq in enumerate(equations):
+        q_names = ["q%d_%d" % (i, k) for k in range(len(eq))]
+        q_rows.append("[%s]" % ", ".join(q_names))
+        residual.append("a%d = s%d = 0.0" % (i, i))
+        row = ["0.0"] * n
+        for term, q in zip(eq, q_names):
+            for m, mono in enumerate(term.poly):
+                if len(mono.exponents) != n:
+                    raise InvalidArgument("exponent vector length != dim")
+                c = "c%d" % len(namespace)
+                namespace[c] = mono.coefficient
+                residual.append("p = " + ("p + " if m else "") + _product(
+                    c, mono.exponents, residual_powers, residual))
+                for j, e in enumerate(mono.exponents):
+                    if e != 0:
+                        d = (*mono.exponents[:j], e - 1,
+                             *mono.exponents[j + 1:])
+                        jac.append("v = " + _product(c, d, jac_powers, jac))
+                        jac.append("j%d_%d = %s + %s * %d * v"
+                                   % (i, j, row[j], q, e))
+                        row[j] = "j%d_%d" % (i, j)
+            residual += ["value = %s * p" % q, "a%d = a%d + value" % (i, i),
+                         "s%d = s%d + _mag(value)" % (i, i)]
+        rows.append("[%s]" % ", ".join(row))
+    unpack = "[%s] = q" % ", ".join(q_rows)
+    residual.append("return [%s], [%s]" % tuple(
+        ", ".join(name % i for i in range(n)) for name in ("a%d", "s%d")))
+    jac.append("return [%s]" % ", ".join(rows))
+    source = "".join("def %s:\n    %s\n" % (signature, "\n    ".join(
+        [unpack, *lines])) for signature, lines in (
+            ("residual(x, q, _mag)", residual), ("jacobian(x, q)", jac)))
+    exec(compile(source, "<homotopy programs>", "exec"), namespace)
+    return namespace["residual"], namespace["jacobian"]
 
 
 def evalpoly(coeffs, t):
@@ -159,67 +187,30 @@ def term_values(h: Homotopy, s):
     return [[evalpoly(term.t_coeffs, t) for term in eq] for eq in h.equations]
 
 
-def evaluate(h: Homotopy, x, t, q=None, powers: dict | None = None,
-             scales: list | None = None, _mag=float_magnitude):
-    """Residual vector h(x, t).
-
-    q is term_values(h, t) and powers a dict of the powers of x, filled on
-    first use (empty at first); a caller that evaluates at one t or one x
-    more than once passes them so they are computed once. When a list is
-    passed as scales, the size sum_terms |q(t)*P(x)| of each equation is
-    appended to it: the yardstick of a relative residual test. _mag is
-    that |.|: float_magnitude, or abs when every value is native.
-    """
+def evaluate(h: Homotopy, x, t, q=None, scales: list | None = None,
+             _mag=float_magnitude):
+    """Residual vector h(x, t); q is term_values(h, t), passed by a caller
+    that evaluates at one t more than once. When a list is passed as scales,
+    each equation's size sum_terms |q(t)*P(x)| is appended to it: the
+    yardstick of a relative residual test, with _mag that |.|
+    (float_magnitude, or abs when every value is native)."""
     if len(x) != h.dim:
         raise InvalidArgument("point dimension mismatch")
     if q is None:
         q = term_values(h, t)
-    if powers is None:
-        powers = {}
-    out = []
-    for eq, q_eq in zip(h._values, q):
-        acc = size = 0.0
-        for monos, c in zip(eq, q_eq):
-            p = None
-            for v, pairs in monos:
-                for key in pairs:
-                    w = powers.get(key)
-                    if w is None:
-                        w = powers[key] = _power(x, key)
-                    v = v * w
-                p = v if p is None else p + v
-            value = c * p
-            acc = acc + value
-            if scales is not None:
-                size = size + _mag(value)
-        out.append(acc)
-        if scales is not None:
-            scales.append(size)
-    return out
+    values, sizes = h._residual(x, q, _mag)
+    if scales is not None:
+        scales += sizes
+    return values
 
 
-def jacobian(h: Homotopy, x, t, q=None, powers: dict | None = None):
-    """Matrix of partials d h_i / d x_j at (x, t); q and powers as in
-    evaluate."""
+def jacobian(h: Homotopy, x, t, q=None):
+    """Matrix of partials d h_i / d x_j at (x, t); q as in evaluate."""
     if len(x) != h.dim:
         raise InvalidArgument("point dimension mismatch")
     if q is None:
         q = term_values(h, t)
-    if powers is None:
-        powers = {}
-    rows = []
-    for eq, q_eq in zip(h._partials, q):
-        row = [0.0] * h.dim
-        for partials, c in zip(eq, q_eq):
-            for j, e, v, pairs in partials:
-                for key in pairs:
-                    w = powers.get(key)
-                    if w is None:
-                        w = powers[key] = _power(x, key)
-                    v = v * w
-                row[j] = row[j] + c * e * v
-        rows.append(row)
-    return rows
+    return h._jacobian(x, q)
 
 
 # ---------------------------------------------------------------------------

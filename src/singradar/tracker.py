@@ -9,13 +9,13 @@ surfaces as StepUnderflow. The one run setting is the lane's Newton tolerance
 (TrackerConfig); the iteration and step budgets below are fixed.
 
 A Newton correction runs at fixed t, so it evaluates the q(t) of every
-homotopy term once and shares the powers of each iterate between its
-residual and its Jacobian.
+homotopy term once.
 
 Newton runs in double; ``_refine`` alone makes double-double points, by
 mixed-precision refinement of k double points at once (Moler, JACM 14,
-1967). An extended ``newton_correct`` is a double one lifted as one sample;
-a circle lifts all its samples together. Both lanes walk in double:
+1967). An extended ``newton_correct`` is a double one lifted as one sample,
+an extended track lifts a step once its jump check has passed, and a circle
+lifts all its samples together. Both lanes walk in double:
 ``demoted`` rounds extended coordinates, ``walk_config`` picks the tolerance.
 """
 
@@ -220,24 +220,21 @@ def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
     q_hi = term_values(h, t_hi)
 
     def step(x, resid, active):
-        jac = np.empty((n, h.dim, h.dim), dtype=complex)
         rows = jacobian(h, [v.re.hi + 1j * v.im.hi for v in x], t_hi, q_hi)
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                jac[:, i, j] = entry
-        rhs = np.empty((n, h.dim), dtype=complex)
-        for i, r in enumerate(resid):
-            rhs[:, i] = r.re.hi + 1j * r.im.hi
+        jac = np.array([[np.broadcast_to(e, n) for e in row] for row in rows],
+                       dtype=complex)
+        rhs = np.array([np.broadcast_to(r.re.hi + 1j * r.im.hi, n)
+                        for r in resid])
         d_re = np.zeros((n, h.dim))
         d_im = np.zeros((n, h.dim))
-        d_re[active], d_im[active] = _solve_batch(jac[active], rhs[active],
-                                                  eps)
+        d_re[active], d_im[active] = _solve_batch(
+            np.moveaxis(jac, 2, 0)[active], rhs.T[active], eps)
         return [v - _complex((a, 0.0, b, 0.0))
                 for v, a, b in zip(x, d_re.T, d_im.T)]
 
     for it in range(_MAX_NEWTON_ITERS + 1):
         scales = []
-        resid = evaluate(h, x, t, q, {}, scales)
+        resid = evaluate(h, x, t, q, scales)
         active = ~np.logical_and.reduce([float_magnitude(r) <= tol * s
                                          for r, s in zip(resid, scales)])
         if not active.any():
@@ -256,6 +253,22 @@ def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
              for p, v in zip(polished, x)], np.where(keep, after, norms))
 
 
+def _lifts(cfg: TrackerConfig, t, x) -> bool:
+    """Whether t or x is extended; cfg must not be below that lane's floor."""
+    precision = lane(t, *x)
+    if cfg.newton_tol < scalar_eps(precision):
+        raise InvalidArgument("newton_tol below the active precision floor")
+    return precision == EXTENDED
+
+
+def _lifted(h: Homotopy, t, state: PathState, cfg: TrackerConfig):
+    """state's double point lifted as one sample of _refine at the exact t."""
+    lifted, norms = _refine(h, promote(t, EXTENDED),
+                            np.array([state.x], dtype=complex), cfg)
+    return replace(state, t=t, residual=float(norms[0]), x=[
+        _complex([float(p[0]) for p in _quad(v)]) for v in lifted])
+
+
 def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
                    history: list | None = None) -> PathState:
     """Correct x0 to h(x, t) = 0 at fixed t, to cfg's relative tolerance.
@@ -265,15 +278,12 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
     reported iteration count excludes that polish step. When a list is passed
     as history, every pre-polish iterate is appended to it.
 
-    t is fixed, so every term's q(t) is evaluated once per call, and the
-    powers of each iterate are shared by its residual and its Jacobian.
-    Newton runs in double, at walk_config(cfg) when t or x0 is extended;
-    the double point is then lifted to cfg's tolerance as one sample of
-    _refine at the exact t. Iterations and history are the double loop's.
+    t is fixed, so every term's q(t) is evaluated once per call. Newton
+    runs in double, at walk_config(cfg) when t or x0 is extended; the double
+    point is then lifted to cfg's tolerance as one sample of _refine at the
+    exact t. Iterations and history are the double loop's.
     """
-    precision = lane(t, *x0)
-    if cfg.newton_tol < scalar_eps(precision):
-        raise InvalidArgument("newton_tol below the active precision floor")
+    lift = _lifts(cfg, t, x0)
     tol = walk_config(cfg).newton_tol
     eps = scalar_eps(DOUBLE)
     t_walk = _double(t)
@@ -281,31 +291,26 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
     q = term_values(h, t_walk)
     iterations = None
     for it in range(_MAX_NEWTON_ITERS + 1):
-        powers = {}
         scales = []
-        resid = evaluate(h, x, t_walk, q, powers, scales, abs)
+        resid = evaluate(h, x, t_walk, q, scales, abs)
         if all([abs(r) <= tol * s for r, s in zip(resid, scales)]):
             iterations = it
             break
         if it == _MAX_NEWTON_ITERS:
             raise NoConvergence("newton iteration budget exhausted")
-        delta = _solve_linear(jacobian(h, x, t_walk, q, powers), resid, eps)
+        delta = _solve_linear(jacobian(h, x, t_walk, q), resid, eps)
         x = [xi - di for xi, di in zip(x, delta)]
         if history is not None:
             history.append(list(x))
     residual = max(map(abs, resid), default=0.0)
     if residual != 0.0:
-        delta = _solve_linear(jacobian(h, x, t_walk, q, powers), resid, eps)
+        delta = _solve_linear(jacobian(h, x, t_walk, q), resid, eps)
         polished = [xi - di for xi, di in zip(x, delta)]
         after = max(map(abs, evaluate(h, polished, t_walk, q)), default=0.0)
         if after < residual:
             x, residual = polished, after
-    if precision == EXTENDED:
-        lifted, norms = _refine(h, promote(t, EXTENDED),
-                                np.array([x], dtype=complex), cfg)
-        x = [_complex([float(p[0]) for p in _quad(v)]) for v in lifted]
-        residual = float(norms[0])
-    return PathState(t=t, x=x, residual=residual, newton_iterations=iterations)
+    state = PathState(t, x, residual, newton_iterations=iterations)
+    return _lifted(h, t, state, cfg) if lift else state
 
 
 def track_to(h: Homotopy, start: PathState, t_target: float,
@@ -316,6 +321,7 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
     if float(abs(t_target - complex(t_cur).real)) == 0.0:
         return PathState.from_point(h, t_cur, x,
                                     newton_iterations=start.newton_iterations)
+    lift = _lifts(cfg, t_cur, x)
     step = _INITIAL_STEP
     successes = 0
     taken = 0
@@ -333,9 +339,11 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
         else:
             t_next = t_cur + direction * step
         try:
-            state = newton_correct(h, t_next, x, cfg)
+            state = newton_correct(h, _double(t_next), list(map(_double, x)),
+                                   walk_config(cfg))
             if _jumped(x, state.x, 1.0):
                 raise NoConvergence("step moved too far to trust")
+            state = _lifted(h, t_next, state, cfg) if lift else state
         except (NoConvergence, SingularJacobian):
             successes = 0
             step *= 0.5

@@ -518,11 +518,10 @@ def test_evaluate_and_jacobian_bit_identical_to_unshared_reference():
             want_j = outcome(ref_jacobian, h, x, t)
             assert outcome(evaluate, h, x, t) == want_f, (name, lane)
             assert outcome(jacobian, h, x, t) == want_j, (name, lane)
-            # shared as newton_correct shares them: one q for the t, one
-            # set of powers for residual and Jacobian at the point
-            q, powers = term_values(h, t), {}
-            assert outcome(evaluate, h, x, t, q, powers) == want_f, (name, lane)
-            assert outcome(jacobian, h, x, t, q, powers) == want_j, (name, lane)
+            # shared as newton_correct shares it: one q for the t
+            q = term_values(h, t)
+            assert outcome(evaluate, h, x, t, q) == want_f, (name, lane)
+            assert outcome(jacobian, h, x, t, q) == want_j, (name, lane)
     assert lanes == {"double", "complex", "extended"}
 
 

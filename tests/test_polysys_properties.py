@@ -1,11 +1,15 @@
 """Properties of random one-form homotopies: JSON round trip, reconditioning
-and the Jacobian, over dims 1-3, exponents 0-3 and complex q of degree <= 3.
+and the Jacobian, over dims 1-3, exponents 0-3 and complex q of degree <= 3;
+and the bits of the evaluation programs against the frozen loops of
+test_polysys, over dims 1-4 and exponents -2..3.
 
 Sizes are compared against the sum of the term magnitudes, since terms may
 cancel and leave |h| itself no scale."""
 
 import json
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,28 +25,45 @@ from singradar.polysys import (
     jacobian,
 )
 from singradar.radar import recondition
-from singradar.scalars import EXTENDED, promote
+from singradar.scalars import EXTENDED, ExtComplex, ExtReal, promote
+
+from test_polysys import (_ref_chart, _ref_evalpoly, batch, outcome,
+                          ref_evaluate, ref_jacobian, typed_bits)
+from test_tracker import _RefPowers, _ref_evaluate, _ref_jacobian
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
 _part = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 coefficient = st.builds(complex, _part, _part)
 unit_point = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+_zero = st.sampled_from([0.0, -0.0])
+signed_coefficient = st.builds(complex, st.one_of(_zero, _part),
+                               st.one_of(_zero, _part))
+signed_real = st.one_of(_zero, st.floats(-1.5, 1.5))
+signed_point = st.builds(complex, signed_real, signed_real)
 
 
 @st.composite
-def homotopies(draw):
-    dim = draw(st.integers(1, 3))
-    exponents = st.tuples(*[st.integers(0, 3)] * dim)
-    q = st.lists(coefficient, min_size=1, max_size=4)
-    term = st.one_of(
-        st.builds(TMonomial, q, exponents),
-        st.builds(Term, q, st.lists(st.builds(Monomial, coefficient,
-                                              exponents),
-                                    min_size=1, max_size=3)))
-    equations = [draw(st.lists(term, min_size=1, max_size=3))
-                 for _ in range(dim)]
-    return Homotopy(dim=dim, gamma=draw(coefficient), equations=equations)
+def homotopies(draw, wide=False):
+    """wide draws what a program generator must get right: dims 1-4,
+    exponents -2..3, exponent vectors repeated within an equation, constant
+    monomials and coefficients with a zero part of either sign."""
+    dim = draw(st.integers(1, 4 if wide else 3))
+    exponents = st.tuples(*[st.integers(-2 if wide else 0, 3)] * dim)
+    c = signed_coefficient if wide else coefficient
+    q = st.lists(c, min_size=1, max_size=4)
+    equations = []
+    for _ in range(dim):
+        vectors = exponents
+        if wide:
+            pool = draw(st.lists(exponents, min_size=1, max_size=3))
+            vectors = st.sampled_from([(0,) * dim, *pool])
+        term = st.one_of(
+            st.builds(TMonomial, q, vectors),
+            st.builds(Term, q, st.lists(st.builds(Monomial, c, vectors),
+                                        min_size=1, max_size=3)))
+        equations.append(draw(st.lists(term, min_size=1, max_size=3)))
+    return Homotopy(dim=dim, gamma=draw(c), equations=equations)
 
 
 def points(dim):
@@ -139,3 +160,81 @@ def test_evaluate_scales_sum_the_term_magnitudes(data):
             want += abs(evalpoly(term.t_coeffs, t) * p)
         assert abs(got - want) <= tol
         assert abs(got_ext - want) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the evaluation programs against the frozen loops
+# ---------------------------------------------------------------------------
+
+def _ext(z):
+    return ExtComplex(ExtReal(z.real, z.real * 1e-17),
+                      ExtReal(z.imag, -z.imag * 3e-17))
+
+
+@st.composite
+def lane_points(draw, lane, dim):
+    """(x, t) in a lane: real doubles, complex doubles (at a real or
+    complex t) or double-doubles (at an ExtComplex or ExtReal t); zero
+    parts of either sign are frequent."""
+    if lane == "double":
+        return draw(st.lists(signed_real, min_size=dim, max_size=dim)), \
+            draw(signed_real)
+    x = draw(st.lists(signed_point, min_size=dim, max_size=dim))
+    t = draw(st.one_of(signed_point, signed_real))
+    if lane == "complex":
+        return x, t
+    return ([_ext(z) for z in x],
+            ExtReal(t, t * 1e-17) if isinstance(t, float) else _ext(t))
+
+
+def _reconditioned(data, h):
+    t0 = data.draw(st.sampled_from([0.0, 0.3, 0.955647336181678]))
+    return recondition(h, t0)
+
+
+@pytest.mark.parametrize("lane", ["double", "complex", "extended"])
+@PROPERTY
+@given(data=st.data())
+def test_programs_give_the_bits_of_the_frozen_loops(lane, data):
+    # the same bits and result types, or the same exception
+    h = _reconditioned(data, data.draw(homotopies(wide=True)))
+    x, t = data.draw(lane_points(lane, h.dim))
+    assert outcome(evaluate, h, x, t) == outcome(ref_evaluate, h, x, t)
+    assert outcome(jacobian, h, x, t) == outcome(ref_jacobian, h, x, t)
+
+
+def _batch_bits(v):
+    if isinstance(v, list):
+        return [_batch_bits(u) for u in v]
+    if isinstance(v, ExtComplex):
+        return ("ExtComplex",) + tuple(
+            tuple(float(a).hex() for a in np.ravel(part))
+            for part in (v.re.hi, v.re.lo, v.im.hi, v.im.lo))
+    return typed_bits(v)
+
+
+def _batch_outcome(fn, *args):
+    try:
+        return _batch_bits(fn(*args))
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+@PROPERTY
+@given(st.data())
+def test_programs_on_an_array_batch_give_the_bits_of_the_frozen_loops(data):
+    # one ExtComplex batch with array parts, as tracker._refine holds its
+    # samples, against test_tracker's frozen loops on the same batch (they
+    # guard a zero base with np.any, as a batch needs); unit_point leaves
+    # fewer zero coordinates than signed_point, so fewer batches raise
+    h = _reconditioned(data, data.draw(homotopies(wide=True)))
+    k = 3
+    x = [batch([_ext(data.draw(unit_point)) for _ in range(k)])
+         for _ in range(h.dim)]
+    t = batch([_ext(data.draw(signed_point)) for _ in range(k)])
+    q = [[_ref_evalpoly(term.t_coeffs, _ref_chart(h, t)) for term in eq]
+         for eq in h.equations]
+    assert _batch_outcome(evaluate, h, x, t) == _batch_outcome(
+        lambda: _ref_evaluate(h, x, q, _RefPowers(x)))
+    assert _batch_outcome(jacobian, h, x, t) == _batch_outcome(
+        lambda: _ref_jacobian(h, q, _RefPowers(x)))

@@ -108,8 +108,10 @@ def test_solve_batch_raises_on_a_pivot_below_the_floor():
 # A frozen copy of the lane-generic corrector as it was before one loop
 # served both lanes: float_magnitude for every magnitude, powers made by a
 # dict subclass on first use, a monomial's value by its own call and the
-# pivot chosen by max(key=...). newton_correct must give its bits in both
-# lanes: every iterate, the residual, the iteration count and any exception.
+# pivot chosen by max(key=...), reading the evaluation plan Homotopy built
+# before its straight-line programs (_ref_plan). newton_correct must give
+# its bits in both lanes: every iterate, the residual, the iteration count
+# and any exception.
 
 def _ref_ipow(base, e):
     if e == 0:
@@ -130,6 +132,26 @@ class _RefPowers(dict):
         return value
 
 
+def _ref_nonzero(exponents):
+    return tuple((i, e) for i, e in enumerate(exponents) if e != 0)
+
+
+def _ref_plan(h):
+    """Per equation and term: each monomial as (coefficient, its nonzero
+    (i, e) pairs in order of i), and each nonzero partial d/dx_j of each
+    monomial as (j, e, coefficient, pairs of the exponents with e - 1 at
+    j), in the order the Jacobian sums them."""
+    values = tuple(tuple(tuple((m.coefficient, _ref_nonzero(m.exponents))
+                               for m in term.poly) for term in eq)
+                   for eq in h.equations)
+    partials = tuple(tuple(tuple(
+        (j, e, m.coefficient,
+         _ref_nonzero(m.exponents[:j] + (e - 1,) + m.exponents[j + 1:]))
+        for m in term.poly for j, e in enumerate(m.exponents) if e != 0)
+        for term in eq) for eq in h.equations)
+    return values, partials
+
+
 def _ref_mono_value(coefficient, pairs, powers):
     acc = coefficient
     for key in pairs:
@@ -139,7 +161,7 @@ def _ref_mono_value(coefficient, pairs, powers):
 
 def _ref_evaluate(h, x, q, powers, scales=None):
     out = []
-    for eq, q_eq in zip(h._values, q):
+    for eq, q_eq in zip(_ref_plan(h)[0], q):
         acc = size = 0.0
         for monos, c in zip(eq, q_eq):
             p = None
@@ -158,7 +180,7 @@ def _ref_evaluate(h, x, q, powers, scales=None):
 
 def _ref_jacobian(h, q, powers):
     rows = []
-    for eq, q_eq in zip(h._partials, q):
+    for eq, q_eq in zip(_ref_plan(h)[1], q):
         row = [0.0] * h.dim
         for partials, c in zip(eq, q_eq):
             for j, e, coefficient, pairs in partials:
@@ -639,6 +661,44 @@ def test_track_runs_through_the_origin(q0, q1, x0, precision):
     out = track_to(h, start, 1.0, default_config(precision))
     assert complex(out.t) == 1.0
     assert abs(complex(out.x[0]) + q0 + q1) <= 1e-15
+
+
+@pytest.mark.parametrize("name, start, jumps", [
+    ("ojika1", (1.0, 1.0), False), ("ojika1", (-1.0, 1.0), True),
+    ("cusp", (1.0,), False)], ids=["ojika1", "ojika1-jumps", "cusp"])
+def test_extended_track_lifts_only_accepted_steps(monkeypatch, name, start,
+                                                  jumps):
+    # the jump is checked on the double point, so a step the guard rejects
+    # costs no lift: every lift that returns is an accepted step. Near t = 1
+    # a lift can itself fail, which rejects its step (7 times on ojika1
+    # from (1, 1), 3 on cusp).
+    h = fixture(name)
+    cfg = default_config(EXTENDED)
+    state = newton_correct(h, 0.0, [promote(v, EXTENDED) for v in start],
+                           cfg)
+    lifts, rejected = [], []
+    refine, jumped = tracker._refine, tracker._jumped
+
+    def counted_refine(*args):
+        try:
+            out = refine(*args)
+        except (NoConvergence, SingularJacobian):
+            lifts.append(False)
+            raise
+        lifts.append(True)
+        return out
+
+    def counted_jumped(*args):
+        rejected.append(jumped(*args))
+        return rejected[-1]
+
+    monkeypatch.setattr(tracker, "_refine", counted_refine)
+    monkeypatch.setattr(tracker, "_jumped", counted_jumped)
+    rows = []
+    with pytest.raises(StepUnderflow):
+        track_to(h, state, 1.0, cfg, trace=rows)
+    assert lifts.count(True) == len(rows)
+    assert any(rejected) == jumps
 
 
 # ---------------------------------------------------------------------------
