@@ -136,12 +136,12 @@ def _programs(equations) -> tuple:
     and jacobian(x, q) -> rows of a square system (module docstring)."""
     n = len(equations)
     namespace = {"_power": _power}
-    q_rows, rows = [], []
-    residual, jac, residual_powers, jac_powers = [], [], {}, {}
+    residual, jac, residual_powers, jac_powers, rows = [], [], {}, {}, []
     for i, eq in enumerate(equations):
         q_names = ["q%d_%d" % (i, k) for k in range(len(eq))]
-        q_rows.append("[%s]" % ", ".join(q_names))
-        residual.append("a%d = s%d = 0.0" % (i, i))
+        unpack = "[%s] = q[%d]" % (", ".join(q_names), i)
+        residual += [unpack, "a%d = s%d = 0.0" % (i, i)]
+        jac.append(unpack)
         row = ["0.0"] * n
         for term, q in zip(eq, q_names):
             for m, mono in enumerate(term.poly):
@@ -155,20 +155,18 @@ def _programs(equations) -> tuple:
                     if e != 0:
                         d = (*mono.exponents[:j], e - 1,
                              *mono.exponents[j + 1:])
-                        jac.append("v = " + _product(c, d, jac_powers, jac))
-                        jac.append("j%d_%d = %s + %s * %d * v"
-                                   % (i, j, row[j], q, e))
+                        v = _product(c, d, jac_powers, jac)
+                        jac.append("j%d_%d = %s + %s * %d * (%s)"
+                                   % (i, j, row[j], q, e, v))
                         row[j] = "j%d_%d" % (i, j)
             residual += ["value = %s * p" % q, "a%d = a%d + value" % (i, i),
                          "s%d = s%d + _mag(value)" % (i, i)]
         rows.append("[%s]" % ", ".join(row))
-    unpack = "[%s] = q" % ", ".join(q_rows)
     residual.append("return [%s], [%s]" % tuple(
         ", ".join(name % i for i in range(n)) for name in ("a%d", "s%d")))
     jac.append("return [%s]" % ", ".join(rows))
-    source = "".join("def %s:\n    %s\n" % (signature, "\n    ".join(
-        [unpack, *lines])) for signature, lines in (
-            ("residual(x, q, _mag)", residual), ("jacobian(x, q)", jac)))
+    source = ("def residual(x, q, _mag):\n    " + "\n    ".join(residual)
+              + "\ndef jacobian(x, q):\n    " + "\n    ".join(jac) + "\n")
     exec(compile(source, "<homotopy programs>", "exec"), namespace)
     return namespace["residual"], namespace["jacobian"]
 

@@ -13,10 +13,10 @@ homotopy term once.
 
 Newton runs in double; ``_refine`` alone makes double-double points, by
 mixed-precision refinement of k double points at once (Moler, JACM 14,
-1967). An extended ``newton_correct`` is a double one lifted as one sample,
-an extended track lifts a step once its jump check has passed, and a circle
-lifts all its samples together. Both lanes walk in double:
-``demoted`` rounds extended coordinates, ``walk_config`` picks the tolerance.
+1967): one for an extended ``newton_correct`` or an extended track's step
+that passed its jump check, all samples of a circle together. Both lanes
+walk in double: ``demoted`` rounds extended coordinates, ``walk_config``
+picks the tolerance.
 """
 
 from __future__ import annotations
@@ -220,15 +220,18 @@ def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
     q_hi = term_values(h, t_hi)
 
     def step(x, resid, active):
+        jac = np.empty((n, h.dim, h.dim), dtype=complex)
         rows = jacobian(h, [v.re.hi + 1j * v.im.hi for v in x], t_hi, q_hi)
-        jac = np.array([[np.broadcast_to(e, n) for e in row] for row in rows],
-                       dtype=complex)
-        rhs = np.array([np.broadcast_to(r.re.hi + 1j * r.im.hi, n)
-                        for r in resid])
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                jac[:, i, j] = entry
+        rhs = np.empty((n, h.dim), dtype=complex)
+        for i, r in enumerate(resid):
+            rhs[:, i] = r.re.hi + 1j * r.im.hi
         d_re = np.zeros((n, h.dim))
         d_im = np.zeros((n, h.dim))
-        d_re[active], d_im[active] = _solve_batch(
-            np.moveaxis(jac, 2, 0)[active], rhs.T[active], eps)
+        d_re[active], d_im[active] = _solve_batch(jac[active], rhs[active],
+                                                  eps)
         return [v - _complex((a, 0.0, b, 0.0))
                 for v, a, b in zip(x, d_re.T, d_im.T)]
 
