@@ -26,8 +26,9 @@ lengths, and a direct kernel that loops over samples and vectorises over
 coefficients for any length. Twiddles come from ``scalars.roots_of_unity``,
 one table per size, built on first use from ``root_of_unity``. The kernels
 are the ``scalars`` ones the ExtComplex operators call, so every element
-matches what the operators would give, bit for bit. Values are converted
-only at the edges: lists of complex / ExtComplex in, the same types out.
+matches what the operators would give, bit for bit. A circle's samples
+stay (dim, n) arrays from the walk to the coefficients, transformed in one
+pass; a list of complex / ExtComplex values is converted at the edges.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (BranchJump, InvalidArgument, NoConvergence,
 from .polysys import Homotopy
 from .scalars import (
     EXTENDED,
-    ExtComplex,
     ExtReal,
     _complex,
     _dd_quotient,
@@ -70,34 +70,36 @@ _MAX_SUBSTEPS = 64
 
 @dataclass
 class CircleSamples:
+    """The samples as (dim, n) float64 parts re.hi, re.lo, im.hi, im.lo, the
+    lo parts zero unless lifted; ``values`` lists each coordinate's samples
+    as ExtComplex if lifted, else as complex hi + lo (-0.0 reads as 0.0)."""
+
     t0: object
     h: float
     n: int
-    values: list
+    parts: tuple
+    lifted: bool
 
     def __post_init__(self):
         _check_count(self.n)
-        for coord in self.values:
-            if len(coord) != self.n:
-                raise InvalidArgument("every coordinate needs n samples")
+
+    def __len__(self) -> int:
+        return self.n
+
+    @property
+    def values(self) -> list:
+        return [_from_arrays(p, self.lifted) for p in zip(*self.parts)]
 
 
 def _to_arrays(values) -> tuple:
-    work = [promote(v, EXTENDED) for v in values]
-    return (np.array([v.re.hi for v in work]),
-            np.array([v.re.lo for v in work]),
-            np.array([v.im.hi for v in work]),
-            np.array([v.im.lo for v in work]))
+    return tuple(np.array(p) for p in zip(*map(_quad, values)))
 
 
 def _from_arrays(parts, extended: bool) -> list:
-    re_hi, re_lo, im_hi, im_lo = parts
     if extended:
-        return [ExtComplex(ExtReal(a, b), ExtReal(c, d))
-                for a, b, c, d in zip(re_hi.tolist(), re_lo.tolist(),
-                                      im_hi.tolist(), im_lo.tolist())]
-    return [complex(a, b) for a, b in zip((re_hi + re_lo).tolist(),
-                                          (im_hi + im_lo).tolist())]
+        return [_complex(q) for q in zip(*(p.tolist() for p in parts))]
+    return [complex(a, b) for a, b in zip((parts[0] + parts[1]).tolist(),
+                                          (parts[2] + parts[3]).tolist())]
 
 
 def _divide(parts, n: int) -> tuple:
@@ -113,22 +115,22 @@ def _bit_reversal(n: int):
 
 
 def _radix2(parts) -> tuple:
-    """sum_j x_j w^{-jk}, w = exp(2*pi*i/n): decimation in time, the
-    butterfly even + w^k * odd, even - w^k * odd of each stage done at once
-    over all blocks."""
-    n = len(parts[0])
+    """sum_j x_j w^{-jk}, w = exp(2*pi*i/n), along the last axis:
+    decimation in time, the butterfly even + w^k * odd, even - w^k * odd of
+    each stage done at once over all blocks and leading indices."""
+    *lead, n = parts[0].shape
     table = roots_of_unity(n)
     order = _bit_reversal(n)
-    x = tuple(p[order] for p in parts)
+    x = tuple(p[..., order] for p in parts)
     half = 1
     while half < n:
         size = 2 * half
         idx = (-(n // size) * np.arange(half)) % n
         twiddle = tuple(t[idx] for t in table)
-        blocks = tuple(p.reshape(-1, size) for p in x)
-        even = tuple(b[:, :half] for b in blocks)
-        term = cdd_mul(twiddle, tuple(b[:, half:] for b in blocks))
-        x = tuple(np.concatenate((top, bottom), axis=1).ravel()
+        blocks = tuple(p.reshape(*lead, -1, size) for p in x)
+        even = tuple(b[..., :half] for b in blocks)
+        term = cdd_mul(twiddle, tuple(b[..., half:] for b in blocks))
+        x = tuple(np.concatenate((top, bottom), axis=-1).reshape(*lead, n)
                   for top, bottom in zip(cdd_add(even, term),
                                          cdd_sub(even, term)))
         half = size
@@ -145,11 +147,19 @@ def _check_step(step):
         raise InvalidArgument("step must be positive and finite")
 
 
-def inverse_dft(values) -> list:
-    """Coefficients g with values_j = sum_k g_k w^{jk}, w = exp(2*pi*i/n)."""
+def inverse_dft(values):
+    """Coefficients g with values_j = sum_k g_k w^{jk}, w = exp(2*pi*i/n),
+    of a list of complex / ExtComplex values, as that type; of CircleSamples,
+    as their parts, rounded to double (lo zero) unless lifted."""
     n = len(values)
     if n < 1 or n & (n - 1):
         raise InvalidArgument("length must be a power of two")
+    if isinstance(values, CircleSamples):
+        out = _divide(_radix2(values.parts), n)
+        if values.lifted:
+            return out
+        zero = np.zeros_like(out[0])
+        return out[0] + out[1], zero, out[2] + out[3], zero
     out = _divide(_radix2(_to_arrays(values)), n)
     return _from_arrays(out, lane(*values) == EXTENDED)
 
@@ -219,7 +229,7 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     Both lanes walk in double from the demoted base point, at
     walk_config(cfg), so base's lane is not read; with lift, all n samples
     are then lifted at once to double-double (_refine, at the extended
-    default tolerance), else they come back as the walk's complex."""
+    default tolerance), else the parts hold the walk's doubles."""
     _check_count(n)
     cfg = walk_config(cfg)
     _check_step(step)
@@ -244,11 +254,12 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
         raise BranchJump("circle walk returned on a different branch")
     walked = np.array(walk, dtype=complex)
     if lift:
-        lifted, _ = _refine(h, t, walked, default_config(EXTENDED))
-        values = [_from_arrays(_quad(v), True) for v in lifted]
+        parts = _to_arrays(_refine(h, t, walked, default_config(EXTENDED))[0])
     else:
-        values = walked.T.tolist()
-    return CircleSamples(t0=base.t, h=float(step), n=n, values=values)
+        zero = np.zeros((h.dim, n))
+        parts = walked.real.T, zero, walked.imag.T, zero
+    return CircleSamples(t0=base.t, h=float(step), n=n, parts=parts,
+                         lifted=lift)
 
 
 def _step_powers(step: float, n: int) -> tuple:
@@ -282,12 +293,10 @@ def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
     _check_count(n)
     _check_step(step)
     p_hi, p_lo = _step_powers(float(step), n)
-    samples = sample_circle(h, base, step, n, cfg, lift)
-    raw = [_to_arrays(inverse_dft(coord)) for coord in samples.values]
-    re_hi, re_lo, im_hi, im_lo = (np.array(p) for p in zip(*raw))
+    re_hi, re_lo, im_hi, im_lo = inverse_dft(
+        sample_circle(h, base, step, n, cfg, lift))
     scaled = (_dd_quotient(re_hi, re_lo, p_hi, p_lo)
               + _dd_quotient(im_hi, im_lo, p_hi, p_lo))
     lane_extended = lane(base.t, *base.x) == EXTENDED
-    return [TruncatedSeries(_from_arrays(tuple(p[i] for p in scaled),
-                                         lane_extended), order=n - 1)
-            for i in range(len(raw))]
+    return [TruncatedSeries(_from_arrays(coord, lane_extended), order=n - 1)
+            for coord in zip(*scaled)]

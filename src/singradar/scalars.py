@@ -13,8 +13,7 @@ and call these kernels; the DFT transforms call the same kernels
 element-wise on float64 arrays, with twiddles from a per-size table of
 ``root_of_unity``.  An ExtComplex whose four parts are equal-shape float64
 arrays holds one value per element; the operators act on it element by
-element with the same bits as on each value alone, except that a negative
-power takes its reciprocal from ``cdd_recip``. The circle samples are
+element with the same bits as on each value alone. The circle samples are
 refined in that form.
 """
 
@@ -149,8 +148,10 @@ def cdd_mul(a, b):
 
 
 def cdd_div(a, b):
-    """a / b for scalars, with Smith's scaling: divide through by the larger
-    component of b."""
+    """a / b with Smith's scaling: divide through by the larger component of
+    b. Array parts take _cdd_div_arrays, each element the scalar's bits."""
+    if isinstance(b[0], np.ndarray):
+        return _cdd_div_arrays(a, b)
     if b[0] == 0.0 and b[1] == 0.0 and b[2] == 0.0 and b[3] == 0.0:
         raise DivisionByZero("extended complex division by exact zero")
     # exact power-of-two prescale keeps the denominator away from the range edge
@@ -172,16 +173,27 @@ def cdd_div(a, b):
     return dd_div(re_hi, re_lo, *den) + dd_div(im_hi, im_lo, *den)
 
 
-def cdd_recip(b):
-    """1 / b element-wise for float64-array parts: the double reciprocal r
-    of the hi parts, refined by one Newton step r + r (1 - b r), which
-    squares its relative error."""
-    z = b[0] + 1j * b[2]
-    if not z.all():
+def _cdd_div_arrays(a, b):
+    """cdd_div on float64-array parts of b: each element takes the scalar's
+    zero check, prescale and branch (by selecting operands), so its bits."""
+    if not np.logical_or.reduce(b).all():
         raise DivisionByZero("extended complex division by exact zero")
-    r = 1.0 / z
-    r = (r.real, 0.0, r.imag, 0.0)
-    return cdd_add(r, cdd_mul(r, cdd_sub((1.0, 0.0, 0.0, 0.0), cdd_mul(b, r))))
+    _, ex = np.frexp(np.where(abs(b[2]) > abs(b[0]), abs(b[2]), abs(b[0])))
+    ex = np.where((ex > 500) | (ex < -500), ex, 0)
+    b = tuple(np.ldexp(p, -ex) for p in b)
+    wide = abs(b[0]) >= abs(b[2])
+
+    def pick(x, y):
+        return tuple(np.where(wide, p, q) for p, q in zip(x, y))
+
+    r = _dd_quotient(*pick(b[2:], b[:2]), *pick(b[:2], b[2:]))
+    den = dd_add(*pick(b[:2], b[2:]), *dd_mul(*pick(b[2:], b[:2]), *r))
+    m_re = dd_mul(*pick(a[2:], a[:2]), *r)
+    m_im = dd_mul(*pick(a[:2], a[2:]), *r)
+    re = dd_add(*pick(a[:2], m_re), *pick(m_re, a[2:]))
+    im = dd_add(*pick(a[2:], m_im), *(-p for p in pick(m_im, a[:2])))
+    q = _dd_quotient(*re, *den) + _dd_quotient(*im, *den)
+    return tuple(np.ldexp(p, -ex) for p in q)
 
 
 def _power(mul, one, base, k: int):
@@ -423,7 +435,7 @@ class ExtComplex:
         one = (1.0, 0.0, 0.0, 0.0)
         p = _power(cdd_mul, one, _quad(self), abs(k))
         if k < 0:
-            p = cdd_recip(p) if isinstance(p[0], np.ndarray) else cdd_div(one, p)
+            p = cdd_div(one, p)
         return _complex(p)
 
     def __abs__(self) -> ExtReal:

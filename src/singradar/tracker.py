@@ -21,6 +21,7 @@ picks the tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,37 +111,44 @@ def _jumped(before, after, floor: float = 0.0) -> bool:
 def _solve_linear(jac, rhs, eps: float):
     """Partial-pivot elimination on native numbers; one unknown with a
     regular pivot takes the same single division directly. The pivot is the
-    first row of largest magnitude."""
-    n = len(rhs)
-    if n == 1 and 0.0 < abs(jac[0][0]) < np.inf:
-        return [rhs[0] / jac[0][0]]
-    m = [[*row, b] for row, b in zip(jac, rhs)]
-    floor = 1e3 * eps * max((abs(v) for row in jac for v in row),
-                            default=0.0)
+    first row of largest magnitude. Runs _solver's program for len(rhs)."""
+    return _solver(len(rhs))(jac, rhs, eps)
+
+
+@functools.cache
+def _solver(n: int):
+    """The elimination for n unknowns as a straight-line program over locals
+    m<i>_<j> (b<i> the right-hand side), in the loop's order of operations;
+    entries left of a pivot, never read again, are not updated."""
+    m = [["m%d_%d" % (i, j) for j in range(n)] + ["b%d" % i] for i in range(n)]
+    code = ["[%s] = jac" % ", ".join("[%s]" % ", ".join(r[:n]) for r in m),
+            "[%s] = rhs" % ", ".join(r[n] for r in m),
+            "floor = 1e3 * eps * max((%s), default=0.0)" % "".join(
+                "abs(%s), " % v for r in m for v in r[:n])]
+    if n == 1:
+        code.insert(2, "if 0.0 < abs(m0_0) < inf: return [b0 / m0_0]")
     for col in range(n):
-        piv, largest = col, abs(m[col][col])
+        code.append("piv, largest = %d, abs(%s)" % (col, m[col][col]))
+        code += ["if (size := abs(%s)) > largest: piv, largest = %d, size"
+                 % (m[r][col], r) for r in range(col + 1, n)]
+        code.append("if largest <= floor: raise SingularJacobian("
+                    "'jacobian pivot below the precision floor')")
+        code += ["%s piv == %d: %s = %s" % ("elif" if r > col + 1 else "if", r,
+                 ", ".join(m[col][col:] + m[r][col:]),
+                 ", ".join(m[r][col:] + m[col][col:]))
+                 for r in range(col + 1, n)]
         for r in range(col + 1, n):
-            size = abs(m[r][col])
-            if size > largest:
-                piv, largest = r, size
-        if largest <= floor:
-            raise SingularJacobian("jacobian pivot below the precision floor")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        top = m[col]
-        for r in range(col + 1, n):
-            row = m[r]
-            factor = row[col] / top[col]
-            for j in range(col, n + 1):
-                row[j] = row[j] - factor * top[j]
-    out = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        acc = row[n]
-        for j in range(i + 1, n):
-            acc = acc - row[j] * out[j]
-        out[i] = acc / row[i]
-    return out
+            code.append("factor = %s / %s" % (m[r][col], m[col][col]))
+            code += ["%s = %s - factor * %s" % (m[r][j], m[r][j], m[col][j])
+                     for j in range(col + 1, n + 1)]
+    code += ["o%d = (%s%s) / %s" % (i, m[i][n], "".join(
+        " - %s * o%d" % (m[i][j], j) for j in range(i + 1, n)), m[i][i])
+        for i in reversed(range(n))]
+    code.append("return [%s]" % ", ".join("o%d" % i for i in range(n)))
+    namespace = {"inf": np.inf, "SingularJacobian": SingularJacobian}
+    exec(compile("def solve(jac, rhs, eps):\n    " + "\n    ".join(code),
+                 "<solve %d>" % n, "exec"), namespace)
+    return namespace["solve"]
 
 
 def _cmul(ar, ai, br, bi):

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from singradar import fourier, tracker
@@ -260,7 +261,8 @@ def test_sample_count_must_be_positive():
     with pytest.raises(InvalidArgument):
         sample_circle(h, base, 0.5, 0, default_config())
     with pytest.raises(InvalidArgument):
-        CircleSamples(t0=0.0, h=0.5, n=0, values=[[]])
+        CircleSamples(t0=0.0, h=0.5, n=0, parts=(np.empty((1, 0)),) * 4,
+                      lifted=False)
 
 
 def test_monodromy_guard():
@@ -490,6 +492,64 @@ def test_taylor_scaling_matches_extreal_division(name, step, n, precision):
                     want.re.hi, want.re.lo, want.im.hi, want.im.lo)
             else:
                 assert type(v) is complex and v == complex(want)
+
+
+# the t0 of each fixture's default `radius` golden
+GOLDEN_T0 = {"sqrt": 0.1, "ojika1": 0.94375, "monomial4": 0.1, "cusp": 0.1}
+
+
+def per_coordinate_taylor(samples, extended):
+    """The former route from the circle to the coefficients: each
+    coordinate's samples as a list of complex or ExtComplex objects through
+    inverse_dft, then every coefficient divided by an ExtReal power of the
+    step, rounded to complex in the double lane."""
+    step = ExtReal(samples.h)
+    out = []
+    for coord in samples.values:
+        power = ExtReal(1.0)
+        coeffs = []
+        for k, c in enumerate(inverse_dft(coord)):
+            if k:
+                power = power * step
+            c = promote(c, EXTENDED)
+            v = ExtComplex(c.re / power, c.im / power)
+            coeffs.append(v if extended else complex(v))
+        out.append(coeffs)
+    return out
+
+
+@pytest.mark.parametrize("at_golden_t0", [False, True])
+@pytest.mark.parametrize("name", ["sqrt", "ojika1", "monomial4", "cusp"])
+def test_one_pass_transform_matches_the_per_coordinate_route(name,
+                                                             at_golden_t0,
+                                                             monkeypatch):
+    # taylor_coefficients transforms all coordinates of a circle at once
+    # from the sample arrays; every coefficient must carry the bits of the
+    # per-coordinate route, in both lanes, lifted or not, at n = 32 and 128.
+    # The base is formed as locate_singularity forms it.
+    circles = []
+
+    def record(*args):
+        circles.append(sample_circle(*args))
+        return circles[-1]
+
+    monkeypatch.setattr(fourier, "sample_circle", record)
+    h = fixture(name)
+    t0 = GOLDEN_T0[name] if at_golden_t0 else 0.0
+    x = track_to(h, PathState.from_point(h, 0.0, [1.0] * h.dim), t0,
+                 default_config()).x
+    hs = recondition(h, t0)
+    for n in (32, 128):
+        for lift in (True, False):
+            for precision in (DOUBLE, EXTENDED):
+                base = PathState.from_point(
+                    hs, 0.0, [promote(v, precision) for v in x])
+                got = taylor_coefficients(hs, base, None, n, lift=lift)
+                want = per_coordinate_taylor(circles[-1],
+                                             precision == EXTENDED)
+                assert [[bits(c) for c in s.coeffs] for s in got] == [
+                    [bits(c) for c in coord] for coord in want], (
+                        n, lift, precision)
 
 
 @pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])

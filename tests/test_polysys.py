@@ -28,6 +28,8 @@ from singradar.polysys import (
 from singradar.radar import recondition
 from singradar.scalars import ExtComplex, ExtReal, _complex, float_magnitude
 
+from test_tracker import NEGATIVE_EXPONENTS
+
 PARENT_JSON = Path(__file__).with_name("golden") / "json"
 
 # target and start system of the ojika1 relaxation
@@ -546,9 +548,12 @@ def rand_ext(rng):
 def test_evaluate_batched_bit_identical_per_sample():
     rng = random.Random(6064)
     n = 24
-    for name in ("sqrt", "cusp", "monomial4", "ojika1"):
+    # negative exponents divide: a batch must take the scalar's quotient
+    for name in ("sqrt", "cusp", "monomial4", "ojika1", "negative-exponents"):
         for t0 in (0.0, 0.1, 0.955647336181678):
-            h = recondition(fixture(name), t0)
+            h = recondition(homotopy_from_json(NEGATIVE_EXPONENTS)
+                            if name == "negative-exponents" else fixture(name),
+                            t0)
             xs = [[rand_ext(rng) for _ in range(n)] for _ in range(h.dim)]
             ts = [rand_ext(rng) for _ in range(n)]
             got = evaluate(h, [batch(c) for c in xs], batch(ts))

@@ -156,9 +156,35 @@ def test_reciprocal_roundtrip():
         assert abs(to_mpc(r) - 1) <= bound
 
 
+def test_batched_division_takes_the_scalar_quotient():
+    # an array-part division selects each element's Smith branch and
+    # prescale, so every quotient has the bits of the scalar one; the
+    # magnitudes cross the prescale threshold 2^500 on either side up to
+    # the overflow edge, and divisors with a zero part take either branch
+    rng = random.Random(53)
+    nums, dens = [], []
+    for _ in range(400):
+        nums.append(ExtComplex(rand_ext(rng), rand_ext(rng)))
+        span = rng.choice([8, 160, 250, 300, 308])
+        re, im = rand_ext(rng, span), rand_ext(rng, span)
+        dens.append(ExtComplex(*rng.choice([(re, im), (re, re), (re, 0.0),
+                                            (0.0, im)])))
+
+    def parts(values):
+        return _complex(tuple(np.array(p) for p in zip(
+            *((v.re.hi, v.re.lo, v.im.hi, v.im.lo) for v in values))))
+
+    got = parts(nums) / parts(dens)
+    for j, (a, b) in enumerate(zip(nums, dens)):
+        want = a / b
+        assert [float(p[j]).hex() for p in (got.re.hi, got.re.lo, got.im.hi,
+                                            got.im.lo)] == [
+            p.hex() for p in (want.re.hi, want.re.lo, want.im.hi, want.im.lo)]
+
+
 def test_batched_negative_power_mpmath_oracle():
-    # an ExtComplex with array parts raises to a negative power through the
-    # refined double reciprocal, not cdd_div; each value keeps double-double
+    # an ExtComplex with array parts raises to a negative power through
+    # cdd_div's element-wise quotient; each value keeps double-double
     # accuracy, and an exact zero is still a division by zero
     rng = random.Random(47)
     values = [ExtComplex(rand_ext(rng, 4), rand_ext(rng, 4))

@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singradar import tracker
 from singradar.errors import (
@@ -100,6 +102,53 @@ def test_solve_batch_raises_on_a_pivot_below_the_floor():
         tracker._solve_batch(jac, rhs, eps)
     re, im = tracker._solve_batch(jac[:1], rhs[:1], eps)
     assert re.tolist() == [[0.4, 0.2]] and im.tolist() == [[0.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# the generated solve against the frozen elimination loop
+# ---------------------------------------------------------------------------
+# general real and complex entries, then a few replaced by special values:
+# signed zeros, values at and below the pivot floor 1e3 * eps * max|a| of a
+# unit-sized matrix, infinities and nan; and now and then a column of equal
+# magnitudes, so the pivot search meets ties
+_GENERAL = st.floats(-8.0, 8.0)
+_ENTRY = st.one_of(_GENERAL, st.builds(complex, _GENERAL, _GENERAL))
+_SPECIAL = st.sampled_from([0.0, -0.0, complex(-0.0, 0.0), 1.0, 5.0, 3 + 4j,
+                            2.220446049250313e-12, 1e-13, complex(0.0, -1e-14),
+                            math.inf, -math.inf, complex(math.inf, 1.0),
+                            math.nan, complex(1.0, math.nan)])
+_TIED = st.sampled_from([1.0, -1.0, 1j, -1j, complex(-0.0, 1.0)])
+
+
+def _solve_outcome(solve, jac, rhs):
+    """The bits of every unknown, or the exception's type and message."""
+    try:
+        return [_bits(v) for v in solve(jac, rhs, scalar_eps(DOUBLE))]
+    except Exception as exc:  # the loop's own exception is the outcome
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_generated_solve_gives_the_bits_of_the_frozen_loop(data):
+    n = data.draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    jac = data.draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    rhs = data.draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        j = data.draw(index)
+        for row in jac:
+            row[j] = data.draw(_TIED)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(index), data.draw(st.integers(0, n))
+        value = data.draw(_SPECIAL)
+        if j == n:
+            rhs[i] = value
+        else:
+            jac[i][j] = value
+    assert _solve_outcome(tracker._solve_linear, jac, rhs) == \
+        _solve_outcome(_ref_solve_linear, jac, rhs)
 
 
 # ---------------------------------------------------------------------------
