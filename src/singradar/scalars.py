@@ -175,7 +175,7 @@ def cdd_div(a, b):
 
 def _cdd_div_arrays(a, b):
     """cdd_div on float64-array parts of b: each element takes the scalar's
-    zero check, prescale and branch (by selecting operands), so its bits."""
+    zero check, prescale and branch (selected operands): the scalar's bits."""
     if not np.logical_or.reduce(b).all():
         raise DivisionByZero("extended complex division by exact zero")
     _, ex = np.frexp(np.where(abs(b[2]) > abs(b[0]), abs(b[2]), abs(b[0])))
