@@ -48,9 +48,10 @@ def _run(workload, rounds: int):
                                    % (job.kind, verdict.reason))
 
 
-def shares(name: str, rounds: int, seed: int) -> list:
+def shares(name: str, rounds: int) -> list:
     """[(module.function, calls, share of job time)] for HOT_SPOTS."""
-    workload = jobs.build(name, seed, ROOT / "src")
+    # these two workloads draw no seeded inputs, so any seed builds them
+    workload = jobs.build(name, 1, ROOT / "src")
     profile = cProfile.Profile()
     profile.runcall(_run, workload, rounds)
     stats = pstats.Stats(profile).stats
@@ -72,12 +73,10 @@ def main(argv=None) -> int:
     p.add_argument("--workload", choices=("sweep", "pinned_ext"),
                    required=True)
     p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1,
-                   help="seed of the workload's inputs (none in these two)")
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
-    for name, calls, share in shares(args.workload, args.rounds, args.seed):
+    for name, calls, share in shares(args.workload, args.rounds):
         print("%-26s %8d calls %6.1f%%" % (name, calls, 100.0 * share))
     return 0
 
