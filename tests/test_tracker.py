@@ -108,8 +108,9 @@ def test_solve_batch_raises_on_a_pivot_below_the_floor():
 # the generated solve against the frozen elimination loop
 # ---------------------------------------------------------------------------
 # general real and complex entries, then a few replaced by special values:
-# signed zeros, values at and below the pivot floor 1e3 * eps * max|a| of a
-# unit-sized matrix, infinities and nan; and now and then a column of equal
+# signed zeros and infinities (a lone zero or an infinite pivot sits
+# exactly at the floor 1e3 * eps * max|a|), values just above and below the
+# floor of entries of size 8, and nan; and now and then a column of equal
 # magnitudes, so the pivot search meets ties
 _GENERAL = st.floats(-8.0, 8.0)
 _ENTRY = st.one_of(_GENERAL, st.builds(complex, _GENERAL, _GENERAL))
