@@ -237,29 +237,49 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     step_ext = ExtReal.from_value(float(step))
     seed = demoted(base)
     t0_c = complex(base.t)
+    mirror = (h.real_coefficients and t0_c.imag == 0.0 and n > 2
+              and not any(complex(v).imag for v in seed.x))
     if t0_c.imag == 0.0:
         # reach the first sample by continuation; one Newton leap from the
         # center is not reliable for systems with high-degree monomials
         seed = track_to(h, replace(seed, t=t0_c.real),
                         t0_c.real + float(step), cfg)
     seed = [complex(v) for v in seed.x]
+    count = n // 2 + 1 if mirror else n  # samples walked and lifted
     t = t0_ext + step_ext * _complex(roots_of_unity(n))
     hops = _from_arrays(_quad(t), False)
     walk = [newton_correct(h, complex(t0_ext + step_ext), seed, cfg).x]
-    for k in range(1, n + 1):
+    for k in range(1, count + 1):
         walk.append(_advance_arc(h, cfg, t0_ext, step_ext, n, k, walk[-1],
                                  hops[k % n]))
-    drift = max(abs(a - b) for a, b in zip(walk.pop(), walk[0]))
+    back = [v.conjugate() for v in walk[n - count]] if mirror else walk[0]
+    drift = max(abs(a - b) for a, b in zip(walk.pop(), back))
     if drift > _WRAP_TOL * max(abs(v) for v in walk[0]):
         raise BranchJump("circle walk returned on a different branch")
     walked = np.array(walk, dtype=complex)
     if lift:
+        t = _complex(tuple(p[:count] for p in _quad(t)))
         parts = _to_arrays(_refine(h, t, walked, default_config(EXTENDED))[0])
     else:
-        zero = np.zeros((h.dim, n))
+        zero = np.zeros((h.dim, count))
         parts = walked.real.T, zero, walked.imag.T, zero
+    if mirror:
+        parts = _mirrored(parts, n)
     return CircleSamples(t0=base.t, h=float(step), n=n, parts=parts,
                          lifted=lift)
+
+
+def _mirrored(parts, n: int) -> tuple:
+    """The (dim, n) parts of a circle from its samples k = 0..n//2: sample
+    k > n//2 is the conjugate of sample n - k (im.hi, im.lo negated), and
+    at even n sample n/2, at the real t0 - step, keeps its real part."""
+    tail = slice(n - n // 2 - 1, 0, -1)
+    re_hi, re_lo, im_hi, im_lo = (
+        np.concatenate((p, sign * p[:, tail]), axis=1)
+        for sign, p in zip((1.0, 1.0, -1.0, -1.0), parts))
+    if n % 2 == 0:
+        im_hi[:, n // 2] = im_lo[:, n // 2] = 0.0
+    return re_hi, re_lo, im_hi, im_lo
 
 
 def _step_powers(step: float, n: int) -> tuple:
