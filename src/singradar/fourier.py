@@ -33,6 +33,7 @@ pass; a list of complex / ExtComplex values is converted at the edges.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -107,11 +108,23 @@ def _divide(parts, n: int) -> tuple:
             + dd_div(parts[2], parts[3], float(n), 0.0))
 
 
-def _bit_reversal(n: int):
+@functools.lru_cache(maxsize=16)  # as many sizes as roots_of_unity keeps
+def _radix2_plan(n: int) -> tuple:
+    """The bit-reversal permutation of n and, per stage, its half-size and
+    twiddles w^{-j*n/size}, j < half, gathered from roots_of_unity(n): all
+    read-only arrays, built once per n."""
     order = np.zeros(1, dtype=np.intp)
     while len(order) < n:
         order = np.concatenate((2 * order, 2 * order + 1))
-    return order
+    stages = []
+    half = 1
+    while half < n:
+        idx = (-(n // (2 * half)) * np.arange(half)) % n
+        stages.append((half, tuple(t[idx] for t in roots_of_unity(n))))
+        half *= 2
+    for a in (order, *(p for _, twiddle in stages for p in twiddle)):
+        a.flags.writeable = False
+    return order, tuple(stages)
 
 
 def _radix2(parts) -> tuple:
@@ -119,21 +132,16 @@ def _radix2(parts) -> tuple:
     decimation in time, the butterfly even + w^k * odd, even - w^k * odd of
     each stage done at once over all blocks and leading indices."""
     *lead, n = parts[0].shape
-    table = roots_of_unity(n)
-    order = _bit_reversal(n)
+    order, stages = _radix2_plan(n)
     x = tuple(p[..., order] for p in parts)
-    half = 1
-    while half < n:
+    for half, twiddle in stages:
         size = 2 * half
-        idx = (-(n // size) * np.arange(half)) % n
-        twiddle = tuple(t[idx] for t in table)
         blocks = tuple(p.reshape(*lead, -1, size) for p in x)
         even = tuple(b[..., :half] for b in blocks)
         term = cdd_mul(twiddle, tuple(b[..., half:] for b in blocks))
         x = tuple(np.concatenate((top, bottom), axis=-1).reshape(*lead, n)
                   for top, bottom in zip(cdd_add(even, term),
                                          cdd_sub(even, term)))
-        half = size
     return x
 
 
