@@ -11,8 +11,13 @@ formed once per circle, as one double-double product over the twiddle
 table, and an unsubdivided hop is corrected at its angle rounded to
 double: the same bits as the scalar product t0 + step*w^k rounded (a
 subdivided hop and the first sample still form theirs one at a time).
-Both lanes walk in double. The final circle then lifts all n samples at once
-to double-double (``tracker._refine``). The walk and the lift stop on
+A real path is mirrored (Schwarz reflection, x(conj t) = conj x(t)): with
+real coefficients (``Homotopy.real_coefficients``), a real centre and base
+point and n > 2, samples 0..n//2 are walked and lifted and sample k > n//2
+is the conjugate of sample n - k; the wrap check compares the hop at
+n//2 + 1 with the conjugate of sample n - n//2 - 1.
+Both lanes walk in double. The final circle then lifts its walked samples at
+once to double-double (``tracker._refine``). The walk and the lift stop on
 residuals relative to each equation's term sizes (TrackerConfig), so a
 scaled equation or coordinate walks the same way. Lifted samples are
 double-double in either lane, so the exactly representable roots of unity
@@ -24,7 +29,8 @@ arrays (re.hi, re.lo, im.hi, im.lo): an iterative radix-2 kernel (bit-reversal
 permutation, then log2(n) vectorised butterfly stages) for power-of-two
 lengths, and a direct kernel that loops over samples and vectorises over
 coefficients for any length. Twiddles come from ``scalars.roots_of_unity``,
-one table per size, built on first use from ``root_of_unity``. The kernels
+one table per size, built on first use from ``root_of_unity``; the radix-2
+permutation and stage twiddles are likewise built once per size. The kernels
 are the ``scalars`` ones the ExtComplex operators call, so every element
 matches what the operators would give, bit for bit. A circle's samples
 stay (dim, n) arrays from the walk to the coefficients, transformed in one
@@ -110,21 +116,17 @@ def _divide(parts, n: int) -> tuple:
 
 @functools.lru_cache(maxsize=16)  # as many sizes as roots_of_unity keeps
 def _radix2_plan(n: int) -> tuple:
-    """The bit-reversal permutation of n and, per stage, its half-size and
-    twiddles w^{-j*n/size}, j < half, gathered from roots_of_unity(n): all
-    read-only arrays, built once per n."""
+    """The bit-reversal permutation of n and each stage's (half, twiddles
+    w^{-j*n/(2*half)}, j < half) from roots_of_unity(n), all read-only."""
     order = np.zeros(1, dtype=np.intp)
     while len(order) < n:
         order = np.concatenate((2 * order, 2 * order + 1))
-    stages = []
-    half = 1
-    while half < n:
-        idx = (-(n // (2 * half)) * np.arange(half)) % n
-        stages.append((half, tuple(t[idx] for t in roots_of_unity(n))))
-        half *= 2
+    stages = tuple((half, tuple(t[(-(n // (2 * half)) * np.arange(half)) % n]
+                                for t in roots_of_unity(n)))
+                   for half in (2 ** s for s in range(n.bit_length() - 1)))
     for a in (order, *(p for _, twiddle in stages for p in twiddle)):
         a.flags.writeable = False
-    return order, tuple(stages)
+    return order, stages
 
 
 def _radix2(parts) -> tuple:
@@ -235,9 +237,14 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     17 and 65 samples all walk here.
 
     Both lanes walk in double from the demoted base point, at
-    walk_config(cfg), so base's lane is not read; with lift, all n samples
-    are then lifted at once to double-double (_refine, at the extended
-    default tolerance), else the parts hold the walk's doubles."""
+    walk_config(cfg), so base's lane is not read; with lift, the walked
+    samples are then lifted at once to double-double (_refine, at the
+    extended default tolerance), else the parts hold the walk's doubles.
+
+    A real circle (module docstring) walks k = 1..n//2 + 1 and lifts
+    samples 0..n//2; sample n/2 of an even n keeps its real part, and the
+    hop at n//2 + 1 must lie within _WRAP_TOL of the conjugate of sample
+    n - n//2 - 1, as a full walk's last hop must of sample 0."""
     _check_count(n)
     cfg = walk_config(cfg)
     _check_step(step)
@@ -271,23 +278,14 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     else:
         zero = np.zeros((h.dim, count))
         parts = walked.real.T, zero, walked.imag.T, zero
-    if mirror:
-        parts = _mirrored(parts, n)
+    if mirror:  # sample k > n//2 is the conjugate of sample n - k
+        tail = slice(n - count, 0, -1)
+        parts = tuple(np.concatenate((p, sign * p[:, tail]), axis=1)
+                      for sign, p in zip((1.0, 1.0, -1.0, -1.0), parts))
+        if n % 2 == 0:  # sample n/2 is at the real t0 - step
+            parts[2][:, n // 2] = parts[3][:, n // 2] = 0.0
     return CircleSamples(t0=base.t, h=float(step), n=n, parts=parts,
                          lifted=lift)
-
-
-def _mirrored(parts, n: int) -> tuple:
-    """The (dim, n) parts of a circle from its samples k = 0..n//2: sample
-    k > n//2 is the conjugate of sample n - k (im.hi, im.lo negated), and
-    at even n sample n/2, at the real t0 - step, keeps its real part."""
-    tail = slice(n - n // 2 - 1, 0, -1)
-    re_hi, re_lo, im_hi, im_lo = (
-        np.concatenate((p, sign * p[:, tail]), axis=1)
-        for sign, p in zip((1.0, 1.0, -1.0, -1.0), parts))
-    if n % 2 == 0:
-        im_hi[:, n // 2] = im_lo[:, n // 2] = 0.0
-    return re_hi, re_lo, im_hi, im_lo
 
 
 def _step_powers(step: float, n: int) -> tuple:
