@@ -304,6 +304,99 @@ def test_cusp_circle_near_the_endpoint(t):
         assert abs(complex(x) - gap ** 2) <= 1e-12 * abs(gap) ** 2
 
 
+def real_fixture_base(name):
+    h = fixture(name)
+    return h, PathState.from_point(h, 0.0, [1.0] * h.dim)
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("lift", [True, False])
+@pytest.mark.parametrize("n", [16, 17, 32, 128])
+@pytest.mark.parametrize("name", ["sqrt", "monomial4", "cusp"])
+def test_real_circle_is_mirrored_bit_for_bit(name, n, lift):
+    # a real homotopy about a real centre and base point has
+    # x(conj t) = conj x(t): the samples past the half are the conjugates
+    # of the walked ones, to the last bit of every part
+    h, base = real_fixture_base(name)
+    parts = sample_circle(h, base, 0.5, n, default_config(), lift).parts
+    for k in range(1, n):
+        assert same_bits(parts[0][:, k], parts[0][:, n - k])
+        assert same_bits(parts[1][:, k], parts[1][:, n - k])
+        if 2 * k != n:
+            assert same_bits(parts[2][:, k], -parts[2][:, n - k])
+            assert same_bits(parts[3][:, k], -parts[3][:, n - k])
+    if n % 2 == 0:
+        # the sample at the real t0 - step keeps its real part only
+        assert not parts[2][:, n // 2].any() and not parts[3][:, n // 2].any()
+
+
+def count_hops(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[5])
+        return advance(*args)
+
+    advance = fourier._advance_arc
+    monkeypatch.setattr(fourier, "_advance_arc", counted)
+    return calls
+
+
+# x^2 + 1 - t = 0 has real coefficients; its path through x = i is not real
+IMAGINARY_PATH = Homotopy(dim=1, gamma=1.0, equations=[
+    [TMonomial((1.0,), (2,)), TMonomial((1.0, -1.0), (0,))]])
+
+
+@pytest.mark.parametrize("case", ["ojika1", "sqrt-gamma", "complex-start"])
+@pytest.mark.parametrize("n", [16, 17])
+def test_circles_that_are_not_real_walk_every_hop(case, n, monkeypatch):
+    if case == "ojika1":
+        h = fixture("ojika1")
+        base = track_to(h, PathState.from_point(h, 0.0, [1.0, 1.0]), 0.3,
+                        default_config())
+    elif case == "sqrt-gamma":
+        h = fixture("sqrt", gamma=cmath.exp(0.7j))
+        base = PathState.from_point(h, 0.0, [1.0])
+    else:
+        h = IMAGINARY_PATH
+        base = PathState.from_point(h, 0.0, [1j])
+    calls = count_hops(monkeypatch)
+    sample_circle(h, base, 0.37, n, default_config())
+    assert calls == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [3, 16, 17])
+def test_real_circle_walks_half_and_one_hop(n, monkeypatch):
+    h, base = real_fixture_base("sqrt")
+    calls = count_hops(monkeypatch)
+    sample_circle(h, base, 0.37, n, default_config())
+    assert calls == list(range(1, n // 2 + 2))
+
+
+# x^2 - (t + 0.3) = 0: a real homotopy with a branch point at t = -0.3
+BEHIND_THE_CENTRE = Homotopy(dim=1, gamma=1.0, equations=[
+    [TMonomial((1.0,), (2,)), TMonomial((-0.3, -1.0), (0,))]])
+
+
+@pytest.mark.parametrize("lift", [True, False])
+@pytest.mark.parametrize("n", [32, 33, 128])
+def test_mirrored_walk_catches_a_branch_point_on_the_real_axis(n, lift):
+    # the radius-0.5 circle about t0 = 0 encloses t = -0.3; the half walk
+    # crosses the cut there, so the hop past the half lands on -conj of the
+    # sample it mirrors
+    h = BEHIND_THE_CENTRE
+    base = PathState.from_point(h, 0.0, [math.sqrt(0.3)])
+    with pytest.raises(BranchJump, match="different branch"):
+        sample_circle(h, base, 0.5, n, default_config(), lift)
+    s = sample_circle(h, base, 0.2, n, default_config(), lift)
+    for k, x in enumerate(s.values[0]):
+        want = cmath.sqrt(0.3 + 0.2 * cmath.exp(2j * math.pi * k / n))
+        assert abs(complex(x) - want) <= 1e-14
+
+
 def sqrt_path_error(samples, n, step):
     """max_k |x_k - sqrt(1 - t_k)| at 50 digits, t_k the double-double
     angle t0 + step*w^k the samples were taken at (t0 = 0)."""
@@ -617,6 +710,27 @@ def test_real_path_coefficients_stay_real():
     s = taylor_coefficients(h, base, 0.85, 64, default_config())[0]
     scale = max(abs(c) for c in s.coeffs)
     assert max(abs(c.imag) for c in s.coeffs) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("step", [0.4, 0.45, 0.5])
+def test_extended_sqrt_middle_coefficient_is_exactly_real(step):
+    # the mirrored samples are exact conjugates, so the real path's c64
+    # comes out real; with every sample walked it read -4.4e-9, 3.7e-13
+    # and -2.8e-17 at these steps
+    h = fixture("sqrt")
+    base = PathState.from_point(h, promote(0.0, EXTENDED),
+                                [promote(1.0, EXTENDED)])
+    series = taylor_coefficients(h, base, step, 128,
+                                 default_config(EXTENDED))[0]
+    assert complex(series.coeffs[64]).imag == 0.0
+
+
+def test_radix2_plan_is_read_only_and_shared():
+    order, stages = fourier._radix2_plan(32)
+    assert fourier._radix2_plan(32) is fourier._radix2_plan(32)
+    assert [half for half, _ in stages] == [1, 2, 4, 8, 16]
+    for a in (order, *(p for _, twiddle in stages for p in twiddle)):
+        assert not a.flags.writeable
 
 
 def test_default_step_is_085_of_gap():

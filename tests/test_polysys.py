@@ -224,6 +224,30 @@ def test_fixture_gamma_override():
             fixture(name, g)
 
 
+def test_real_coefficients_are_recorded_on_construction():
+    for name in ("sqrt", "cusp", "monomial4"):
+        assert fixture(name).real_coefficients
+        assert recondition(fixture(name), 0.3).real_coefficients
+    assert not fixture("ojika1").real_coefficients
+    assert not fixture("sqrt", complex(0.6, 0.8)).real_coefficients
+    # a complex coefficient of a monomial counts as much as one in t
+    assert not Homotopy(dim=1, gamma=1.0, equations=[[Term(
+        (1.0,), (Monomial(1.0, (2,)), Monomial(-1j, (0,))))]]
+    ).real_coefficients
+
+
+def test_homotopies_of_one_shape_share_compiled_programs():
+    # a chart or a gamma changes coefficients, not the programs' source
+    h = fixture("ojika1")
+    for other in (recondition(h, 0.3), fixture("ojika1")):
+        assert other._residual.__code__ is h._residual.__code__
+        assert other._jacobian.__code__ is h._jacobian.__code__
+    g = fixture("sqrt", complex(0.6, 0.8))
+    assert g._residual.__code__ is fixture("sqrt")._residual.__code__
+    x = [0.7 + 0.2j]
+    assert evaluate(g, x, 0.4) != evaluate(fixture("sqrt"), x, 0.4)
+
+
 def test_malformed_homotopy_rejected():
     with pytest.raises(InvalidArgument):
         Homotopy(dim=2, gamma=1.0, equations=[[TMonomial((1.0,), (1,))]] * 2)
