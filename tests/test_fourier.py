@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from singradar import fourier, tracker
+from singradar.cli import gamma_from_seed
 from singradar.errors import BranchJump, InvalidArgument
 from singradar.fourier import (
     CircleSamples,
@@ -358,7 +359,7 @@ def test_circles_that_are_not_real_walk_every_hop(case, n, monkeypatch):
         base = track_to(h, PathState.from_point(h, 0.0, [1.0, 1.0]), 0.3,
                         default_config())
     elif case == "sqrt-gamma":
-        h = fixture("sqrt", gamma=cmath.exp(0.7j))
+        h = fixture("sqrt", gamma=gamma_from_seed(7))  # radius --seed 7
         base = PathState.from_point(h, 0.0, [1.0])
     else:
         h = IMAGINARY_PATH
