@@ -73,6 +73,9 @@ import numpy as np
 
 _WRAP_TOL = 1e-6  # of max |x| over the first sample
 _MAX_SUBSTEPS = 64
+# a sampling radius over the distance to the nearest singularity in sight
+# (default_step; radar.detect_last_pole's checkpoints)
+_RADIUS_FRACTION = 0.85
 
 
 @dataclass
@@ -195,10 +198,10 @@ def direct_inverse_dft(values) -> list:
 
 
 def default_step(t0) -> float:
-    """0.85 of the distance to t = 1; smaller radii drown the high
-    coefficients in rescaled rounding noise, larger ones sit too close
+    """_RADIUS_FRACTION of the distance to t = 1; smaller radii drown the
+    high coefficients in rescaled rounding noise, larger ones sit too close
     to the singularity."""
-    return 0.85 * abs(1.0 - complex(t0))
+    return _RADIUS_FRACTION * abs(1.0 - complex(t0))
 
 
 def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed, t_hop):

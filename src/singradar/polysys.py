@@ -102,8 +102,12 @@ class Homotopy:
     t0: float = 0.0
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise InvalidArgument("a homotopy needs at least one unknown")
         if len(self.equations) != self.dim:
             raise InvalidArgument("a homotopy needs one equation per unknown")
+        if not all(self.equations):
+            raise InvalidArgument("every equation needs at least one term")
         self._residual, self._jacobian = _programs(self.equations)
         # read by fourier.sample_circle's mirror rule (Schwarz reflection)
         self.real_coefficients = complex(self.t0).imag == 0.0 and all(

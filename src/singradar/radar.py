@@ -24,7 +24,7 @@ from .errors import (
     SingularJacobian,
     StepUnderflow,
 )
-from .fourier import taylor_coefficients
+from .fourier import _RADIUS_FRACTION, taylor_coefficients
 from .polysys import Homotopy
 from .scalars import EXTENDED, float_magnitude, lane, promote, scalar_eps
 from .series import TruncatedSeries
@@ -227,9 +227,9 @@ def detect_last_pole(h: Homotopy, start: PathState,
         except (NoConvergence, StepUnderflow, SingularJacobian):
             break
         gap = 1.0 - t_c
-        radius = 0.85 * gap
+        radius = _RADIUS_FRACTION * gap
         if prev_z is not None:
-            radius = min(radius, 0.85 * abs(prev_z - t_c))
+            radius = min(radius, _RADIUS_FRACTION * abs(prev_z - t_c))
         est = _checkpoint_estimate(h, state, radius, cfg)
         status = None if est is None else est.status
         read_any = read_any or status in (CONVERGED, COEFFICIENTS_VANISH)

@@ -14,9 +14,11 @@ homotopy term once.
 Newton runs in double; ``_refine`` alone makes double-double points, by
 mixed-precision refinement of k double points at once (Moler, JACM 14,
 1967): one for an extended ``newton_correct`` or an extended track's step
-that passed its jump check, all samples of a circle together. Both lanes
-walk in double: ``demoted`` rounds extended coordinates, ``walk_config``
-picks the tolerance.
+that passed its jump check, all samples of a circle together. Residuals
+are evaluated for all k points at once, and each point's correction is
+solved by ``_solve_linear``, the one elimination: a lifted point gets the
+bits of its own one-point lift. Both lanes walk in double: ``demoted``
+rounds extended coordinates, ``walk_config`` picks the tolerance.
 """
 
 from __future__ import annotations
@@ -151,71 +153,15 @@ def _solver(n: int):
     return namespace["solve"]
 
 
-def _cmul(ar, ai, br, bi):
-    """CPython's complex a * b on float64 arrays (numpy's complex product
-    may fuse a multiply-add and round differently)."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(ar, ai, br, bi):
-    """CPython's complex a / b on float64 arrays, b nonzero: Smith's
-    quotient, dividing by denom (numpy's multiplies by a reciprocal)."""
-    wide = np.abs(br) >= np.abs(bi)
-    ratio = np.where(wide, bi, br) / np.where(wide, br, bi)
-    denom = np.where(wide, br, bi) + np.where(wide, bi, br) * ratio
-    return (np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
-            np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
-
-
-def _solve_batch(jac, rhs, eps: float):
-    """_solve_linear on k double systems at once, jac (k, n, n) and rhs
-    (k, n) complex: the same operations in the same order per system, in
-    real float64 arithmetic, so every system gets _solve_linear's bits.
-    Returns the solutions' real and imaginary parts, each (k, n)."""
-    k, n = rhs.shape
-    re = np.concatenate((jac.real, rhs.real[:, :, None]), axis=2)
-    im = np.concatenate((jac.imag, rhs.imag[:, :, None]), axis=2)
-    floor = 1e3 * eps * np.hypot(jac.real, jac.imag).reshape(k, n * n).max(
-        axis=1, initial=0.0)
-    rows = np.arange(k)
-    for col in range(n):
-        mag = np.hypot(re[:, col:, col], im[:, col:, col])
-        piv = np.argmax(mag, axis=1)
-        if np.any(mag[rows, piv] <= floor):
-            raise SingularJacobian("jacobian pivot below the precision floor")
-        piv += col
-        for a in (re, im):
-            a[rows, col], a[rows, piv] = a[rows, piv], a[rows, col]
-        # every row below the pivot row at once, from column col on
-        p_re, p_im = re[:, col:col + 1, col:], im[:, col:col + 1, col:]
-        fr, fi = _cdiv(re[:, col + 1:, col:col + 1],
-                       im[:, col + 1:, col:col + 1],
-                       p_re[:, :, :1], p_im[:, :, :1])
-        pr, pi = _cmul(fr, fi, p_re, p_im)
-        re[:, col + 1:, col:] -= pr
-        im[:, col + 1:, col:] -= pi
-    out_re = np.empty((k, n))
-    out_im = np.empty((k, n))
-    for i in range(n - 1, -1, -1):
-        acc_re, acc_im = re[:, i, n], im[:, i, n]
-        for j in range(i + 1, n):
-            pr, pi = _cmul(re[:, i, j], im[:, i, j],
-                           out_re[:, j], out_im[:, j])
-            acc_re, acc_im = acc_re - pr, acc_im - pi
-        out_re[:, i], out_im[:, i] = _cdiv(acc_re, acc_im, re[:, i, i],
-                                           im[:, i, i])
-    return out_re, out_im
-
-
 def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
     """Lift k double points, a (k, dim) complex array, to double-double at
     t, one ExtComplex (array parts give each point its own t). Returns one
     array-valued ExtComplex per coordinate and the residual norm per point.
 
     The residual, q(t) included, is evaluated in double-double at the
-    exact t, the correction solved in double with the Jacobian at the hi
-    parts (_solve_batch, each point with _solve_linear's bits) and added in
-    double-double. The stopping rule is newton_correct's for every point:
+    exact t for all points at once; each point's correction is solved in
+    double by _solve_linear, with the Jacobian at its hi parts, and added
+    in double-double. The stopping rule is newton_correct's for every point:
     each equation within cfg's relative tolerance, then one more step, kept
     where it lowers the residual (none when every residual is zero).
     """
@@ -236,12 +182,11 @@ def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
         rhs = np.empty((n, h.dim), dtype=complex)
         for i, r in enumerate(resid):
             rhs[:, i] = r.re.hi + 1j * r.im.hi
-        d_re = np.zeros((n, h.dim))
-        d_im = np.zeros((n, h.dim))
-        d_re[active], d_im[active] = _solve_batch(jac[active], rhs[active],
-                                                  eps)
-        return [v - _complex((a, 0.0, b, 0.0))
-                for v, a, b in zip(x, d_re.T, d_im.T)]
+        delta = np.zeros((h.dim, n), dtype=complex)
+        for p in np.flatnonzero(active):
+            delta[:, p] = _solve_linear(jac[p].tolist(), rhs[p].tolist(), eps)
+        return [v - _complex((d.real, 0.0, d.imag, 0.0))
+                for v, d in zip(x, delta)]
 
     for it in range(_MAX_NEWTON_ITERS + 1):
         scales = []
@@ -292,7 +237,8 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
     t is fixed, so every term's q(t) is evaluated once per call. Newton
     runs in double, at walk_config(cfg) when t or x0 is extended; the double
     point is then lifted to cfg's tolerance as one sample of _refine at the
-    exact t. Iterations and history are the double loop's.
+    exact t. Iterations and history are the double loop's. An iterate at
+    which the homotopy overflows raises NoConvergence.
     """
     lift = _lifts(cfg, t, x0)
     tol = walk_config(cfg).newton_tol
@@ -301,25 +247,28 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
     x = [_double(v) for v in x0]
     q = term_values(h, t_walk)
     iterations = None
-    for it in range(_MAX_NEWTON_ITERS + 1):
-        scales = []
-        resid = evaluate(h, x, t_walk, q, scales, abs)
-        if all([abs(r) <= tol * s for r, s in zip(resid, scales)]):
-            iterations = it
-            break
-        if it == _MAX_NEWTON_ITERS:
-            raise NoConvergence("newton iteration budget exhausted")
-        delta = _solve_linear(jacobian(h, x, t_walk, q), resid, eps)
-        x = [xi - di for xi, di in zip(x, delta)]
-        if history is not None:
-            history.append(list(x))
-    residual = max(map(abs, resid), default=0.0)
-    if residual != 0.0:
-        delta = _solve_linear(jacobian(h, x, t_walk, q), resid, eps)
-        polished = [xi - di for xi, di in zip(x, delta)]
-        after = max(map(abs, evaluate(h, polished, t_walk, q)), default=0.0)
-        if after < residual:
-            x, residual = polished, after
+    try:
+        for it in range(_MAX_NEWTON_ITERS + 1):
+            scales = []
+            resid = evaluate(h, x, t_walk, q, scales, abs)
+            if all([abs(r) <= tol * s for r, s in zip(resid, scales)]):
+                iterations = it
+                break
+            if it == _MAX_NEWTON_ITERS:
+                raise NoConvergence("newton iteration budget exhausted")
+            delta = _solve_linear(jacobian(h, x, t_walk, q), resid, eps)
+            x = [xi - di for xi, di in zip(x, delta)]
+            if history is not None:
+                history.append(list(x))
+        residual = max(map(abs, resid), default=0.0)
+        if residual != 0.0:
+            delta = _solve_linear(jacobian(h, x, t_walk, q), resid, eps)
+            polished = [xi - di for xi, di in zip(x, delta)]
+            after = max(map(abs, evaluate(h, polished, t_walk, q)), default=0.0)
+            if after < residual:
+                x, residual = polished, after
+    except OverflowError:  # an iterate too large for the homotopy
+        raise NoConvergence("newton iterate overflows the homotopy") from None
     state = PathState(t, x, residual, newton_iterations=iterations)
     return _lifted(h, t, state, cfg) if lift else state
 
@@ -327,6 +276,8 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
 def track_to(h: Homotopy, start: PathState, t_target: float,
              cfg: TrackerConfig, trace: list | None = None) -> PathState:
     """Continue the path from start to t_target along the real axis."""
+    if not np.isfinite(t_target):
+        raise InvalidArgument("t_target must be finite")
     t_cur = start.t
     x = list(start.x)
     if float(abs(t_target - complex(t_cur).real)) == 0.0:

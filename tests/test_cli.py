@@ -16,6 +16,8 @@ from singradar.radar import locate_singularity, richardson
 from singradar.scalars import DOUBLE, is_extended, lane
 from singradar.tracker import default_config, newton_correct
 
+from test_tracker import OVERFLOWING
+
 OJIKA1_BASE = 0.955647336181678
 
 
@@ -433,6 +435,53 @@ def test_overflowing_extended_start_exits_two(argv):
     assert err == ("error: start point too large: the homotopy overflows "
                    "there\n")
     assert out == ""
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+def test_track_target_that_is_not_finite_exits_two(target):
+    # no step budget spent, no rows printed: an argument error
+    code, out, err = run_cli(["track", "--fixture", "sqrt",
+                              "--target=" + target])
+    assert code == 2
+    assert err == "error: t_target must be finite\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, status", [
+    ("radius", "InconclusiveRadar"), ("track", "StepUnderflow")])
+def test_newton_overflow_is_a_numerical_failure(tmp_path, command, status):
+    # x ** 400 overflows at a Newton iterate: the corrector fails as
+    # NoConvergence, so the run ends as an exit 1, not a traceback
+    path = tmp_path / "overflowing.json"
+    path.write_text(json.dumps(OVERFLOWING))
+    code, out, err = run_cli([command, "--file", str(path)])
+    assert code == 1
+    assert err.startswith(status + ": ")
+    assert err.count("\n") == 1
+
+
+def test_tiny_start_is_not_an_overflowing_start():
+    # from x = 1e-200 the first Newton step of x^2 - 1 overflows: a
+    # numerical failure of the corrector, not a start too large
+    code, out, err = run_cli(["radius", "--fixture", "sqrt",
+                              "--start", "1e-200"])
+    assert code == 1
+    assert err == "NoConvergence: newton iterate overflows the homotopy\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["radius", "track"])
+@pytest.mark.parametrize("d, message", [
+    ({"form": "explicit_t", "dim": 0, "equations": []},
+     "a homotopy needs at least one unknown"),
+    ({"form": "explicit_t", "dim": 1, "equations": [[]]},
+     "every equation needs at least one term"),
+], ids=["dim-0", "no-terms"])
+def test_degenerate_homotopy_file_exits_two(tmp_path, command, d, message):
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run_cli([command, "--file", str(path)])
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_step_too_small_for_the_sample_count_exits_two():

@@ -259,6 +259,22 @@ def test_malformed_homotopy_rejected():
         Term((1.0,), ())
 
 
+@pytest.mark.parametrize("d, message", [
+    ({"form": "explicit_t", "dim": 0, "equations": []}, "at least one unknown"),
+    ({"form": "explicit_t", "dim": -1, "equations": []},
+     "at least one unknown"),
+    ({"form": "explicit_t", "dim": 1, "equations": [[]]},
+     "at least one term"),
+    ({"form": "explicit_t", "dim": 2, "equations": [
+        [{"t_coeffs": [[1.0, 0.0]], "exp": [1, 0]}], []]},
+     "at least one term"),
+], ids=["dim-0", "dim-negative", "no-terms", "second-has-no-terms"])
+def test_degenerate_homotopy_shape_rejected(d, message):
+    # no unknowns, or an identically zero equation, has no path to track
+    with pytest.raises(InvalidArgument, match=message):
+        homotopy_from_json(d)
+
+
 def test_extended_lane_evaluation_matches_double():
     h = fixture("ojika1")
     x = [ExtComplex(1.1, 0.3), ExtComplex(0.7, -0.2)]

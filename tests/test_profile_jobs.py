@@ -21,6 +21,7 @@ def test_shares_name_every_hot_spot_with_its_calls():
     assert by_name["fourier.inverse_dft"][0] == 3
     assert by_name["radar.detect_last_pole"] == (0, 0.0)
     assert all(0.0 <= share <= 1.0 for _, _, share in rows)
-    # cumulative shares nest: the solve runs inside the corrector
+    # cumulative shares nest: the solve runs inside the corrector and the
+    # lift, and all its calls take less than the corrector
     assert 0.0 < by_name["tracker._solve_linear"][1] < by_name[
         "tracker.newton_correct"][1]

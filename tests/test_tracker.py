@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singradar import tracker
+from singradar import fourier, tracker
 from singradar.errors import (
     EvaluationSingular,
     InvalidArgument,
@@ -28,9 +28,10 @@ from singradar.polysys import (
     make_gamma_homotopy,
     term_values,
 )
-from singradar.radar import recondition
-from singradar.scalars import (DOUBLE, EXTENDED, ExtReal, float_magnitude,
-                               is_extended, lane, promote, scalar_eps)
+from singradar.radar import locate_singularity, recondition
+from singradar.scalars import (DOUBLE, EXTENDED, ExtReal, _complex, _quad,
+                               float_magnitude, is_extended, lane, promote,
+                               scalar_eps)
 from singradar.tracker import (
     PathState,
     TrackerConfig,
@@ -61,47 +62,81 @@ def explicit_system_homotopy(equations, dim):
 
 
 # ---------------------------------------------------------------------------
-# batched elimination
+# the lift: one elimination per point
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_solve_batch_bit_identical_to_solve_linear(dim):
-    # seeded complex systems with entries over twelve decades; every
-    # solution is compared byte for byte (signs of zero too) with the
-    # scalar elimination of the same system
-    rng = np.random.default_rng(dim)
-    k = 200
-    shape = (k, dim, dim)
-    jac = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-           * 10.0 ** rng.uniform(-6.0, 6.0, shape))
-    jac[::3, :, 0] *= 1j  # purely imaginary or real leading columns
-    if dim > 1:
-        jac[::5, 0, 0] = 0.0  # a zero leading pivot forces a swap
-    rhs = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
-    rhs[::7, 0] = -0.0
-    eps = scalar_eps(DOUBLE)
-    re, im = tracker._solve_batch(jac, rhs, eps)
-    for s in range(k):
-        want = tracker._solve_linear(jac[s].tolist(), rhs[s].tolist(), eps)
-        assert np.array([w.real for w in want]).tobytes() == re[s].tobytes()
-        assert np.array([w.imag for w in want]).tobytes() == im[s].tobytes()
-    if dim > 1:
-        # partial pivoting swapped rows in part of the batch
-        swapped = np.argmax(np.abs(jac[:, :, 0]), axis=1) != 0
-        assert 0 < swapped.sum() < k
+def _final_circle(monkeypatch, h, start, **kwargs):
+    """The homotopy, t and walked samples that the radius pipeline's final
+    circle, the run's one lift, hands to _refine."""
+    seen = []
+    refine = fourier._refine
+
+    def spy(hs, t, walked, cfg):
+        seen.append((hs, t, walked))
+        return refine(hs, t, walked, cfg)
+
+    monkeypatch.setattr(fourier, "_refine", spy)
+    locate_singularity(h, start, 64, **kwargs)
+    [circle] = seen
+    return circle
 
 
-def test_solve_batch_raises_on_a_pivot_below_the_floor():
-    jac = np.array([[[2.0, 1.0], [1.0, 3.0]],
-                    [[1.0, 2.0], [2.0, 4.0 + 1e-15]]], dtype=complex)
-    rhs = np.ones((2, 2), dtype=complex)
-    eps = scalar_eps(DOUBLE)
-    with pytest.raises(SingularJacobian):
-        tracker._solve_linear(jac[1].tolist(), rhs[1].tolist(), eps)
-    with pytest.raises(SingularJacobian):
-        tracker._solve_batch(jac, rhs, eps)
-    re, im = tracker._solve_batch(jac[:1], rhs[:1], eps)
-    assert re.tolist() == [[0.4, 0.2]] and im.tolist() == [[0.0, 0.0]]
+def _point_bits(lifted, p):
+    """Point p's lifted parts and residual norm, as bytes."""
+    x, norms = lifted
+    return [part[p].tobytes() for v in x for part in _quad(v)], norms[p]
+
+
+@pytest.mark.parametrize("name, count", [
+    ("sqrt", 65), ("ojika1", 128), ("monomial4", 65), ("cusp", 65),
+    ("negative-exponents", 128)])
+def test_refine_gives_every_point_the_bits_of_its_own_lift(monkeypatch, name,
+                                                           count):
+    # the residuals of a circle are evaluated together, but each point's
+    # correction is its own _solve_linear: a k-point lift and k one-point
+    # lifts agree bit for bit and run the same solves (a converged point
+    # is not solved again). The real circles lift half their samples.
+    if name == "negative-exponents":
+        h, kwargs = homotopy_from_json(NEGATIVE_EXPONENTS), {
+            "t0": 0.3, "step": 0.05}
+    else:
+        h, kwargs = fixture(name), {}
+    start = newton_correct(h, 0.0, [1.0] * h.dim, default_config())
+    hs, t, walked = _final_circle(monkeypatch, h, start, **kwargs)
+    assert walked.shape == (count, h.dim)
+    cfg = default_config(EXTENDED)
+    solves = []
+    solve = tracker._solve_linear
+
+    def counted_solve(jac, rhs, eps):
+        solves.append(len(rhs))
+        return solve(jac, rhs, eps)
+
+    monkeypatch.setattr(tracker, "_solve_linear", counted_solve)
+    lifted = tracker._refine(hs, t, walked, cfg)
+    batch_solves = len(solves)
+    assert set(solves) == {h.dim}
+    for p in range(count):
+        t_p = _complex(tuple(part[p:p + 1] for part in _quad(t)))
+        one = tracker._refine(hs, t_p, walked[p:p + 1], cfg)
+        assert _point_bits(one, 0) == _point_bits(lifted, p)
+    assert len(solves) == 2 * batch_solves
+
+
+def test_refine_raises_on_one_singular_point():
+    # sqrt's Jacobian 2x vanishes at x = 0: one such point stops the lift
+    # of the batch with the elimination's own error; without it the
+    # others lift
+    h = fixture("sqrt")
+    t = promote(0.5, EXTENDED)
+    walked = np.array([[0.7 + 0.01j], [0j], [0.71 - 0.02j]])
+    cfg = default_config(EXTENDED)
+    with pytest.raises(SingularJacobian,
+                       match="^jacobian pivot below the precision floor$"):
+        tracker._refine(h, t, walked, cfg)
+    [x], norms = tracker._refine(h, t, walked[[0, 2]], cfg)
+    assert x.re.hi.tolist() == [math.sqrt(0.5)] * 2
+    assert (norms <= 1e-30).all()
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +537,36 @@ def test_newton_singular_jacobian():
         newton_correct(fixture("sqrt"), 0.0, [0.0], default_config())
 
 
+# x^400 - 1 + 1e300 t: from x = 1 at t = 0.5 the first Newton step lands
+# near -1.25e297, where x ** 400 overflows
+OVERFLOWING = {
+    "form": "explicit_t", "dim": 1,
+    "equations": [[{"t_coeffs": [[1.0, 0.0]], "exp": [400]},
+                   {"t_coeffs": [[-1.0, 0.0], [1e300, 0.0]], "exp": [0]}]]}
+
+
+def test_newton_overflow_is_no_convergence():
+    h = homotopy_from_json(OVERFLOWING)
+    with pytest.raises(NoConvergence, match="overflows the homotopy"):
+        newton_correct(h, 0.5, [1.0], default_config())
+
+
+def test_newton_polish_overflow_is_no_convergence(monkeypatch):
+    # the polish step's evaluation, the only one without scales, overflows
+    evaluate = tracker.evaluate
+
+    def overflowing(h, x, t, q, scales=None, *rest):
+        if scales is None:
+            raise OverflowError("polish")
+        return evaluate(h, x, t, q, scales, *rest)
+
+    h = fixture("sqrt")
+    assert newton_correct(h, 0.3, [0.8], default_config()).residual > 0.0
+    monkeypatch.setattr(tracker, "evaluate", overflowing)
+    with pytest.raises(NoConvergence, match="overflows the homotopy"):
+        newton_correct(h, 0.3, [0.8], default_config())
+
+
 def test_newton_tolerance_floor_guard():
     with pytest.raises(InvalidArgument):
         newton_correct(fixture("sqrt"), 0.0, [1.1], default_config(EXTENDED))
@@ -620,6 +685,14 @@ def test_track_step_budget(monkeypatch):
     monkeypatch.setattr(tracker, "_MAX_STEPS", 3)
     with pytest.raises(NoConvergence):
         track_to(h, PathState.from_point(h, 0.0, [1.0]), 0.9,
+                 default_config())
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_track_rejects_a_target_that_is_not_finite(target):
+    h = fixture("sqrt")
+    with pytest.raises(InvalidArgument, match="t_target must be finite"):
+        track_to(h, PathState.from_point(h, 0.0, [1.0]), target,
                  default_config())
 
 
