@@ -73,8 +73,8 @@ import numpy as np
 
 _WRAP_TOL = 1e-6  # of max |x| over the first sample
 _MAX_SUBSTEPS = 64
-# a sampling radius over the distance to the nearest singularity in sight
-# (default_step; radar.detect_last_pole's checkpoints)
+# the sampling radius as a fraction of the distance to the nearest
+# singularity in sight (default_step, radar.detect_last_pole)
 _RADIUS_FRACTION = 0.85
 
 
@@ -198,9 +198,9 @@ def direct_inverse_dft(values) -> list:
 
 
 def default_step(t0) -> float:
-    """_RADIUS_FRACTION of the distance to t = 1; smaller radii drown the
-    high coefficients in rescaled rounding noise, larger ones sit too close
-    to the singularity."""
+    """_RADIUS_FRACTION (0.85) of the distance to t = 1; smaller radii
+    drown the high coefficients in rescaled rounding noise, larger ones sit
+    too close to the singularity."""
     return _RADIUS_FRACTION * abs(1.0 - complex(t0))
 
 

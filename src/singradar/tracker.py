@@ -264,7 +264,8 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
         if residual != 0.0:
             delta = _solve_linear(jacobian(h, x, t_walk, q), resid, eps)
             polished = [xi - di for xi, di in zip(x, delta)]
-            after = max(map(abs, evaluate(h, polished, t_walk, q)), default=0.0)
+            after = max(map(abs, evaluate(h, polished, t_walk, q)),
+                        default=0.0)
             if after < residual:
                 x, residual = polished, after
     except OverflowError:  # an iterate too large for the homotopy

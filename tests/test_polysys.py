@@ -260,7 +260,8 @@ def test_malformed_homotopy_rejected():
 
 
 @pytest.mark.parametrize("d, message", [
-    ({"form": "explicit_t", "dim": 0, "equations": []}, "at least one unknown"),
+    ({"form": "explicit_t", "dim": 0, "equations": []},
+     "at least one unknown"),
     ({"form": "explicit_t", "dim": -1, "equations": []},
      "at least one unknown"),
     ({"form": "explicit_t", "dim": 1, "equations": [[]]},
@@ -270,7 +271,8 @@ def test_malformed_homotopy_rejected():
      "at least one term"),
 ], ids=["dim-0", "dim-negative", "no-terms", "second-has-no-terms"])
 def test_degenerate_homotopy_shape_rejected(d, message):
-    # no unknowns, or an identically zero equation, has no path to track
+    # no unknowns, or an equation without terms (identically zero): there
+    # is no path to track
     with pytest.raises(InvalidArgument, match=message):
         homotopy_from_json(d)
 

@@ -84,7 +84,8 @@ def _final_circle(monkeypatch, h, start, **kwargs):
 def _point_bits(lifted, p):
     """Point p's lifted parts and residual norm, as bytes."""
     x, norms = lifted
-    return [part[p].tobytes() for v in x for part in _quad(v)], norms[p]
+    return ([part[p].tobytes() for v in x for part in _quad(v)],
+            norms[p:p + 1].tobytes())
 
 
 @pytest.mark.parametrize("name, count", [
