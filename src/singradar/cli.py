@@ -316,8 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", choices=[DOUBLE, EXTENDED], default=DOUBLE)
     p.add_argument("--t0", type=float)
     p.add_argument("--step", type=float)
-    p.add_argument("--gamma", type=complex)
-    p.add_argument("--seed", type=int)
+    gamma = p.add_mutually_exclusive_group()
+    gamma.add_argument("--gamma", type=complex)
+    gamma.add_argument("--seed", type=int)
     p.add_argument("--out")
 
     p = subs.add_parser("track", help="dump one tracked path as CSV")

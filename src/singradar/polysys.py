@@ -108,6 +108,9 @@ class Homotopy:
             raise InvalidArgument("a homotopy needs one equation per unknown")
         if not all(self.equations):
             raise InvalidArgument("every equation needs at least one term")
+        if not all(any(any(term.t_coeffs) and any(m.coefficient for m in
+                       term.poly) for term in eq) for eq in self.equations):
+            raise InvalidArgument("an equation is identically zero")
         self._residual, self._jacobian = _programs(self.equations)
         # read by fourier.sample_circle's mirror rule (Schwarz reflection)
         self.real_coefficients = complex(self.t0).imag == 0.0 and all(

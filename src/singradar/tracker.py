@@ -13,12 +13,12 @@ homotopy term once.
 
 Newton runs in double; ``_refine`` alone makes double-double points, by
 mixed-precision refinement of k double points at once (Moler, JACM 14,
-1967): one for an extended ``newton_correct`` or an extended track's step
-that passed its jump check, all samples of a circle together. Residuals
-are evaluated for all k points at once, and each point's correction is
-solved by ``_solve_linear``, the one elimination: a lifted point gets the
-bits of its own one-point lift. Both lanes walk in double: ``demoted``
-rounds extended coordinates, ``walk_config`` picks the tolerance.
+1967): one for an extended ``newton_correct``, all rows of an extended
+track, all samples of a circle. Residuals are evaluated for all k points
+at once, and each point's correction is solved by ``_solve_linear``, the
+one elimination: a lifted point gets the bits of its own one-point lift.
+Both lanes walk and track in double, so the lane moves no step:
+``demoted`` rounds extended coordinates, ``walk_config`` the tolerance.
 """
 
 from __future__ import annotations
@@ -217,12 +217,14 @@ def _lifts(cfg: TrackerConfig, t, x) -> bool:
     return precision == EXTENDED
 
 
-def _lifted(h: Homotopy, t, state: PathState, cfg: TrackerConfig):
-    """state's double point lifted as one sample of _refine at the exact t."""
-    lifted, norms = _refine(h, promote(t, EXTENDED),
-                            np.array([state.x], dtype=complex), cfg)
-    return replace(state, t=t, residual=float(norms[0]), x=[
-        _complex([float(p[0]) for p in _quad(v)]) for v in lifted])
+def _lifted(h: Homotopy, states: list, cfg: TrackerConfig) -> list:
+    """The states' double points lifted in one _refine, each at its exact t."""
+    t = _complex(np.array([_quad(promote(s.t, EXTENDED)) for s in states]).T)
+    walked = np.array([s.x for s in states], dtype=complex)
+    lifted, norms = _refine(h, t, walked, cfg)
+    return [replace(s, residual=float(norms[p]), x=[
+        _complex([float(part[p]) for part in _quad(v)]) for v in lifted])
+        for p, s in enumerate(states)]
 
 
 def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
@@ -236,9 +238,9 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
 
     t is fixed, so every term's q(t) is evaluated once per call. Newton
     runs in double, at walk_config(cfg) when t or x0 is extended; the double
-    point is then lifted to cfg's tolerance as one sample of _refine at the
-    exact t. Iterations and history are the double loop's. An iterate at
-    which the homotopy overflows raises NoConvergence.
+    point is then lifted to cfg's tolerance at the exact t by _lifted, as
+    a track's rows are. Iterations and history are the double loop's. An
+    iterate at which the homotopy overflows raises NoConvergence.
     """
     lift = _lifts(cfg, t, x0)
     tol = walk_config(cfg).newton_tol
@@ -271,57 +273,61 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
     except OverflowError:  # an iterate too large for the homotopy
         raise NoConvergence("newton iterate overflows the homotopy") from None
     state = PathState(t, x, residual, newton_iterations=iterations)
-    return _lifted(h, t, state, cfg) if lift else state
+    return _lifted(h, [state], cfg)[0] if lift else state
 
 
 def track_to(h: Homotopy, start: PathState, t_target: float,
              cfg: TrackerConfig, trace: list | None = None) -> PathState:
-    """Continue the path from start to t_target along the real axis."""
+    """Continue the path from start to t_target along the real axis, in
+    double from the demoted start in both lanes. From an extended start the
+    accepted rows, also those before a StepUnderflow or NoConvergence, are
+    then lifted at once (_lifted); a row that does not lift ends the trace
+    before it, and its error ends the call."""
     if not np.isfinite(t_target):
         raise InvalidArgument("t_target must be finite")
-    t_cur = start.t
-    x = list(start.x)
-    if float(abs(t_target - complex(t_cur).real)) == 0.0:
-        return PathState.from_point(h, t_cur, x,
+    if float(abs(t_target - complex(start.t).real)) == 0.0:
+        return PathState.from_point(h, start.t, list(start.x),
                                     newton_iterations=start.newton_iterations)
-    lift = _lifts(cfg, t_cur, x)
-    step = _INITIAL_STEP
-    successes = 0
-    taken = 0
-    state = start
-    while True:
-        remaining = t_target - complex(t_cur).real
-        if remaining == 0.0:
-            return state
-        taken += 1
-        if taken > _MAX_STEPS:
-            raise NoConvergence("step budget exhausted before t_target")
-        direction = 1.0 if remaining > 0 else -1.0
-        if abs(remaining) <= step:
-            t_next = t_cur + remaining
-        else:
-            t_next = t_cur + direction * step
+    lift = _lifts(cfg, start.t, start.x)
+    t_cur, x = _double(start.t), [_double(v) for v in start.x]
+    step, successes, taken, rows, failure = _INITIAL_STEP, 0, 0, [], None
+    try:
+        while (remaining := t_target - complex(t_cur).real) != 0.0:
+            taken += 1
+            if taken > _MAX_STEPS:
+                raise NoConvergence("step budget exhausted before t_target")
+            t_next = t_cur + (remaining if abs(remaining) <= step
+                              else step if remaining > 0 else -step)
+            try:
+                state = newton_correct(h, t_next, x, walk_config(cfg))
+                if _jumped(x, state.x, 1.0):
+                    raise NoConvergence("step moved too far to trust")
+            except (NoConvergence, SingularJacobian):
+                successes = 0
+                step *= 0.5
+                if step < _MIN_STEP:
+                    raise StepUnderflow("step fell below min_step; "
+                                        "singularity adjacent") from None
+                continue
+            t_cur, x = state.t, state.x
+            rows.append(state)
+            successes += 1
+            if successes >= 3:
+                step = min(2.0 * step, 2.0 * _INITIAL_STEP)
+                successes = 0
+    except (StepUnderflow, NoConvergence) as exc:
+        failure = exc
+    while lift and rows:
         try:
-            state = newton_correct(h, _double(t_next), list(map(_double, x)),
-                                   walk_config(cfg))
-            if _jumped(x, state.x, 1.0):
-                raise NoConvergence("step moved too far to trust")
-            state = _lifted(h, t_next, state, cfg) if lift else state
-        except (NoConvergence, SingularJacobian):
-            successes = 0
-            step *= 0.5
-            if step < _MIN_STEP:
-                raise StepUnderflow("step fell below min_step; "
-                                    "singularity adjacent") from None
-            continue
-        t_cur = state.t
-        x = list(state.x)
-        if trace is not None:
-            trace.append(state)
-        successes += 1
-        if successes >= 3:
-            step = min(2.0 * step, 2.0 * _INITIAL_STEP)
-            successes = 0
+            rows = _lifted(h, rows, cfg)
+            break
+        except (NoConvergence, SingularJacobian) as exc:
+            rows, failure = rows[:-1], exc
+    if trace is not None:
+        trace.extend(rows)
+    if failure is not None:
+        raise failure
+    return rows[-1]
 
 
 def estimate_inverse_condition(h: Homotopy, s: PathState) -> float:

@@ -16,6 +16,7 @@ from singradar.radar import locate_singularity, richardson
 from singradar.scalars import DOUBLE, is_extended, lane
 from singradar.tracker import default_config, newton_correct
 
+from test_polysys import ZERO_EQUATIONS
 from test_tracker import OVERFLOWING
 
 OJIKA1_BASE = 0.955647336181678
@@ -301,6 +302,14 @@ def test_radius_seed_changes_gamma():
     assert abs(complex(*rep_b["z"]) - 1.0) <= 1e-5
 
 
+def test_radius_gamma_and_seed_exclude_each_other():
+    # a seed's gamma would replace the given one without a word
+    code, out, err = run_cli(["radius", "--fixture", "sqrt",
+                              "--gamma", "1j", "--seed", "7"])
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
 def test_radius_unit_gamma_matches_default():
     plain = report_body(run_cli(["radius", "--fixture", "sqrt"])[1])
     forced = report_body(run_cli(["radius", "--fixture", "sqrt",
@@ -484,6 +493,18 @@ def test_degenerate_homotopy_file_exits_two(tmp_path, command, d, message):
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("command", ["radius", "track"])
+@pytest.mark.parametrize("shape", sorted(ZERO_EQUATIONS))
+def test_identically_zero_equation_file_exits_two(tmp_path, command, shape):
+    # it fixes no path: track printed a constant one (exit 0) and radius
+    # ended in CoefficientsVanish (exit 1)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_EQUATIONS[shape]))
+    code, out, err = run_cli([command, "--file", str(path)])
+    assert (code, out, err) == (2, "", "error: an equation is identically "
+                                       "zero\n")
+
+
 def test_step_too_small_for_the_sample_count_exits_two():
     # --n 512 samples 1024 points, and 0.3^619 underflows to zero
     code, out, err = run_cli(["radius", "--fixture", "sqrt", "--n", "512",
@@ -526,11 +547,13 @@ def test_track_cusp_path_values():
 def test_track_cusp_extended_rows_sit_on_the_path():
     # every row is a double step lifted at its exact t, so it is
     # double-double accurate even where q = (t - 1)^4 cancels in double;
-    # each lifted at a float t, in double, rows were up to 41% off
+    # each lifted at a float t, in double, rows were up to 41% off. The
+    # start and 18 of the double track's 19 rows: the last, at
+    # 1 - t = 2.2e-16, does not lift
     code, out, _ = run_cli(["track", "--fixture", "cusp",
                             "--precision", "extended"])
     _, rows = parse_csv(out)
-    assert code == 1 and len(rows) > 20
+    assert code == 1 and len(rows) == 19
     for row in rows:
         t, x = Fraction(float(row[0])), Fraction(float(row[1]))
         exact = (1 - t) ** 2

@@ -277,6 +277,39 @@ def test_degenerate_homotopy_shape_rejected(d, message):
         homotopy_from_json(d)
 
 
+ZERO_EQUATIONS = {
+    # q(t) = 0 times x
+    "t-coeffs": {"form": "explicit_t", "dim": 1, "equations": [
+        [{"t_coeffs": [[0.0, 0.0]], "exp": [1]}]]},
+    # q(t) = 1 times the zero polynomial 0*x
+    "poly": {"form": "explicit_t", "dim": 1, "equations": [
+        [{"t_coeffs": [[1.0, 0.0]], "poly": [{"re": 0.0, "exp": [1]}]}]]},
+    # the second equation: both its terms vanish, one of each kind
+    "second-both-kinds": {"form": "explicit_t", "dim": 2, "equations": [
+        [{"t_coeffs": [[1.0, 0.0]], "exp": [1, 0]}],
+        [{"t_coeffs": [[0.0, 0.0], [0.0, 0.0]], "exp": [0, 1]},
+         {"t_coeffs": [[1.0, 0.0]],
+          "poly": [{"re": 0.0, "im": 0.0, "exp": [0, 0]}]}]]},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ZERO_EQUATIONS))
+def test_identically_zero_equation_rejected(shape):
+    # an equation whose every term has q = 0 or P = 0 fixes no path
+    with pytest.raises(InvalidArgument, match="identically zero"):
+        homotopy_from_json(ZERO_EQUATIONS[shape])
+
+
+def test_equation_with_one_nonzero_term_accepted():
+    # a vanishing term beside a nonzero one is kept; terms that cancel
+    # each other (x - x) are not looked for
+    h = homotopy_from_json({"form": "explicit_t", "dim": 1, "equations": [
+        [{"t_coeffs": [[0.0, 0.0]], "exp": [2]},
+         {"t_coeffs": [[1.0, 0.0]], "exp": [1]},
+         {"t_coeffs": [[-1.0, 0.0]], "exp": [1]}]]})
+    assert len(h.equations[0]) == 3
+
+
 def test_extended_lane_evaluation_matches_double():
     h = fixture("ojika1")
     x = [ExtComplex(1.1, 0.3), ExtComplex(0.7, -0.2)]

@@ -787,42 +787,50 @@ def test_track_runs_through_the_origin(q0, q1, x0, precision):
     assert abs(complex(out.x[0]) + q0 + q1) <= 1e-15
 
 
-@pytest.mark.parametrize("name, start, jumps", [
-    ("ojika1", (1.0, 1.0), False), ("ojika1", (-1.0, 1.0), True),
-    ("cusp", (1.0,), False)], ids=["ojika1", "ojika1-jumps", "cusp"])
-def test_extended_track_lifts_only_accepted_steps(monkeypatch, name, start,
-                                                  jumps):
-    # the jump is checked on the double point, so a step the guard rejects
-    # costs no lift: every lift that returns is an accepted step. Near t = 1
-    # a lift can itself fail, which rejects its step (7 times on ojika1
-    # from (1, 1), 3 on cusp).
+def _row_bits(state):
+    """A row's t, the bytes of its coordinates' parts and its residual."""
+    return (state.t, [struct.pack("<4d", *map(float, _quad(v)))
+                      for v in state.x], state.residual)
+
+
+@pytest.mark.parametrize("name, dropped", [
+    ("sqrt", 0), ("cusp", 1), ("ojika1", 2), ("monomial4", 0)])
+def test_extended_track_is_the_double_track_lifted(monkeypatch, name,
+                                                   dropped):
+    # the lane does not move the track: from the same demoted start the
+    # extended rows are the double rows, each with the bits of its own
+    # one-point lift, in one _refine. Rows at |1 - t| <= 2.2e-16 do not
+    # lift (two on ojika1, one on cusp); each costs one more _refine, and
+    # the trace ends before the first of them
     h = fixture(name)
     cfg = default_config(EXTENDED)
-    state = newton_correct(h, 0.0, [promote(v, EXTENDED) for v in start],
-                           cfg)
-    lifts, rejected = [], []
-    refine, jumped = tracker._refine, tracker._jumped
+    start = newton_correct(h, 0.0, [promote(1.0, EXTENDED)] * h.dim, cfg)
+    double_rows, rows, lifts = [], [], []
+    double_error = error = None
+    try:
+        track_to(h, tracker.demoted(start), 1.0, default_config(),
+                 trace=double_rows)
+    except StepUnderflow as exc:
+        double_error = type(exc)
+    refine = tracker._refine
 
-    def counted_refine(*args):
-        try:
-            out = refine(*args)
-        except (NoConvergence, SingularJacobian):
-            lifts.append(False)
-            raise
-        lifts.append(True)
-        return out
-
-    def counted_jumped(*args):
-        rejected.append(jumped(*args))
-        return rejected[-1]
+    def counted_refine(hs, t, walked, cfg):
+        lifts.append(len(walked))
+        return refine(hs, t, walked, cfg)
 
     monkeypatch.setattr(tracker, "_refine", counted_refine)
-    monkeypatch.setattr(tracker, "_jumped", counted_jumped)
-    rows = []
-    with pytest.raises(StepUnderflow):
-        track_to(h, state, 1.0, cfg, trace=rows)
-    assert lifts.count(True) == len(rows)
-    assert any(rejected) == jumps
+    try:
+        track_to(h, start, 1.0, cfg, trace=rows)
+    except (StepUnderflow, NoConvergence) as exc:
+        error = type(exc)
+    # a row that does not lift ends the call with the lift's error
+    assert error is (NoConvergence if dropped else double_error)
+    assert len(double_rows) - len(rows) == dropped
+    assert lifts == list(range(len(double_rows), len(rows) - 1, -1))
+    monkeypatch.setattr(tracker, "_refine", refine)
+    for row, double in zip(rows, double_rows):
+        assert _row_bits(row) == _row_bits(
+            tracker._lifted(h, [double], cfg)[0])
 
 
 # ---------------------------------------------------------------------------
