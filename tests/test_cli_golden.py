@@ -47,6 +47,7 @@ COMMANDS = (
     ["track", "--fixture", "ojika1"],
     ["track", "--fixture", "sqrt", "--precision", "extended"],
     ["track", "--fixture", "ojika1", "--precision", "extended"],
+    ["track", "--fixture", "cusp", "--precision", "extended"],
     ["table", "table1"],
     ["table", "table2"],
     ["table", "table3"],
