@@ -1,7 +1,10 @@
-"""tools/profile_jobs.py on one pass of the pinned_ext workload."""
+"""tools/profile_jobs.py on one pass of the pinned_ext workload and on one
+CLI command."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -25,3 +28,35 @@ def test_shares_name_every_hot_spot_with_its_calls():
     # lift, and all its calls take less than the corrector
     assert 0.0 < by_name["tracker._solve_linear"][1] < by_name[
         "tracker.newton_correct"][1]
+
+
+SQRT_EXTENDED = ["track", "--fixture", "sqrt", "--precision", "extended"]
+
+
+def test_command_shares_count_one_lift_for_the_start_and_one_for_the_rows():
+    rows, best = profile_jobs.command_shares(SQRT_EXTENDED, 2)
+    by_name = {name: (calls, share) for name, calls, share in rows}
+    # per round: the start point's lift and one lift of all the rows
+    assert by_name["tracker._refine"][0] == 4
+    assert by_name["tracker.track_to"][0] == 2
+    assert by_name["fourier.sample_circle"] == (0, 0.0)
+    assert 0.0 < by_name["tracker._refine"][1] < by_name[
+        "tracker.track_to"][1] <= 1.0
+    assert 0.0 < best < 60.0
+
+
+def test_command_that_exits_two_stops_the_tool():
+    with pytest.raises(RuntimeError, match="exits 2"):
+        profile_jobs.command_shares(["track", "--fixture", "sqrt",
+                                     "--target", "nan"], 1)
+
+
+def test_main_prints_the_table_and_the_minimum_wall_time(capsys):
+    assert profile_jobs.main(["--command", " ".join(SQRT_EXTENDED),
+                              "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == [
+        "%s.%s" % spot for spot in profile_jobs.HOT_SPOTS]
+    assert lines[-1].startswith("minimum wall time over 1 rounds: ")
+    with pytest.raises(SystemExit):
+        profile_jobs.main(["--workload", "sweep", "--command", "track"])

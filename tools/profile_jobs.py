@@ -1,22 +1,34 @@
-"""Profile a perfbench workload; print the cumulative shares of its hot spots.
+"""Profile a perfbench workload or one CLI command; print the cumulative
+shares of its hot spots.
 
     python3 tools/profile_jobs.py --workload sweep --rounds 5
+    python3 tools/profile_jobs.py --command "track --fixture ojika1 \
+        --precision extended" --rounds 3
 
-Builds the workload's job list from perfbench/jobs.py against this
-checkout's src/, runs it --rounds times in job-list order under cProfile,
-checks every outcome, and prints for each function below its call count and
-its cumulative time as a share of all job time (a function that calls
-another includes it, so the shares do not add up to 100%). These are the
-shares the ROADMAP Baseline quotes; rerun the tool on the parent and the
-change in one session to compare them.
+--workload builds the workload's job list from perfbench/jobs.py against
+this checkout's src/, runs it --rounds times in job-list order under
+cProfile and checks every outcome. --command runs the singradar arguments
+in process (output discarded) --rounds times under cProfile; a command
+that exits 2, an argument error, stops the tool. It then runs them
+--rounds times more without the profiler and prints the minimum wall time.
+
+Either way the tool prints for each function below its call count and its
+cumulative time as a share of all run time (a function that calls another
+includes it, so the shares do not add up to 100%). These are the shares the
+ROADMAP Baseline quotes; rerun the tool on the parent and the change in one
+session to compare them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
+import io
 import pstats
+import shlex
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,19 +60,27 @@ def _run(workload, rounds: int):
                                    % (job.kind, verdict.reason))
 
 
-def shares(name: str, rounds: int) -> list:
-    """[(module.function, calls, share of job time)] for HOT_SPOTS."""
-    # these two workloads draw no seeded inputs, so any seed builds them
-    workload = jobs.build(name, 1, ROOT / "src")
+def _run_command(main, argv, rounds: int):
+    for _ in range(rounds):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            if main(list(argv)) == 2:
+                raise RuntimeError("%s exits 2: %s"
+                                   % (shlex.join(argv), err.getvalue()))
+
+
+def _shares(run, *args) -> list:
+    """[(module.function, calls, share of run's time)] for HOT_SPOTS, with
+    run(*args) under cProfile."""
     profile = cProfile.Profile()
-    profile.runcall(_run, workload, rounds)
+    profile.runcall(run, *args)
     stats = pstats.Stats(profile).stats
     by_name = {}
     for (path, _, func), (_, calls, _, cumulative, _) in stats.items():
         by_name[Path(path).parent.name, Path(path).stem, func] = (
             calls, cumulative)
     total = by_name[Path(__file__).parent.name, Path(__file__).stem,
-                    "_run"][1]
+                    run.__name__][1]
     out = []
     for module, func in HOT_SPOTS:
         calls, cumulative = by_name.get(("singradar", module, func), (0, 0.0))
@@ -68,16 +88,45 @@ def shares(name: str, rounds: int) -> list:
     return out
 
 
+def shares(name: str, rounds: int) -> list:
+    """_shares of a workload's job list, run rounds times."""
+    # these two workloads draw no seeded inputs, so any seed builds them
+    return _shares(_run, jobs.build(name, 1, ROOT / "src"), rounds)
+
+
+def command_shares(argv, rounds: int) -> tuple:
+    """_shares of the CLI arguments argv, run rounds times, and the
+    minimum wall time in seconds of rounds more runs without the
+    profiler."""
+    main = jobs.import_singradar(ROOT / "src").cli.main
+    rows = _shares(_run_command, main, argv, rounds)
+    best = float("inf")
+    for _ in range(rounds):
+        begin = time.perf_counter()
+        _run_command(main, argv, 1)
+        best = min(best, time.perf_counter() - begin)
+    return rows, best
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--workload", choices=("sweep", "pinned_ext"),
-                   required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workload", choices=("sweep", "pinned_ext"))
+    source.add_argument("--command", help="singradar arguments, quoted: "
+                        '"track --fixture sqrt --precision extended"')
     p.add_argument("--rounds", type=int, default=5)
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
-    for name, calls, share in shares(args.workload, args.rounds):
+    if args.command is None:
+        rows = shares(args.workload, args.rounds)
+    else:
+        rows, best = command_shares(shlex.split(args.command), args.rounds)
+    for name, calls, share in rows:
         print("%-26s %8d calls %6.1f%%" % (name, calls, 100.0 * share))
+    if args.command is not None:
+        print("minimum wall time over %d rounds: %.2f ms"
+              % (args.rounds, 1e3 * best))
     return 0
 
 
