@@ -62,16 +62,13 @@ def homotopies(draw, wide=False):
             st.builds(TMonomial, q, vectors),
             st.builds(Term, q, st.lists(st.builds(Monomial, c, vectors),
                                         min_size=1, max_size=3)))
-        equations.append(draw(st.lists(term, min_size=1, max_size=3)
-                              .filter(_not_identically_zero)))
+        eq = draw(st.lists(term, min_size=1, max_size=3))
+        if not any(any(tm.t_coeffs) and any(m.coefficient for m in tm.poly)
+                   for tm in eq):
+            # Homotopy rejects an identically zero equation
+            eq.append(TMonomial((1.0,), (0,) * dim))
+        equations.append(eq)
     return Homotopy(dim=dim, gamma=draw(c), equations=equations)
-
-
-def _not_identically_zero(eq):
-    """Some term has a nonzero q and a nonzero monomial (Homotopy rejects
-    an equation without one)."""
-    return any(any(term.t_coeffs) and any(m.coefficient for m in term.poly)
-               for term in eq)
 
 
 def points(dim):
