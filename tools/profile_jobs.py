@@ -1,5 +1,4 @@
-"""Profile a perfbench workload or one CLI command; print the cumulative
-shares of its hot spots.
+"""Profile a perfbench workload or a CLI command; print hot-spot shares.
 
     python3 tools/profile_jobs.py --workload sweep --rounds 5
     python3 tools/profile_jobs.py --command "track --fixture ojika1 \
