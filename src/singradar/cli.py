@@ -33,7 +33,7 @@ from .scalars import DOUBLE, EXTENDED, float_magnitude, promote
 from .tracker import (
     PathState,
     default_config,
-    estimate_inverse_condition,
+    inverse_conditions,
     newton_correct,
     track_to,
 )
@@ -227,11 +227,11 @@ def cmd_track(args):
         code = 1
     header = ["t", *_coordinate_header(h.dim), "residual", "inv_condition"]
     rows = []
-    for state in trace:
+    for state, inv_condition in zip(trace, inverse_conditions(h, trace)):
         row = [complex(state.t).real]
         for v in state.x:
             row.extend(_pair(v))
-        row.extend([state.residual, estimate_inverse_condition(h, state)])
+        row.extend([state.residual, inv_condition])
         rows.append(row)
     return _csv_text(header, rows), code
 

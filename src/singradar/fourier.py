@@ -132,6 +132,12 @@ def _radix2_plan(n: int) -> tuple:
     return order, stages
 
 
+@functools.lru_cache(maxsize=16)
+def _double_twiddles(n: int) -> tuple:
+    """Each stage's twiddles of _radix2_plan(n) as complex hi + i*hi."""
+    return tuple(t[0] + 1j * t[2] for _, t in _radix2_plan(n)[1])
+
+
 def _radix2(parts) -> tuple:
     """sum_j x_j w^{-jk}, w = exp(2*pi*i/n), along the last axis:
     decimation in time, the butterfly even + w^k * odd, even - w^k * odd of
@@ -150,6 +156,21 @@ def _radix2(parts) -> tuple:
     return x
 
 
+def _radix2_double(x):
+    """_radix2 of a complex128 array in complex128: the same permutation
+    and butterflies, with the twiddles rounded to double."""
+    *lead, n = x.shape
+    order, stages = _radix2_plan(n)
+    x = x[..., order]
+    for (half, _), twiddle in zip(stages, _double_twiddles(n)):
+        blocks = x.reshape(*lead, -1, 2 * half)
+        even = blocks[..., :half]
+        term = twiddle * blocks[..., half:]
+        x = np.concatenate((even + term, even - term),
+                           axis=-1).reshape(*lead, n)
+    return x
+
+
 def _check_count(n: int):
     if n < 1:
         raise InvalidArgument("need at least one sample")
@@ -163,16 +184,19 @@ def _check_step(step):
 def inverse_dft(values):
     """Coefficients g with values_j = sum_k g_k w^{jk}, w = exp(2*pi*i/n),
     of a list of complex / ExtComplex values, as that type; of CircleSamples,
-    as their parts, rounded to double (lo zero) unless lifted."""
+    as their parts: in double-double if lifted, else in complex128
+    (_radix2_double), lo parts zero."""
     n = len(values)
     if n < 1 or n & (n - 1):
         raise InvalidArgument("length must be a power of two")
     if isinstance(values, CircleSamples):
-        out = _divide(_radix2(values.parts), n)
         if values.lifted:
-            return out
-        zero = np.zeros_like(out[0])
-        return out[0] + out[1], zero, out[2] + out[3], zero
+            return _divide(_radix2(values.parts), n)
+        x = np.empty(values.parts[0].shape, dtype=complex)
+        x.real, x.imag = values.parts[0], values.parts[2]
+        out = _radix2_double(x)
+        zero = np.zeros(out.shape)
+        return out.real / n, zero, out.imag / n, zero
     out = _divide(_radix2(_to_arrays(values)), n)
     return _from_arrays(out, lane(*values) == EXTENDED)
 

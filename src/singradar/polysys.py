@@ -24,11 +24,16 @@ its bits, a zero's sign included: each power x_i^e is formed once per call
 (``x[i] ** e``, or ``_power``, which rejects a zero base, for e < 0), and
 coefficients are names bound in the programs' namespace, not printed in
 their source. The residual program also returns each equation's size
-sum_terms |q(t)*P(x)| under the caller's magnitude, ``abs`` or
-``float_magnitude`` (alike on native numbers). Using only ``*``, ``+`` and
-``**``, one program serves scalar doubles and double-doubles and
+sum_terms |q(t)*P(x)| under ``float_magnitude``. Using only ``*``, ``+``
+and ``**``, one program serves scalar doubles and double-doubles and
 ``tracker._refine``'s array-part ExtComplex values. The q(t) of every term
 (``term_values``) can be computed once per t and passed in.
+
+The third program, ``correct``, is ``tracker.newton_correct``'s double
+Newton loop: the residual blocks (sizes under ``abs``), the relative
+test, the Jacobian block and the cached elimination ``_solver(dim)``, over
+locals in the order of the loop it replaced, so every iterate keeps its
+bits. Homotopies of one shape share the three programs' code.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from .errors import EvaluationSingular, InvalidArgument
+from .errors import (EvaluationSingular, InvalidArgument, NoConvergence,
+                     SingularJacobian)
 from .scalars import float_magnitude
 
 # after the package's own modules, as in fourier
@@ -111,7 +117,8 @@ class Homotopy:
         if not all(any(any(term.t_coeffs) and any(m.coefficient for m in
                        term.poly) for term in eq) for eq in self.equations):
             raise InvalidArgument("an equation is identically zero")
-        self._residual, self._jacobian = _programs(self.equations)
+        self._residual, self._jacobian, self._correct = _programs(
+            self.equations)
         # read by fourier.sample_circle's mirror rule (Schwarz reflection)
         self.real_coefficients = complex(self.t0).imag == 0.0 and all(
             complex(c).imag == 0.0 for eq in self.equations for term in eq
@@ -143,17 +150,56 @@ def _product(coefficient: str, exponents, powers: dict, lines: list) -> str:
     return " * ".join(factors)
 
 
+@functools.cache
+def _solver(n: int):
+    """The elimination for n unknowns as a straight-line program over locals
+    m<i>_<j> (b<i> the right-hand side), in the loop's order of operations;
+    entries left of a pivot, never read again, are not updated."""
+    m = [["m%d_%d" % (i, j) for j in range(n)] + ["b%d" % i] for i in range(n)]
+    code = ["[%s] = jac" % ", ".join("[%s]" % ", ".join(r[:n]) for r in m),
+            "[%s] = rhs" % ", ".join(r[n] for r in m),
+            "floor = 1e3 * eps * max((%s), default=0.0)" % "".join(
+                "abs(%s), " % v for r in m for v in r[:n])]
+    if n == 1:
+        code.insert(2, "if 0.0 < abs(m0_0) < inf: return [b0 / m0_0]")
+    for col in range(n):
+        code.append("piv, largest = %d, abs(%s)" % (col, m[col][col]))
+        code += ["if (size := abs(%s)) > largest: piv, largest = %d, size"
+                 % (m[r][col], r) for r in range(col + 1, n)]
+        code.append("if largest <= floor: raise SingularJacobian("
+                    "'jacobian pivot below the precision floor')")
+        code += ["%s piv == %d: %s = %s" % ("elif" if r > col + 1 else "if", r,
+                 ", ".join(m[col][col:] + m[r][col:]),
+                 ", ".join(m[r][col:] + m[col][col:]))
+                 for r in range(col + 1, n)]
+        for r in range(col + 1, n):
+            code.append("factor = %s / %s" % (m[r][col], m[col][col]))
+            code += ["%s = %s - factor * %s" % (m[r][j], m[r][j], m[col][j])
+                     for j in range(col + 1, n + 1)]
+    code += ["o%d = (%s%s) / %s" % (i, m[i][n], "".join(
+        " - %s * o%d" % (m[i][j], j) for j in range(i + 1, n)), m[i][i])
+        for i in reversed(range(n))]
+    code.append("return [%s]" % ", ".join("o%d" % i for i in range(n)))
+    namespace = {"inf": np.inf, "SingularJacobian": SingularJacobian}
+    exec(compile("def solve(jac, rhs, eps):\n    " + "\n    ".join(code),
+                 "<solve %d>" % n, "exec"), namespace)
+    return namespace["solve"]
+
+
 def _programs(equations) -> tuple:
-    """The straight-line programs residual(x, q, _mag) -> (values, scales)
-    and jacobian(x, q) -> rows of a square system (module docstring)."""
+    """The straight-line programs residual(x, q) -> (values, sizes) and
+    jacobian(x, q) -> rows of a square system, and the double corrector
+    correct(x, q, tol, eps, budget, history) (module docstring)."""
     n = len(equations)
-    namespace = {"_power": _power}
-    residual, jac, residual_powers, jac_powers, rows = [], [], {}, {}, []
+    namespace = {"_power": _power, "float_magnitude": float_magnitude,
+                 "_solve": _solver(n), "inf": np.inf,
+                 "NoConvergence": NoConvergence}
+    unpack, residual, jac, residual_powers, jac_powers, rows = (
+        [], [], [], {}, {}, [])
     for i, eq in enumerate(equations):
         q_names = ["q%d_%d" % (i, k) for k in range(len(eq))]
-        unpack = "[%s] = q[%d]" % (", ".join(q_names), i)
-        residual += [unpack, "a%d = s%d = 0.0" % (i, i)]
-        jac.append(unpack)
+        unpack.append("[%s] = q[%d]" % (", ".join(q_names), i))
+        residual.append("a%d = s%d = 0.0" % (i, i))
         row = ["0.0"] * n
         for term, q in zip(eq, q_names):
             for m, mono in enumerate(term.poly):
@@ -172,15 +218,66 @@ def _programs(equations) -> tuple:
                                    % (i, j, row[j], q, e, v))
                         row[j] = "j%d_%d" % (i, j)
             residual += ["value = %s * p" % q, "a%d = a%d + value" % (i, i),
-                         "s%d = s%d + _mag(value)" % (i, i)]
+                         "s%d = s%d + {mag}(value)" % (i, i)]
         rows.append("[%s]" % ", ".join(row))
-    residual.append("return [%s], [%s]" % tuple(
-        ", ".join(name % i for i in range(n)) for name in ("a%d", "s%d")))
-    jac.append("return [%s]" % ", ".join(rows))
-    source = ("def residual(x, q, _mag):\n    " + "\n    ".join(residual)
-              + "\ndef jacobian(x, q):\n    " + "\n    ".join(jac) + "\n")
+    a, s, r, o = ([name + str(i) for i in range(n)] for name in "asro")
+    source = _SOURCE % {
+        "unpack": _block(unpack, 1), "jacobian": _block(jac, 1),
+        "residual": _block(residual, 1, "float_magnitude"),
+        "rows": "[%s]" % ", ".join(rows), "a": ", ".join(a),
+        "s": ", ".join(s), "r": ", ".join(r), "o": ", ".join(o),
+        "abs": ", ".join("abs(%s)" % v for v in a),
+        "largest": "max(%s)" % ", ".join(r) if n > 1 else r[0],
+        "finite": " and ".join(v + " < inf" for v in s),
+        "within": " & ".join("(%s <= tol * %s)" % v for v in zip(r, s)),
+        "loop_residual": _block(residual, 2, "abs"),
+        "loop_jacobian": _block(jac, 2),
+        "update": ", ".join("x[%d] - o%d" % (i, i) for i in range(n))}
     exec(_compiled(source), namespace)
-    return namespace["residual"], namespace["jacobian"]
+    return namespace["residual"], namespace["jacobian"], namespace["correct"]
+
+
+def _block(lines: list, depth: int, mag: str = "") -> str:
+    """The lines, each on a new line indented depth levels, with mag the
+    magnitude function of the size sums."""
+    return "".join("\n" + "    " * depth + line.format(mag=mag)
+                   for line in lines)
+
+
+# The three programs. correct is newton_correct's double loop over locals:
+# every size finite, then every equation within tol of its size, all
+# compared (&, no short circuit); one more step, the polish, re-enters the
+# residual and is kept where it lowers max(r0, r1, ...), which is
+# max(map(abs, values)) in the loop's order.
+_SOURCE = """\
+def residual(x, q):%(unpack)s%(residual)s
+    return [%(a)s], [%(s)s]
+def jacobian(x, q):%(unpack)s%(jacobian)s
+    return %(rows)s
+def correct(x, q, tol, eps, budget, history):%(unpack)s
+    it, polish = 0, False
+    while True:%(loop_residual)s
+        %(r)s = %(abs)s
+        if polish:
+            after = %(largest)s
+            return (x, after, it) if after < residual else (y, residual, it)
+        if not (%(finite)s):
+            raise NoConvergence("newton iterate overflows the homotopy")
+        if %(within)s:
+            residual = %(largest)s
+            if residual == 0.0:
+                return x, residual, it
+            polish, y = True, x
+        elif it == budget:
+            raise NoConvergence("newton iteration budget exhausted")\
+%(loop_jacobian)s
+        [%(o)s] = _solve(%(rows)s, [%(a)s], eps)
+        x = [%(update)s]
+        if not polish:
+            if history is not None:
+                history.append(list(x))
+            it += 1
+"""
 
 
 @functools.lru_cache(maxsize=64)
@@ -204,18 +301,16 @@ def term_values(h: Homotopy, s):
     return [[evalpoly(term.t_coeffs, t) for term in eq] for eq in h.equations]
 
 
-def evaluate(h: Homotopy, x, t, q=None, scales: list | None = None,
-             _mag=float_magnitude):
+def evaluate(h: Homotopy, x, t, q=None, scales: list | None = None):
     """Residual vector h(x, t); q is term_values(h, t), passed by a caller
     that evaluates at one t more than once. When a list is passed as scales,
     each equation's size sum_terms |q(t)*P(x)| is appended to it: the
-    yardstick of a relative residual test, with _mag that |.|
-    (float_magnitude, or abs when every value is native)."""
+    yardstick of a relative residual test."""
     if len(x) != h.dim:
         raise InvalidArgument("point dimension mismatch")
     if q is None:
         q = term_values(h, t)
-    values, sizes = h._residual(x, q, _mag)
+    values, sizes = h._residual(x, q)
     if scales is not None:
         scales += sizes
     return values

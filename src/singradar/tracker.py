@@ -9,7 +9,8 @@ surfaces as StepUnderflow. The one run setting is the lane's Newton tolerance
 (TrackerConfig); the iteration and step budgets below are fixed.
 
 A Newton correction runs at fixed t, so it evaluates the q(t) of every
-homotopy term once.
+homotopy term once. Its double loop is the homotopy's generated corrector
+program (``polysys._programs``); the elimination is ``polysys._solver``'s.
 
 Newton runs in double; ``_refine`` alone makes double-double points, by
 mixed-precision refinement of k double points at once (Moler, JACM 14,
@@ -23,7 +24,6 @@ Both lanes walk and track in double, so the lane moves no step:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     SingularJacobian,
     StepUnderflow,
 )
-from .polysys import Homotopy, evaluate, jacobian, term_values
+from .polysys import Homotopy, _solver, evaluate, jacobian, term_values
 from .scalars import (DOUBLE, EXTENDED, ExtComplex, _complex, _quad,
                       float_magnitude, is_extended, lane, promote, scalar_eps)
 
@@ -117,42 +117,6 @@ def _solve_linear(jac, rhs, eps: float):
     return _solver(len(rhs))(jac, rhs, eps)
 
 
-@functools.cache
-def _solver(n: int):
-    """The elimination for n unknowns as a straight-line program over locals
-    m<i>_<j> (b<i> the right-hand side), in the loop's order of operations;
-    entries left of a pivot, never read again, are not updated."""
-    m = [["m%d_%d" % (i, j) for j in range(n)] + ["b%d" % i] for i in range(n)]
-    code = ["[%s] = jac" % ", ".join("[%s]" % ", ".join(r[:n]) for r in m),
-            "[%s] = rhs" % ", ".join(r[n] for r in m),
-            "floor = 1e3 * eps * max((%s), default=0.0)" % "".join(
-                "abs(%s), " % v for r in m for v in r[:n])]
-    if n == 1:
-        code.insert(2, "if 0.0 < abs(m0_0) < inf: return [b0 / m0_0]")
-    for col in range(n):
-        code.append("piv, largest = %d, abs(%s)" % (col, m[col][col]))
-        code += ["if (size := abs(%s)) > largest: piv, largest = %d, size"
-                 % (m[r][col], r) for r in range(col + 1, n)]
-        code.append("if largest <= floor: raise SingularJacobian("
-                    "'jacobian pivot below the precision floor')")
-        code += ["%s piv == %d: %s = %s" % ("elif" if r > col + 1 else "if", r,
-                 ", ".join(m[col][col:] + m[r][col:]),
-                 ", ".join(m[r][col:] + m[col][col:]))
-                 for r in range(col + 1, n)]
-        for r in range(col + 1, n):
-            code.append("factor = %s / %s" % (m[r][col], m[col][col]))
-            code += ["%s = %s - factor * %s" % (m[r][j], m[r][j], m[col][j])
-                     for j in range(col + 1, n + 1)]
-    code += ["o%d = (%s%s) / %s" % (i, m[i][n], "".join(
-        " - %s * o%d" % (m[i][j], j) for j in range(i + 1, n)), m[i][i])
-        for i in reversed(range(n))]
-    code.append("return [%s]" % ", ".join("o%d" % i for i in range(n)))
-    namespace = {"inf": np.inf, "SingularJacobian": SingularJacobian}
-    exec(compile("def solve(jac, rhs, eps):\n    " + "\n    ".join(code),
-                 "<solve %d>" % n, "exec"), namespace)
-    return namespace["solve"]
-
-
 def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
     """Lift k double points, a (k, dim) complex array, to double-double at
     t, one ExtComplex (array parts give each point its own t). Returns one
@@ -163,7 +127,8 @@ def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
     double by _solve_linear, with the Jacobian at its hi parts, and added
     in double-double. The stopping rule is newton_correct's for every point:
     each equation within cfg's relative tolerance, then one more step, kept
-    where it lowers the residual (none when every residual is zero).
+    where it lowers the residual (none when every residual is zero); a size
+    that is not finite raises NoConvergence for the batch.
     """
     tol, eps = cfg.newton_tol, scalar_eps(DOUBLE)
     n = len(walked)
@@ -191,6 +156,8 @@ def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
     for it in range(_MAX_NEWTON_ITERS + 1):
         scales = []
         resid = evaluate(h, x, t, q, scales)
+        if not np.isfinite(scales).all():
+            raise NoConvergence("newton iterate overflows the homotopy")
         active = ~np.logical_and.reduce([float_magnitude(r) <= tol * s
                                          for r, s in zip(resid, scales)])
         if not active.any():
@@ -236,40 +203,23 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
     reported iteration count excludes that polish step. When a list is passed
     as history, every pre-polish iterate is appended to it.
 
-    t is fixed, so every term's q(t) is evaluated once per call. Newton
-    runs in double, at walk_config(cfg) when t or x0 is extended; the double
-    point is then lifted to cfg's tolerance at the exact t by _lifted, as
-    a track's rows are. Iterations and history are the double loop's. An
-    iterate at which the homotopy overflows raises NoConvergence.
+    t is fixed, so every term's q(t) is evaluated once per call, and the
+    loop is one call of h's corrector program. Newton runs in double, at
+    walk_config(cfg) when t or x0 is extended; the double point is then
+    lifted to cfg's tolerance at the exact t by _lifted, as a track's rows
+    are. Iterations and history are the double loop's. An iterate at which
+    the homotopy overflows, or an equation's size sum_terms |q(t)*P(x)| is
+    not finite, raises NoConvergence.
     """
     lift = _lifts(cfg, t, x0)
-    tol = walk_config(cfg).newton_tol
-    eps = scalar_eps(DOUBLE)
+    if len(x0) != h.dim:
+        raise InvalidArgument("point dimension mismatch")
     t_walk = _double(t)
-    x = [_double(v) for v in x0]
     q = term_values(h, t_walk)
-    iterations = None
     try:
-        for it in range(_MAX_NEWTON_ITERS + 1):
-            scales = []
-            resid = evaluate(h, x, t_walk, q, scales, abs)
-            if all([abs(r) <= tol * s for r, s in zip(resid, scales)]):
-                iterations = it
-                break
-            if it == _MAX_NEWTON_ITERS:
-                raise NoConvergence("newton iteration budget exhausted")
-            delta = _solve_linear(jacobian(h, x, t_walk, q), resid, eps)
-            x = [xi - di for xi, di in zip(x, delta)]
-            if history is not None:
-                history.append(list(x))
-        residual = max(map(abs, resid), default=0.0)
-        if residual != 0.0:
-            delta = _solve_linear(jacobian(h, x, t_walk, q), resid, eps)
-            polished = [xi - di for xi, di in zip(x, delta)]
-            after = max(map(abs, evaluate(h, polished, t_walk, q)),
-                        default=0.0)
-            if after < residual:
-                x, residual = polished, after
+        x, residual, iterations = h._correct(
+            [_double(v) for v in x0], q, walk_config(cfg).newton_tol,
+            scalar_eps(DOUBLE), _MAX_NEWTON_ITERS, history)
     except OverflowError:  # an iterate too large for the homotopy
         raise NoConvergence("newton iterate overflows the homotopy") from None
     state = PathState(t, x, residual, newton_iterations=iterations)
@@ -332,10 +282,30 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
 
 def estimate_inverse_condition(h: Homotopy, s: PathState) -> float:
     """sigma_min / sigma_max of the Jacobian at the state."""
-    jac = jacobian(h, list(s.x), s.t)
-    demoted = np.array([[complex(v) for v in row] for row in jac],
-                       dtype=complex)
-    sigma = np.linalg.svd(demoted, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0.0
-    return float(sigma[-1] / sigma[0])
+    return inverse_conditions(h, [s])[0]
+
+
+def inverse_conditions(h: Homotopy, states: list) -> list:
+    """estimate_inverse_condition of every state, from one stacked SVD of
+    the Jacobians rounded to complex. Extended states share one Jacobian
+    evaluation over array-part values, each point with the q(t) that
+    term_values forms at its own t; an entry then differs from the
+    state's own evaluation only where a double q times an exponent is
+    inexact, which double-double keeps exact."""
+    jac = np.zeros((len(states), h.dim, h.dim), dtype=complex)
+    if lane(*(v for s in states for v in s.x)) == EXTENDED:
+        x = [_complex(np.array([_quad(v) for v in column]).T)
+             for column in zip(*(s.x for s in states))]
+        qs = [term_values(h, s.t) for s in states]
+        q = [[_complex(np.array([_quad(row[i][k]) for row in qs]).T)
+              for k in range(len(eq))] for i, eq in enumerate(h.equations)]
+        for i, row in enumerate(jacobian(h, x, None, q)):
+            for j, v in enumerate(row):
+                if is_extended(v):
+                    jac[:, i, j].real = v.re.hi + v.re.lo
+                    jac[:, i, j].imag = v.im.hi + v.im.lo
+    else:
+        for p, s in enumerate(states):
+            jac[p] = jacobian(h, list(s.x), s.t)
+    sigma = np.linalg.svd(jac, compute_uv=False)
+    return [0.0 if v[0] == 0.0 else float(v[-1] / v[0]) for v in sigma]

@@ -31,6 +31,7 @@ from singradar.scalars import (
     is_extended,
     promote,
     root_of_unity,
+    scalar_eps,
 )
 from singradar.tracker import (PathState, default_config, newton_correct,
                                track_to)
@@ -595,14 +596,20 @@ GOLDEN_T0 = {"sqrt": 0.1, "ojika1": 0.94375, "monomial4": 0.1, "cusp": 0.1}
 def per_coordinate_taylor(samples, extended):
     """The former route from the circle to the coefficients: each
     coordinate's samples as a list of complex or ExtComplex objects through
-    inverse_dft, then every coefficient divided by an ExtReal power of the
-    step, rounded to complex in the double lane."""
+    inverse_dft if lifted, else through the complex128 transform, then
+    every coefficient divided by an ExtReal power of the step, rounded to
+    complex in the double lane."""
     step = ExtReal(samples.h)
+    n = len(samples)
     out = []
     for coord in samples.values:
         power = ExtReal(1.0)
         coeffs = []
-        for k, c in enumerate(inverse_dft(coord)):
+        if not samples.lifted:
+            coord = [complex(g.real / n, g.imag / n) for g in
+                     fourier._radix2_double(np.array(coord)).tolist()]
+        for k, c in enumerate(inverse_dft(coord) if samples.lifted
+                              else coord):
             if k:
                 power = power * step
             c = promote(c, EXTENDED)
@@ -724,6 +731,27 @@ def test_extended_sqrt_middle_coefficient_is_exactly_real(step):
     series = taylor_coefficients(h, base, step, 128,
                                  default_config(EXTENDED))[0]
     assert complex(series.coeffs[64]).imag == 0.0
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(1, 11)])
+def test_unlifted_transform_is_the_rounded_double_double_one(n):
+    # an unlifted circle is transformed in complex128; its coefficients
+    # stay within eps * log2(n) * max|x| of the double-double transform of
+    # the same samples, rounded (measured: at most 0.27 of that), for
+    # random and decaying samples at any scale
+    rng = np.random.default_rng(n)
+    for decay in (1.0, 0.9):
+        x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        x *= np.array([[1.0], [1e-200], [1e200]]) * decay ** np.arange(n)
+        zero = np.zeros(x.shape)
+        got, want = (inverse_dft(CircleSamples(
+            t0=0.0, h=0.5, n=n, parts=(x.real, zero, x.imag, zero),
+            lifted=lifted)) for lifted in (False, True))
+        assert not got[1].any() and not got[3].any()
+        error = np.hypot(got[0] - (want[0] + want[1]),
+                         got[2] - (want[2] + want[3]))
+        bound = scalar_eps(DOUBLE) * math.log2(n) * abs(x).max(axis=1)
+        assert (error.max(axis=1) <= bound).all()
 
 
 def test_radix2_plan_is_read_only_and_shared():

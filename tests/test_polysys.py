@@ -242,8 +242,10 @@ def test_homotopies_of_one_shape_share_compiled_programs():
     for other in (recondition(h, 0.3), fixture("ojika1")):
         assert other._residual.__code__ is h._residual.__code__
         assert other._jacobian.__code__ is h._jacobian.__code__
+        assert other._correct.__code__ is h._correct.__code__
     g = fixture("sqrt", complex(0.6, 0.8))
     assert g._residual.__code__ is fixture("sqrt")._residual.__code__
+    assert g._correct.__code__ is fixture("sqrt")._correct.__code__
     x = [0.7 + 0.2j]
     assert evaluate(g, x, 0.4) != evaluate(fixture("sqrt"), x, 0.4)
 

@@ -1,18 +1,21 @@
 """Properties of random one-form homotopies: JSON round trip, reconditioning
 and the Jacobian, over dims 1-3, exponents 0-3 and complex q of degree <= 3;
 and the bits of the evaluation programs against the frozen loops of
-test_polysys, over dims 1-4 and exponents -2..3.
+test_polysys, and of the double corrector against test_tracker's frozen
+Newton loop, over dims 1-4 and exponents -2..3.
 
 Sizes are compared against the sum of the term magnitudes, since terms may
 cancel and leave |h| itself no scale."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singradar.errors import EvaluationSingular, NoConvergence
 from singradar.polysys import (
     Homotopy,
     Monomial,
@@ -23,13 +26,16 @@ from singradar.polysys import (
     homotopy_from_json,
     homotopy_to_json,
     jacobian,
+    term_values,
 )
 from singradar.radar import recondition
 from singradar.scalars import EXTENDED, ExtComplex, ExtReal, promote
+from singradar.tracker import newton_correct
 
 from test_polysys import (_ref_chart, _ref_evalpoly, batch, outcome,
                           ref_evaluate, ref_jacobian, typed_bits)
-from test_tracker import _RefPowers, _ref_evaluate, _ref_jacobian
+from test_tracker import (_RefPowers, _correction, _ref_evaluate,
+                          _ref_jacobian, _ref_newton_correct)
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -243,3 +249,67 @@ def test_programs_on_an_array_batch_give_the_bits_of_the_frozen_loops(data):
         lambda: _ref_evaluate(h, x, q, _RefPowers(x)))
     assert _batch_outcome(jacobian, h, x, t) == _batch_outcome(
         lambda: _ref_jacobian(h, q, _RefPowers(x)))
+
+
+# ---------------------------------------------------------------------------
+# the double corrector against the frozen Newton loop
+# ---------------------------------------------------------------------------
+
+_OVERFLOW = (NoConvergence, "newton iterate overflows the homotopy")
+
+
+def _ref_correction(h, t, x0):
+    """_correction of test_tracker's frozen loop, under the corrector's two
+    overflow rules, which that loop predates: an OverflowError, and an
+    iterate whose equation sizes are not all finite, are NoConvergence."""
+    visited = []
+
+    def ref(h, t, x0, cfg, history):
+        visited.append(history)
+        return _ref_newton_correct(h, t, x0, cfg, history)
+
+    want = _correction(ref, h, t, x0)
+    if want[0] is OverflowError:
+        return _OVERFLOW
+    q = term_values(h, t)
+    for x in (x0, *visited[0]):
+        scales = []
+        try:
+            _ref_evaluate(h, x, q, _RefPowers(x), scales)
+        except Exception:  # the loop itself stopped here
+            break
+        if not all(map(math.isfinite, scales)):
+            return _OVERFLOW
+    return want
+
+
+def _planted(data, h, x, t):
+    """h with one constant term per equation that makes x its root at t,
+    and a seed near x in x's lane; h and x as they are where h is singular
+    or fails at x."""
+    try:
+        values = evaluate(h, x, t)
+    except (EvaluationSingular, ArithmeticError):
+        return h, x
+    h = Homotopy(dim=h.dim, gamma=h.gamma, t0=h.t0, equations=[
+        [*eq, TMonomial((-v,), (0,) * h.dim)]
+        for eq, v in zip(h.equations, values)])
+    scale = data.draw(st.sampled_from([1e-12, 1e-6, 1e-3, 1e-1]))
+    noise = data.draw(st.lists(st.builds(complex, _part, _part),
+                               min_size=h.dim, max_size=h.dim))
+    return h, [v + scale * (e if isinstance(v, complex) else e.real)
+               for v, e in zip(x, noise)]
+
+
+@pytest.mark.parametrize("lane", ["double", "complex"])
+@PROPERTY
+@given(data=st.data())
+def test_corrector_gives_the_bits_of_the_frozen_newton_loop(lane, data):
+    # every iterate, the residual, the iteration count and any exception;
+    # half of the seeds sit near a planted root and mostly converge, the
+    # others run out of iterations or meet a singular point alike
+    h = _reconditioned(data, data.draw(homotopies(wide=True)))
+    x, t = data.draw(lane_points(lane, h.dim))
+    if data.draw(st.booleans()):
+        h, x = _planted(data, h, x, t)
+    assert _correction(newton_correct, h, t, x) == _ref_correction(h, t, x)

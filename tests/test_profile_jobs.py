@@ -1,5 +1,5 @@
 """tools/profile_jobs.py on one pass of the pinned_ext workload and on one
-CLI command."""
+CLI command, with rows for singradar's functions and generated programs."""
 
 import importlib.util
 from pathlib import Path
@@ -24,10 +24,15 @@ def test_shares_name_every_hot_spot_with_its_calls():
     assert by_name["fourier.inverse_dft"][0] == 3
     assert by_name["radar.detect_last_pole"] == (0, 0.0)
     assert all(0.0 <= share <= 1.0 for _, _, share in rows)
-    # cumulative shares nest: the solve runs inside the corrector and the
-    # lift, and all its calls take less than the corrector
+    # cumulative shares nest: each newton_correct runs its homotopy's
+    # corrector program once, and _solve_linear runs only in the lift
+    correct = by_name["<homotopy programs>.correct"]
+    assert correct[0] == by_name["tracker.newton_correct"][0] > 0
+    assert 0.0 < correct[1] < by_name["tracker.newton_correct"][1]
     assert 0.0 < by_name["tracker._solve_linear"][1] < by_name[
-        "tracker.newton_correct"][1]
+        "tracker._refine"][1]
+    # the elimination's rows sum over n and count the corrector's solves
+    assert by_name["<solve n>.solve"][0] > by_name["tracker._solve_linear"][0]
 
 
 SQRT_EXTENDED = ["track", "--fixture", "sqrt", "--precision", "extended"]
@@ -55,8 +60,26 @@ def test_main_prints_the_table_and_the_minimum_wall_time(capsys):
     assert profile_jobs.main(["--command", " ".join(SQRT_EXTENDED),
                               "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines[:-1]] == [
+    # a row is the name (generated code's has a space), calls and share
+    assert [line.rsplit(None, 3)[0] for line in lines[:-1]] == [
         "%s.%s" % spot for spot in profile_jobs.HOT_SPOTS]
     assert lines[-1].startswith("minimum wall time over 1 rounds: ")
     with pytest.raises(SystemExit):
         profile_jobs.main(["--workload", "sweep", "--command", "track"])
+
+
+def test_generated_rows_sum_over_shapes_and_sizes():
+    # two homotopy shapes, with one and two unknowns: one row each for
+    # their corrector programs and for their eliminations
+    from singradar.polysys import fixture
+    from singradar.tracker import default_config, newton_correct
+
+    def run():
+        for name in ("sqrt", "ojika1"):
+            h = fixture(name)
+            newton_correct(h, 0.1, [1.1] * h.dim, default_config())
+
+    by_name = {name: calls for name, calls, _ in profile_jobs._shares(run)}
+    assert by_name["<homotopy programs>.correct"] == 2
+    assert by_name["tracker.newton_correct"] == 2
+    assert by_name["<solve n>.solve"] >= 2

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singradar import fourier, tracker
+from singradar import fourier, polysys, tracker
 from singradar.errors import (
     EvaluationSingular,
     InvalidArgument,
@@ -553,19 +553,61 @@ def test_newton_overflow_is_no_convergence():
 
 
 def test_newton_polish_overflow_is_no_convergence(monkeypatch):
-    # the polish step's evaluation, the only one without scales, overflows
-    evaluate = tracker.evaluate
+    # the corrector program forms the negative powers through
+    # polysys._power, bound when the homotopy is built: a wrapper that
+    # overflows at any point other than the seed and the iterates reaches
+    # the polish step's residual alone
+    h = homotopy_from_json(NEGATIVE_EXPONENTS)
+    x0 = [0.9 + 0.1j, 1.1 - 0.05j]
+    history = []
+    state = newton_correct(h, 0.3, x0, default_config(), history)
+    assert state.residual > 0.0 and history
+    visited = {v for x in (x0, *history) for v in x}
+    power = polysys._power
+    seen = []
 
-    def overflowing(h, x, t, q, scales=None, *rest):
-        if scales is None:
+    def overflowing(base, e):
+        if base not in visited:
+            seen.append(base)
             raise OverflowError("polish")
-        return evaluate(h, x, t, q, scales, *rest)
+        return power(base, e)
 
-    h = fixture("sqrt")
-    assert newton_correct(h, 0.3, [0.8], default_config()).residual > 0.0
-    monkeypatch.setattr(tracker, "evaluate", overflowing)
+    monkeypatch.setattr(polysys, "_power", overflowing)
+    h = homotopy_from_json(NEGATIVE_EXPONENTS)
     with pytest.raises(NoConvergence, match="overflows the homotopy"):
-        newton_correct(h, 0.3, [0.8], default_config())
+        newton_correct(h, 0.3, x0, default_config())
+    assert len(seen) == 1
+
+
+# x^2 - 1.797e308: at x0 = sqrt(0.97 * 1.797e308) both terms are finite but
+# their magnitudes sum past the double range, so every residual is within
+# tol times an infinite size
+HUGE_CONSTANT = {
+    "form": "explicit_t", "dim": 1,
+    "equations": [[{"t_coeffs": [[1.0, 0.0]], "exp": [2]},
+                   {"t_coeffs": [[-1.797e308, 0.0]], "exp": [0]}]]}
+HUGE_SEED = math.sqrt(0.97 * 1.797e308)
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+def test_newton_overflowing_yardstick_is_no_convergence(precision):
+    h = homotopy_from_json(HUGE_CONSTANT)
+    with pytest.raises(NoConvergence,
+                       match="^newton iterate overflows the homotopy$"):
+        newton_correct(h, promote(0.5, precision),
+                       [promote(HUGE_SEED, precision)],
+                       default_config(precision))
+
+
+def test_refine_overflowing_yardstick_is_no_convergence():
+    # the lift stops on the same rule: a batch with one such point raises
+    h = homotopy_from_json(HUGE_CONSTANT)
+    walked = np.array([[1e150 + 0j], [HUGE_SEED + 0j]])
+    with pytest.raises(NoConvergence,
+                       match="^newton iterate overflows the homotopy$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        tracker._refine(h, promote(0.5, EXTENDED), walked,
+                        default_config(EXTENDED))
 
 
 def test_newton_tolerance_floor_guard():

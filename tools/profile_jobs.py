@@ -13,9 +13,12 @@ that exits 2, an argument error, stops the tool. It then runs them
 
 Either way the tool prints for each function below its call count and its
 cumulative time as a share of all run time (a function that calls another
-includes it, so the shares do not add up to 100%). These are the shares the
-ROADMAP Baseline quotes; rerun the tool on the parent and the change in one
-session to compare them.
+includes it, so the shares do not add up to 100%). The programs that
+singradar generates are named by their code's file name: each homotopy's
+double corrector `<homotopy programs>.correct`, summed over homotopy shapes,
+and the elimination `<solve n>.solve`, summed over n. These are the shares
+the ROADMAP Baseline quotes; rerun the tool on the parent and the change in
+one session to compare them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import argparse
 import contextlib
 import cProfile
 import io
-import pstats
+import re
 import shlex
 import sys
 import time
@@ -35,16 +38,19 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import jobs  # noqa: E402  (perfbench/jobs.py, found through the path above)
 
-# (module, function) of every reported hot spot, outermost first
+# (module or generated file name, function) of every reported hot spot,
+# outermost first
 HOT_SPOTS = (
     ("radar", "detect_last_pole"),
     ("fourier", "sample_circle"),
     ("fourier", "_advance_arc"),
     ("tracker", "_refine"),
     ("tracker", "newton_correct"),
+    ("<homotopy programs>", "correct"),
     ("polysys", "evaluate"),
     ("polysys", "jacobian"),
     ("tracker", "_solve_linear"),
+    ("<solve n>", "solve"),
     ("tracker", "track_to"),
     ("fourier", "inverse_dft"),
 )
@@ -70,20 +76,28 @@ def _run_command(main, argv, rounds: int):
 
 def _shares(run, *args) -> list:
     """[(module.function, calls, share of run's time)] for HOT_SPOTS, with
-    run(*args) under cProfile."""
+    run(*args) under cProfile. Entries are read per code object, and those
+    of one name summed: generated code of one file name, "<solve 2>" read
+    as "<solve n>", is one row."""
     profile = cProfile.Profile()
     profile.runcall(run, *args)
-    stats = pstats.Stats(profile).stats
     by_name = {}
-    for (path, _, func), (_, calls, _, cumulative, _) in stats.items():
-        by_name[Path(path).parent.name, Path(path).stem, func] = (
-            calls, cumulative)
-    total = by_name[Path(__file__).parent.name, Path(__file__).stem,
-                    run.__name__][1]
+    for entry in profile.getstats():
+        code = entry.code
+        if isinstance(code, str):  # a built-in
+            continue
+        if code is run.__code__:
+            total = entry.totaltime
+        path = Path(code.co_filename)
+        if path.parent.name == "singradar" or path.name.startswith("<"):
+            name = "%s.%s" % (re.sub(r"\d+", "n", path.stem), code.co_name)
+            calls, cumulative = by_name.get(name, (0, 0.0))
+            by_name[name] = (calls + entry.callcount,
+                             cumulative + entry.totaltime)
     out = []
-    for module, func in HOT_SPOTS:
-        calls, cumulative = by_name.get(("singradar", module, func), (0, 0.0))
-        out.append(("%s.%s" % (module, func), calls, cumulative / total))
+    for spot in HOT_SPOTS:
+        calls, cumulative = by_name.get("%s.%s" % spot, (0, 0.0))
+        out.append(("%s.%s" % spot, calls, cumulative / total))
     return out
 
 
@@ -122,7 +136,7 @@ def main(argv=None) -> int:
     else:
         rows, best = command_shares(shlex.split(args.command), args.rounds)
     for name, calls, share in rows:
-        print("%-26s %8d calls %6.1f%%" % (name, calls, 100.0 * share))
+        print("%-28s %8d calls %6.1f%%" % (name, calls, 100.0 * share))
     if args.command is not None:
         print("minimum wall time over %d rounds: %.2f ms"
               % (args.rounds, 1e3 * best))
