@@ -30,10 +30,8 @@ and ``**``, one program serves scalar doubles and double-doubles and
 (``term_values``) can be computed once per t and passed in.
 
 The third program, ``correct``, is ``tracker.newton_correct``'s double
-Newton loop: the residual blocks (sizes under ``abs``), the relative
-test, the Jacobian block and the cached elimination ``_solver(dim)``, over
-locals in the order of the loop it replaced, so every iterate keeps its
-bits. Homotopies of one shape share the three programs' code.
+Newton loop over the same blocks (sizes under ``abs``) and ``_solver``, so
+each iterate keeps its bits. Homotopies of one shape share the code.
 """
 
 from __future__ import annotations
@@ -238,17 +236,13 @@ def _programs(equations) -> tuple:
 
 
 def _block(lines: list, depth: int, mag: str = "") -> str:
-    """The lines, each on a new line indented depth levels, with mag the
-    magnitude function of the size sums."""
+    """Each line on a new line, depth levels in; mag is the sizes' |.|."""
     return "".join("\n" + "    " * depth + line.format(mag=mag)
                    for line in lines)
 
 
-# The three programs. correct is newton_correct's double loop over locals:
-# every size finite, then every equation within tol of its size, all
-# compared (&, no short circuit); one more step, the polish, re-enters the
-# residual and is kept where it lowers max(r0, r1, ...), which is
-# max(map(abs, values)) in the loop's order.
+# correct: every size finite, then every equation within tol (& compares
+# all), then one polish step; max(r0, ...) is max(map(abs, values)).
 _SOURCE = """\
 def residual(x, q):%(unpack)s%(residual)s
     return [%(a)s], [%(s)s]

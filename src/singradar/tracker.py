@@ -286,12 +286,10 @@ def estimate_inverse_condition(h: Homotopy, s: PathState) -> float:
 
 
 def inverse_conditions(h: Homotopy, states: list) -> list:
-    """estimate_inverse_condition of every state, from one stacked SVD of
-    the Jacobians rounded to complex. Extended states share one Jacobian
-    evaluation over array-part values, each point with the q(t) that
-    term_values forms at its own t; an entry then differs from the
-    state's own evaluation only where a double q times an exponent is
-    inexact, which double-double keeps exact."""
+    """estimate_inverse_condition of every state, from one stacked SVD.
+    Extended states share one Jacobian evaluation over array-part values,
+    each with the q(t) of term_values at its t (q times an exponent, which
+    a state's own evaluation rounds for a double q, is exact here)."""
     jac = np.zeros((len(states), h.dim, h.dim), dtype=complex)
     if lane(*(v for s in states for v in s.x)) == EXTENDED:
         x = [_complex(np.array([_quad(v) for v in column]).T)
