@@ -17,8 +17,8 @@ includes it, so the shares do not add up to 100%). The programs that
 singradar generates are named by their code's file name: each homotopy's
 double corrector `<homotopy programs>.correct`, summed over homotopy shapes,
 and the elimination `<solve n>.solve`, summed over n. These are the shares
-the ROADMAP Baseline quotes; rerun the tool on the parent and the change in
-one session to compare them.
+the ROADMAP Baseline quotes; to compare two trees, run the tool on both
+back to back on one machine.
 """
 
 from __future__ import annotations
