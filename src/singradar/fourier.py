@@ -16,8 +16,9 @@ real coefficients (``Homotopy.real_coefficients``), a real centre and base
 point and n > 2, samples 0..n//2 are walked and lifted and sample k > n//2
 is the conjugate of sample n - k; the wrap check compares the hop at
 n//2 + 1 with the conjugate of sample n - n//2 - 1.
-Both lanes walk in double. The final circle then lifts its walked samples at
-once to double-double (``tracker._refine``). The walk and the lift stop on
+Both lanes walk in double, every hop one ``tracker._corrected`` call; the
+final circle then lifts its walked samples at once to double-double
+(``tracker._refine``). The walk and the lift stop on
 residuals relative to each equation's term sizes (TrackerConfig), so a
 scaled equation or coordinate walks the same way. Lifted samples are
 double-double in either lane, so the exactly representable roots of unity
@@ -63,9 +64,8 @@ from .scalars import (
     roots_of_unity,
 )
 from .series import TruncatedSeries
-from .tracker import (PathState, TrackerConfig, _jumped, _refine,
-                      default_config, demoted, newton_correct, track_to,
-                      walk_config)
+from .tracker import (PathState, TrackerConfig, _corrected, _entry, _jumped,
+                      _refine, default_config, track_to, walk_config)
 
 # imported after the package's own modules (scalars imports numpy): numpy
 # imported before them leaves the process's resident set about 0.6 MB larger
@@ -228,9 +228,9 @@ def default_step(t0) -> float:
     return _RADIUS_FRACTION * abs(1.0 - complex(t0))
 
 
-def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed, t_hop):
+def _advance_arc(h, tol, t0_ext, step_ext, n, k, seed, t_hop):
     """Sample at angle k/n starting from the accepted sample at (k-1)/n,
-    by double Newton correction; t_hop is that sample's t, in double.
+    by _corrected to tol; t_hop is that sample's t, in double.
 
     A hop that moves the point by more than half its own scale cannot be
     trusted as a Newton seed (the corrector may land on another branch or
@@ -244,7 +244,7 @@ def _advance_arc(h, cfg, t0_ext, step_ext, n, k, seed, t_hop):
             for j in range(1, m + 1):
                 t_sub = t_hop if m == 1 else complex(
                     t0_ext + step_ext * root_of_unity(n * m, (k - 1) * m + j))
-                value = newton_correct(h, t_sub, walk, cfg).x
+                value = _corrected(h, t_sub, walk, tol).x
                 if _jumped(walk, value):
                     raise NoConvergence("hop moved too far to trust")
                 walk = value
@@ -263,8 +263,8 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     n >= 1: the pipeline's power-of-two circles and the reference tables'
     17 and 65 samples all walk here.
 
-    Both lanes walk in double from the demoted base point, at
-    walk_config(cfg), so base's lane is not read; with lift, the walked
+    Both lanes walk in double from the base point rounded to double, at
+    walk_config(cfg), read once (tracker._entry); with lift, the walked
     samples are then lifted at once to double-double (_refine, at the
     extended default tolerance), else the parts hold the walk's doubles.
 
@@ -275,24 +275,24 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     _check_count(n)
     cfg = walk_config(cfg)
     _check_step(step)
+    *_, seed, tol = _entry(h, cfg, base.t, base.x)
     t0_ext = promote(base.t, EXTENDED)
     step_ext = ExtReal.from_value(float(step))
-    seed = demoted(base)
     t0_c = complex(base.t)
     mirror = (h.real_coefficients and t0_c.imag == 0.0 and n > 2
-              and not any(complex(v).imag for v in seed.x))
+              and not any(complex(v).imag for v in seed))
     if t0_c.imag == 0.0:
         # reach the first sample by continuation; one Newton leap from the
         # center is not reliable for systems with high-degree monomials
-        seed = track_to(h, replace(seed, t=t0_c.real),
-                        t0_c.real + float(step), cfg)
-    seed = [complex(v) for v in seed.x]
+        seed = track_to(h, replace(base, t=t0_c.real, x=seed),
+                        t0_c.real + float(step), cfg).x
+    seed = [complex(v) for v in seed]
     count = n // 2 + 1 if mirror else n  # samples walked and lifted
     t = t0_ext + step_ext * _complex(roots_of_unity(n))
     hops = _from_arrays(_quad(t), False)
-    walk = [newton_correct(h, complex(t0_ext + step_ext), seed, cfg).x]
+    walk = [_corrected(h, complex(t0_ext + step_ext), seed, tol).x]
     for k in range(1, count + 1):
-        walk.append(_advance_arc(h, cfg, t0_ext, step_ext, n, k, walk[-1],
+        walk.append(_advance_arc(h, tol, t0_ext, step_ext, n, k, walk[-1],
                                  hops[k % n]))
     back = [v.conjugate() for v in walk[n - count]] if mirror else walk[0]
     drift = max(abs(a - b) for a, b in zip(walk.pop(), back))

@@ -5,9 +5,10 @@ singular parameter value nearest the expansion point. Extrapolating the
 ratios at n = 2, 4, ..., 2^N kills the O(1/n) error terms one power at a
 time, and rescaling plus recentering (reconditioning) keeps the target
 singularity dominant so the limit is clean. The substitution t = t0 + r s
-is evaluated in the lane of s, never expanded into new coefficients. Both
-lanes run the same pole sweep and track to t0, all in double; a run lifts
-only the final circle (sample_circle), in either lane.
+is evaluated in the lane of s, never expanded into new coefficients. A run
+reads its lane once, from the start's t and coordinates; both lanes run the
+same pole sweep and track to t0 from the demoted start, all in double, and
+a run lifts only the final circle (sample_circle), in either lane.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .errors import (
     SingularJacobian,
     StepUnderflow,
 )
-from .fourier import _RADIUS_FRACTION, taylor_coefficients
+from .fourier import _RADIUS_FRACTION, _check_step, taylor_coefficients
 from .polysys import Homotopy
 from .scalars import EXTENDED, float_magnitude, lane, promote, scalar_eps
 from .series import TruncatedSeries
-from .tracker import (PathState, TrackerConfig, default_config, demoted,
-                      track_to, walk_config)
+from .tracker import PathState, TrackerConfig, demoted, track_to, walk_config
 
 CONVERGED = "Converged"
 INCONCLUSIVE = "Inconclusive"
@@ -216,11 +216,10 @@ def detect_last_pole(h: Homotopy, start: PathState,
     cfg = walk_config(cfg)
     state = demoted(start)
     candidates = []
-    first_clean = None
+    first_clean = prev_z = None
     clean_streak = vanish_streak = 0
     read_any = False
-    t_c = float(complex(start.t).real)
-    prev_z = None
+    t_c = float(complex(state.t).real)
     while 1.0 - t_c > _SWEEP_FLOOR:
         try:
             state = track_to(h, state, t_c, cfg)
@@ -290,28 +289,29 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     down or up to a power of two (order 126 gives 64, order 127 gives 128).
     Pass t0 in [0, 1) to skip pole detection and recondition at a known
     base point, and step to override the sampling radius in s units.
-    An extended start only carries the lane to taylor_coefficients: it is
-    demoted for the sweep and the track, and the base point is their double
-    end point, promoted exactly.
+    The lane is read once, from the start's t and coordinates: an extended
+    start only carries it to taylor_coefficients. The sweep and the track
+    run from the demoted start, and the base point is the track's double
+    end point, promoted exactly in the extended lane.
     """
     if order < 4:
         raise InvalidArgument("need order at least 4")
     if t0 is not None and not 0.0 <= t0 < 1.0:
         raise InvalidArgument("t0 must lie in [0, 1)")
-    if step is not None and not 0.0 < step < math.inf:
-        raise InvalidArgument("step must be positive and finite")
-    if cfg is None:
-        cfg = default_config()
+    if step is not None:
+        _check_step(step)
     t_begin = time.perf_counter()
+    extended = lane(start.t, *start.x) == EXTENDED
+    start = demoted(start)
     rho = t_star = None
     if t0 is None:
         rho, t_star, t0 = detect_last_pole(h, start, cfg)
     t_detect = time.perf_counter()
-    x = track_to(h, demoted(start), t0, walk_config(cfg)).x
-    if lane(*start.x) == EXTENDED:  # the lane rides on x, unlifted
-        x = [promote(v, EXTENDED) for v in x]
+    end = track_to(h, start, t0, walk_config(cfg))
+    if extended:  # the lane rides on x, unlifted
+        end.x = [promote(v, EXTENDED) for v in end.x]
     hs = recondition(h, t0)
-    base = PathState.from_point(hs, 0.0, x)
+    base = replace(end, t=0.0)  # hs at s = 0 is h at t0: the residual holds
     t_track = time.perf_counter()
     n_samples = 1 << (order + 1).bit_length()  # least 2^k >= order + 2
     series = taylor_coefficients(hs, base, step, n_samples, cfg)

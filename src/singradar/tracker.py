@@ -8,18 +8,19 @@ _MIN_STEP is the signal the caller cares about (a singularity is adjacent) and
 surfaces as StepUnderflow. The one run setting is the lane's Newton tolerance
 (TrackerConfig); the iteration and step budgets below are fixed.
 
-A Newton correction runs at fixed t, so it evaluates the q(t) of every
-homotopy term once. Its double loop is the homotopy's generated corrector
-program (``polysys._programs``); the elimination is ``polysys._solver``'s.
+A Newton correction runs in double at fixed t (``_corrected``, the one
+corrector of every walk and track hop): q(t) of every homotopy term once,
+then the homotopy's generated corrector program (``polysys._programs``;
+the elimination is ``polysys._solver``'s). A public entry reads the lane
+once (``_entry``) and passes a double t and x and its tolerance down, so
+both lanes walk and track alike and the lane moves no step.
 
-Newton runs in double; ``_refine`` alone makes double-double points, by
-mixed-precision refinement of k double points at once (Moler, JACM 14,
-1967): one for an extended ``newton_correct``, all rows of an extended
-track, all samples of a circle. Residuals are evaluated for all k points
-at once, and each point's correction is solved by ``_solve_linear``, the
-one elimination: a lifted point gets the bits of its own one-point lift.
-Both lanes walk and track in double, so the lane moves no step:
-``demoted`` rounds extended coordinates, ``walk_config`` the tolerance.
+``_refine`` alone makes double-double points, by mixed-precision
+refinement of k double points at once (Moler, JACM 14, 1967): one for an
+extended ``newton_correct``, all rows of an extended track, all samples of
+a circle. Residuals are evaluated for all k points at once, and each
+point's correction is solved by ``_solve_linear``, the one elimination: a
+lifted point gets the bits of its own one-point lift.
 """
 
 from __future__ import annotations
@@ -75,9 +76,7 @@ class TrackerConfig:
 
 
 def default_config(precision: str = DOUBLE) -> TrackerConfig:
-    if precision == EXTENDED:
-        return TrackerConfig(newton_tol=1e-26)
-    return TrackerConfig(newton_tol=1e-12)
+    return TrackerConfig(newton_tol=1e-26 if precision == EXTENDED else 1e-12)
 
 
 def walk_config(cfg: TrackerConfig | None) -> TrackerConfig:
@@ -93,8 +92,8 @@ def _double(v):
 
 
 def demoted(state: PathState) -> PathState:
-    """Extended coordinates rounded to complex; real seeds stay real."""
-    return replace(state, x=[_double(v) for v in state.x])
+    """Extended t and coordinates rounded to complex; real ones stay real."""
+    return replace(state, t=_double(state.t), x=[_double(v) for v in state.x])
 
 
 def _norms(values):
@@ -176,12 +175,17 @@ def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
              for p, v in zip(polished, x)], np.where(keep, after, norms))
 
 
-def _lifts(cfg: TrackerConfig, t, x) -> bool:
-    """Whether t or x is extended; cfg must not be below that lane's floor."""
+def _entry(h: Homotopy, cfg: TrackerConfig, t, x) -> tuple:
+    """What a public call reads once: whether t or x is extended (the lane),
+    t and x rounded to double, and walk_config(cfg)'s tolerance. cfg must
+    not be below the lane's floor, and x must have h's dimension."""
     precision = lane(t, *x)
     if cfg.newton_tol < scalar_eps(precision):
         raise InvalidArgument("newton_tol below the active precision floor")
-    return precision == EXTENDED
+    if len(x) != h.dim:
+        raise InvalidArgument("point dimension mismatch")
+    return (precision == EXTENDED, _double(t), [_double(v) for v in x],
+            walk_config(cfg).newton_tol)
 
 
 def _lifted(h: Homotopy, states: list, cfg: TrackerConfig) -> list:
@@ -194,6 +198,20 @@ def _lifted(h: Homotopy, states: list, cfg: TrackerConfig) -> list:
         for p, s in enumerate(states)]
 
 
+def _corrected(h: Homotopy, t, x: list, tol: float,
+               history: list | None = None) -> PathState:
+    """Double x corrected at double t to the relative tol (module
+    docstring). An iterate where the homotopy overflows, or an equation's
+    size sum_terms |q(t)*P(x)| is not finite, raises NoConvergence."""
+    q = term_values(h, t)
+    try:
+        x, residual, iterations = h._correct(
+            x, q, tol, scalar_eps(DOUBLE), _MAX_NEWTON_ITERS, history)
+    except OverflowError:  # an iterate too large for the homotopy
+        raise NoConvergence("newton iterate overflows the homotopy") from None
+    return PathState(t, x, residual, newton_iterations=iterations)
+
+
 def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
                    history: list | None = None) -> PathState:
     """Correct x0 to h(x, t) = 0 at fixed t, to cfg's relative tolerance.
@@ -203,27 +221,14 @@ def newton_correct(h: Homotopy, t, x0, cfg: TrackerConfig,
     reported iteration count excludes that polish step. When a list is passed
     as history, every pre-polish iterate is appended to it.
 
-    t is fixed, so every term's q(t) is evaluated once per call, and the
-    loop is one call of h's corrector program. Newton runs in double, at
-    walk_config(cfg) when t or x0 is extended; the double point is then
-    lifted to cfg's tolerance at the exact t by _lifted, as a track's rows
-    are. Iterations and history are the double loop's. An iterate at which
-    the homotopy overflows, or an equation's size sum_terms |q(t)*P(x)| is
-    not finite, raises NoConvergence.
+    Newton runs in double (_corrected), at walk_config(cfg) when t or x0 is
+    extended; the double point is then lifted to cfg's tolerance at the
+    exact t by _lifted, as a track's rows are. Iterations and history are
+    the double loop's.
     """
-    lift = _lifts(cfg, t, x0)
-    if len(x0) != h.dim:
-        raise InvalidArgument("point dimension mismatch")
-    t_walk = _double(t)
-    q = term_values(h, t_walk)
-    try:
-        x, residual, iterations = h._correct(
-            [_double(v) for v in x0], q, walk_config(cfg).newton_tol,
-            scalar_eps(DOUBLE), _MAX_NEWTON_ITERS, history)
-    except OverflowError:  # an iterate too large for the homotopy
-        raise NoConvergence("newton iterate overflows the homotopy") from None
-    state = PathState(t, x, residual, newton_iterations=iterations)
-    return _lifted(h, [state], cfg)[0] if lift else state
+    lift, t_walk, x, tol = _entry(h, cfg, t, x0)
+    state = _corrected(h, t_walk, x, tol, history)
+    return _lifted(h, [replace(state, t=t)], cfg)[0] if lift else state
 
 
 def track_to(h: Homotopy, start: PathState, t_target: float,
@@ -235,11 +240,10 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
     before it, and its error ends the call."""
     if not np.isfinite(t_target):
         raise InvalidArgument("t_target must be finite")
+    lift, t_cur, x, tol = _entry(h, cfg, start.t, start.x)
     if float(abs(t_target - complex(start.t).real)) == 0.0:
         return PathState.from_point(h, start.t, list(start.x),
                                     newton_iterations=start.newton_iterations)
-    lift = _lifts(cfg, start.t, start.x)
-    t_cur, x = _double(start.t), [_double(v) for v in start.x]
     step, successes, taken, rows, failure = _INITIAL_STEP, 0, 0, [], None
     try:
         while (remaining := t_target - complex(t_cur).real) != 0.0:
@@ -249,7 +253,7 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
             t_next = t_cur + (remaining if abs(remaining) <= step
                               else step if remaining > 0 else -step)
             try:
-                state = newton_correct(h, t_next, x, walk_config(cfg))
+                state = _corrected(h, t_next, x, tol)
                 if _jumped(x, state.x, 1.0):
                     raise NoConvergence("step moved too far to trust")
             except (NoConvergence, SingularJacobian):
@@ -280,13 +284,8 @@ def track_to(h: Homotopy, start: PathState, t_target: float,
     return rows[-1]
 
 
-def estimate_inverse_condition(h: Homotopy, s: PathState) -> float:
-    """sigma_min / sigma_max of the Jacobian at the state."""
-    return inverse_conditions(h, [s])[0]
-
-
 def inverse_conditions(h: Homotopy, states: list) -> list:
-    """estimate_inverse_condition of every state, from one stacked SVD.
+    """sigma_min / sigma_max of each state's Jacobian, one stacked SVD.
     Extended states share one Jacobian evaluation over array-part values,
     each with the q(t) of term_values at its t (q times an exponent, which
     a state's own evaluation rounds for a double q, is exact here)."""

@@ -370,8 +370,10 @@ def test_radius_lifts_only_the_final_circle(monkeypatch, precision):
     # the sweep reads its checkpoints from the walked double samples, and
     # the start and the base point are corrected and tracked in double, so
     # a run lifts one circle, the final one, counted at both names of the
-    # one lift; no Newton correction sees an extended value, and every
-    # checkpoint series is native complex in both lanes
+    # one lift; no Newton correction sees an extended value (counted at
+    # both names of the one double corrector, which every public entry and
+    # every hop calls), and every checkpoint series is native complex in
+    # both lanes
     lifts = []
     for module in (tracker, fourier):
         def counted(*args, refine=module._refine):
@@ -380,11 +382,11 @@ def test_radius_lifts_only_the_final_circle(monkeypatch, precision):
         monkeypatch.setattr(module, "_refine", counted)
 
     corrected = []
-    for module in (tracker, fourier, cli):
-        def corrector(h, t, x0, *args, correct=module.newton_correct):
-            corrected.append(lane(t, *x0))
-            return correct(h, t, x0, *args)
-        monkeypatch.setattr(module, "newton_correct", corrector)
+    for module in (tracker, fourier):
+        def corrector(h, t, x, *args, correct=module._corrected):
+            corrected.append(lane(t, *x))
+            return correct(h, t, x, *args)
+        monkeypatch.setattr(module, "_corrected", corrector)
 
     series = []
     coefficients = radar.taylor_coefficients
@@ -405,6 +407,24 @@ def test_radius_lifts_only_the_final_circle(monkeypatch, precision):
                for s in checkpoints for part in s for c in part.coeffs)
     assert all(is_extended(c) == (precision == "extended")
                for part in final for c in part.coeffs)
+
+
+def test_radius_decides_the_lane_a_fixed_number_of_times(monkeypatch):
+    # the lane is read once per public call, never per hop, so a run that
+    # samples its final circle at four times the points reads it as often
+    counts = []
+    for module in (tracker, fourier, radar):
+        for name in ("lane", "is_extended"):
+            if hasattr(module, name):
+                def counted(*args, read=getattr(module, name)):
+                    counts[-1] += 1
+                    return read(*args)
+                monkeypatch.setattr(module, name, counted)
+    for n in ("64", "256"):
+        counts.append(0)
+        code, _, _ = run_cli(["radius", "--fixture", "ojika1", "--n", n])
+        assert code == 0
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("gamma", ["nan", "nan+1j"])

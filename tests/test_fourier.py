@@ -33,8 +33,7 @@ from singradar.scalars import (
     root_of_unity,
     scalar_eps,
 )
-from singradar.tracker import (PathState, default_config, newton_correct,
-                               track_to)
+from singradar.tracker import PathState, _corrected, default_config, track_to
 
 from mp_oracle import mp_solve, mp_value
 
@@ -670,12 +669,12 @@ def test_step_is_checked_before_the_circle_is_walked(precision, monkeypatch):
     # before any Newton correction: the walk would be wasted work
     seen = []
 
-    def record(h, t, x, cfg, history=None):
+    def record(h, t, x, tol, history=None):
         seen.append(t)
-        return newton_correct(h, t, x, cfg, history)
+        return _corrected(h, t, x, tol, history)
 
-    monkeypatch.setattr(fourier, "newton_correct", record)
-    monkeypatch.setattr(tracker, "newton_correct", record)
+    monkeypatch.setattr(fourier, "_corrected", record)
+    monkeypatch.setattr(tracker, "_corrected", record)
     h = fixture("sqrt")
     base = PathState.from_point(h, 0.5, [promote(0.5 ** 0.5, precision)])
     with pytest.raises(InvalidArgument, match=r"^step 0\.002 is too small "
@@ -695,11 +694,11 @@ def test_unsubdivided_hops_take_the_scalar_route_parameters(monkeypatch):
     # one must carry the bits of t0 + step * w^k formed one at a time
     seen = []
 
-    def record(h, t, x, cfg, history=None):
+    def record(h, t, x, tol, history=None):
         seen.append(t)
-        return newton_correct(h, t, x, cfg, history)
+        return _corrected(h, t, x, tol, history)
 
-    monkeypatch.setattr(fourier, "newton_correct", record)
+    monkeypatch.setattr(fourier, "_corrected", record)
     h = fixture("ojika1")
     base = track_to(h, PathState.from_point(h, 0.0, [1.0, 1.0]), 0.3,
                     default_config())

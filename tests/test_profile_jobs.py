@@ -24,11 +24,11 @@ def test_shares_name_every_hot_spot_with_its_calls():
     assert by_name["fourier.inverse_dft"][0] == 3
     assert by_name["radar.detect_last_pole"] == (0, 0.0)
     assert all(0.0 <= share <= 1.0 for _, _, share in rows)
-    # cumulative shares nest: each newton_correct runs its homotopy's
-    # corrector program once, and _solve_linear runs only in the lift
+    # cumulative shares nest: each _corrected runs its homotopy's corrector
+    # program once, and _solve_linear runs only in the lift
     correct = by_name["<homotopy programs>.correct"]
-    assert correct[0] == by_name["tracker.newton_correct"][0] > 0
-    assert 0.0 < correct[1] < by_name["tracker.newton_correct"][1]
+    assert correct[0] == by_name["tracker._corrected"][0] > 0
+    assert 0.0 < correct[1] < by_name["tracker._corrected"][1]
     assert 0.0 < by_name["tracker._solve_linear"][1] < by_name[
         "tracker._refine"][1]
     # the elimination's rows sum over n and count the corrector's solves

@@ -3,13 +3,14 @@
 import functools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singradar import radar, tracker
+from singradar import fourier, radar, tracker
 from singradar.cli import gamma_from_seed
 from singradar.errors import BranchJump, InconclusiveRadar, InvalidArgument
 from singradar.fourier import taylor_coefficients
@@ -579,6 +580,37 @@ def test_locate_extended_resumes_on_the_swept_path(monkeypatch):
     assert abs(x[1] - (2.086912331027336 + 0.25623467930136784j)) < 1e-12
     assert run.status == "Converged"
     assert float_magnitude(run.z - 1.0) < 1e-6
+
+
+def test_locate_reads_the_lane_from_t_as_well(monkeypatch):
+    # an extended t alone makes an extended run, as extended coordinates
+    # do; the start is demoted, t included, so the sweep and the track run
+    # in double: t0, rho and t_star keep the double start's bits, the run
+    # lifts one circle, the final one, and z is the extended-x run's
+    lifts = []
+    refine = tracker._refine
+
+    def counted(*args):
+        lifts.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(tracker, "_refine", counted)
+    monkeypatch.setattr(fourier, "_refine", counted)
+    h = fixture("ojika1")
+    start = newton_correct(h, 0.0, [1.0, -1.0], default_config())
+    double = locate_singularity(h, start, 64, default_config())
+    cfg = default_config(EXTENDED)
+    x_only = locate_singularity(
+        h, replace(start, x=[promote(v, EXTENDED) for v in start.x]), 64, cfg)
+    lifts.clear()
+    run = locate_singularity(h, replace(start, t=promote(0.0, EXTENDED)),
+                             64, cfg)
+    assert len(lifts) == 1
+    assert repr((run.t0, run.rho, run.t_star)) == repr(
+        (double.t0, double.rho, double.t_star))
+    assert run.t0 == 0.9812641550034968
+    assert is_extended(run.z)
+    assert repr(run.z) == repr(x_only.z)
 
 
 @pytest.mark.parametrize("name,t", [("sqrt", 0.3), ("ojika1", 0.3),

@@ -36,7 +36,7 @@ from singradar.tracker import (
     PathState,
     TrackerConfig,
     default_config,
-    estimate_inverse_condition,
+    inverse_conditions,
     newton_correct,
     track_to,
 )
@@ -674,7 +674,7 @@ def test_track_ojika1_stays_regular():
     out = track_to(h, PathState.from_point(h, 0.0, [1.0, 1.0]), 0.9,
                    default_config())
     assert out.residual <= 1e-12
-    assert estimate_inverse_condition(h, out) > 1e-6
+    assert inverse_conditions(h, [out])[0] > 1e-6
 
 
 def test_track_ojika1_pinned_coordinates():
@@ -737,6 +737,36 @@ def test_track_rejects_a_target_that_is_not_finite(target):
     with pytest.raises(InvalidArgument, match="t_target must be finite"):
         track_to(h, PathState.from_point(h, 0.0, [1.0]), target,
                  default_config())
+
+
+@pytest.mark.parametrize("target", [0.0, 0.5])
+def test_track_checks_the_floor_before_a_zero_length_track(target):
+    # the lane and its floor are read before the target is compared with
+    # the start, so a track to its own t rejects a tolerance below the
+    # double floor as any other target does
+    h = fixture("sqrt")
+    with pytest.raises(InvalidArgument, match="^newton_tol below the "
+                       "active precision floor$"):
+        track_to(h, PathState.from_point(h, 0.0, [1.0]), target,
+                 TrackerConfig(1e-20))
+
+
+@pytest.mark.parametrize("x", [[1.0], [1.0, 1.0, 1.0]])
+@pytest.mark.parametrize("entry", ["newton_correct", "track_to",
+                                   "sample_circle", "sample_circle_complex"])
+def test_every_entry_rejects_a_point_of_the_wrong_dimension(entry, x):
+    # the hops' corrector takes its coordinates unchecked, so each public
+    # entry checks the dimension once, whatever route the walk then takes
+    h = fixture("ojika1")
+    state = PathState(0.3, x, 0.0, 0)
+    calls = {
+        "newton_correct": lambda: newton_correct(h, 0.3, x, default_config()),
+        "track_to": lambda: track_to(h, state, 0.5, default_config()),
+        "sample_circle": lambda: fourier.sample_circle(h, state, 0.1, 8),
+        "sample_circle_complex": lambda: fourier.sample_circle(
+            h, PathState(0.3 + 0.01j, x, 0.0, 0), 0.1, 8)}
+    with pytest.raises(InvalidArgument, match="^point dimension mismatch$"):
+        calls[entry]()
 
 
 def test_track_trace_rows():
@@ -883,14 +913,14 @@ def test_inverse_condition_identity_jacobian():
     h = explicit_system_homotopy([[Monomial(1.0, (1, 0))],
                                   [Monomial(1.0, (0, 1))]], 2)
     s = PathState.from_point(h, 0.0, [0.0, 0.0])
-    assert estimate_inverse_condition(h, s) == 1.0
+    assert inverse_conditions(h, [s])[0] == 1.0
 
 
 def test_inverse_condition_diagonal_system():
     h = explicit_system_homotopy([[Monomial(1.0, (1, 0))],
                                   [Monomial(1e-6, (0, 1))]], 2)
     s = PathState.from_point(h, 0.0, [0.0, 0.0])
-    est = estimate_inverse_condition(h, s)
+    est = inverse_conditions(h, [s])[0]
     assert 0.5e-6 <= est <= 2e-6
 
 
@@ -898,7 +928,7 @@ def test_inverse_condition_ojika1():
     h = fixture("ojika1")
     out = track_to(h, PathState.from_point(h, 0.0, [1.0, 1.0]), OJIKA1_T0,
                    default_config())
-    est = estimate_inverse_condition(h, out)
+    est = inverse_conditions(h, [out])[0]
     assert 8.9e-4 <= est <= 8.9e-2
 
 

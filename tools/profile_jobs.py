@@ -39,13 +39,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import jobs  # noqa: E402  (perfbench/jobs.py, found through the path above)
 
 # (module or generated file name, function) of every reported hot spot,
-# outermost first
+# outermost first; newton_correct counts only public calls, _corrected every
+# double correction, the walk's and the track's hops included
 HOT_SPOTS = (
     ("radar", "detect_last_pole"),
     ("fourier", "sample_circle"),
     ("fourier", "_advance_arc"),
     ("tracker", "_refine"),
     ("tracker", "newton_correct"),
+    ("tracker", "_corrected"),
     ("<homotopy programs>", "correct"),
     ("polysys", "evaluate"),
     ("polysys", "jacobian"),
