@@ -18,6 +18,7 @@ import time
 from fractions import Fraction
 
 from .errors import (
+    EvaluationSingular,
     InvalidArgument,
     NoConvergence,
     SingradarError,
@@ -105,15 +106,17 @@ def _load_homotopy(name, file, start, gamma=None):
 
 
 def _start_state(h, x0, precision: str, tcfg) -> PathState:
-    """x0 corrected at t = 0; a start where the homotopy overflows is an
-    argument error (double-double powers overflow to inf or NaN without
-    raising, so the residual is checked too)."""
+    """x0 corrected at t = 0; a start on a pole of the homotopy, or where it
+    overflows, is an argument error (double-double powers overflow to inf
+    or NaN without raising, so the residual is checked too)."""
     if precision == EXTENDED:
         x0 = [promote(v, EXTENDED) for v in x0]
     try:
         if all(math.isfinite(float_magnitude(v))
                for v in evaluate(h, x0, 0.0)):
             return newton_correct(h, 0.0, x0, tcfg)
+    except EvaluationSingular as exc:
+        raise InvalidArgument(f"start point at a pole of the homotopy: {exc}")
     except OverflowError:
         pass
     raise InvalidArgument(

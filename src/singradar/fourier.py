@@ -176,6 +176,11 @@ def _check_count(n: int):
         raise InvalidArgument("need at least one sample")
 
 
+def _check_length(n: int):
+    if n < 1 or n & (n - 1):
+        raise InvalidArgument("length must be a power of two")
+
+
 def _check_step(step):
     if not 0.0 < step < math.inf:
         raise InvalidArgument("step must be positive and finite")
@@ -187,8 +192,7 @@ def inverse_dft(values):
     as their parts: in double-double if lifted, else in complex128
     (_radix2_double), lo parts zero."""
     n = len(values)
-    if n < 1 or n & (n - 1):
-        raise InvalidArgument("length must be a power of two")
+    _check_length(n)
     if isinstance(values, CircleSamples):
         if values.lifted:
             return _divide(_radix2(values.parts), n)
@@ -337,13 +341,14 @@ def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
                         n: int, cfg: TrackerConfig | None = None,
                         lift: bool = True) -> list:
     """One TruncatedSeries per coordinate, truncation order n - 1, in base's
-    lane (lift as in sample_circle); a step whose power step^(n-1)
-    underflows to zero is an InvalidArgument, raised before the walk. An
-    extended base only carries the lane: the samples never read its lo
-    parts, and the pipeline's base is an exact promoted double point."""
+    lane (lift as in sample_circle); a count n that is not a power of two,
+    or a step whose power step^(n-1) underflows to zero, is an
+    InvalidArgument, raised before the walk. An extended base only carries
+    the lane: the samples never read its lo parts, and the pipeline's base
+    is an exact promoted double point."""
     if step is None:
         step = default_step(base.t)
-    _check_count(n)
+    _check_length(n)
     _check_step(step)
     p_hi, p_lo = _step_powers(float(step), n)
     re_hi, re_lo, im_hi, im_lo = inverse_dft(

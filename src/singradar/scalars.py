@@ -2,19 +2,30 @@
 
 Two lanes share one set of algorithms downstream: native ``float`` /
 ``complex``, and an extended ~32-digit lane built from pairs of doubles
-(``ExtReal`` / ``ExtComplex``).  The extended types overload the arithmetic
-operators and promote native operands, so series and Newton kernels are
-written once and run in either lane.
+(``ExtReal`` / ``ExtComplex``), which serves the Fabry ratios and the
+Richardson table, the circle's angles, an extended point's residual and
+the values the API returns.
 
-Each double-double formula exists once, as a kernel on plain floats
-(``dd_*`` on (hi, lo) pairs, ``cdd_*`` on (re.hi, re.lo, im.hi, im.lo)
-4-tuples).  The ``ExtReal``/``ExtComplex`` operators unpack their operands
-and call these kernels; the DFT transforms call the same kernels
-element-wise on float64 arrays, with twiddles from a per-size table of
-``root_of_unity``.  An ExtComplex whose four parts are equal-shape float64
-arrays holds one value per element; the operators act on it element by
-element with the same bits as on each value alone. The circle samples are
-refined in that form.
+Each double-double formula exists once, as a kernel on plain floats or
+float64 arrays (``dd_*`` on (hi, lo) pairs, ``cdd_*`` on (re.hi, re.lo,
+im.hi, im.lo) quads), and so does each rule of the scalar types:
+
+- promotion (``_promoted``) reads a real operand (int, float, ExtReal) as
+  a pair (``_pair``) and any numeric one as a quad (``_quad``);
+- the binary operators (``_operator``) put two real operands through the
+  pair kernel, giving an ExtReal, and any complex one through the quad
+  kernel, giving an ExtComplex;
+- equality and hashing (``_equal``, ``_hash``) compare quads, so an
+  extended value equals, and hashes as, a float or complex of its value;
+- one Taylor loop (``_dd_taylor``) gives sin and cos for the roots of unity.
+
+An ExtComplex whose four parts are equal-shape float64 arrays holds one
+value per element; the operators act on it element by element with the
+same bits as on each value alone (the circle samples are refined so).
+``cdd_div`` keeps a scalar body beside its array body: a Python float
+raises where an array gives inf or NaN, so the scalar branches decide the
+error (a NaN divisor is DivisionByZero), which one element-wise body
+would not keep.
 """
 
 from __future__ import annotations
@@ -80,6 +91,11 @@ def dd_add(a_hi, a_lo, b_hi, b_lo):
     return quick_two_sum(s1, s2 + t2)
 
 
+def dd_sub(a_hi, a_lo, b_hi, b_lo):
+    """(a_hi + a_lo) - (b_hi + b_lo)."""
+    return dd_add(a_hi, a_lo, -b_hi, -b_lo)
+
+
 def dd_mul(a_hi, a_lo, b_hi, b_lo):
     """(a_hi + a_lo) * (b_hi + b_lo)."""
     p1, p2 = two_prod(a_hi, b_hi)
@@ -134,8 +150,7 @@ def cdd_add(a, b):
 
 def cdd_sub(a, b):
     """a - b."""
-    return (dd_add(a[0], a[1], -b[0], -b[1])
-            + dd_add(a[2], a[3], -b[2], -b[3]))
+    return dd_sub(a[0], a[1], b[0], b[1]) + dd_sub(a[2], a[3], b[2], b[3])
 
 
 def cdd_mul(a, b):
@@ -255,6 +270,58 @@ def _quad(v):
     return None if p is None else p + (0.0, 0.0)
 
 
+def _promoted(parts, v, name: str):
+    """The promotion rule: parts(v), parts being _pair or _quad; an operand
+    it cannot read is an InvalidArgument naming the target type."""
+    p = parts(v)
+    if p is None:
+        raise InvalidArgument(f"cannot promote {type(v).__name__} to {name}")
+    return p
+
+
+def _operator(cdd, dd=None, reflected: bool = False):
+    """The binary-operator rule, as a method: a complex operand (complex,
+    ExtComplex) takes the quad kernel cdd and gives an ExtComplex, two real
+    operands (int, float, ExtReal) take the pair kernel dd, which only
+    ExtReal's methods have, and give an ExtReal, and any other operand gives
+    NotImplemented; reflected swaps the operands.
+
+    A method made here, not a named one calling a shared helper, keeps
+    each operation one frame above its kernel (the helper's extra call
+    would slow radar.scale_to_unit's ExtComplex products); the kernel keeps
+    its own profile row and traceback line."""
+
+    def op(self, other):
+        if dd is not None:
+            b = _pair(other)
+            if b is not None:
+                return _real(*(dd(*b, self.hi, self.lo) if reflected
+                               else dd(self.hi, self.lo, *b)))
+        b = _quad(other)
+        if b is None:
+            return NotImplemented
+        a = _quad(self)
+        return _complex(cdd(b, a) if reflected else cdd(a, b))
+
+    return op
+
+
+def _equal(self, other):
+    """The equality rule: the quads of both operands agree part by part."""
+    b = _quad(other)
+    if b is None:
+        return NotImplemented
+    a = _quad(self)
+    return a[0] == b[0] and a[1] == b[1] and a[2] == b[2] and a[3] == b[3]
+
+
+def _hash(self):
+    """The hash rule, consistent with _equal and with float and complex: a
+    value whose lo parts are zero hashes as complex(re.hi, im.hi)."""
+    q = _quad(self)
+    return hash(complex(q[0], q[2]) if q[1] == 0.0 and q[3] == 0.0 else q)
+
+
 class ExtReal:
     """Unevaluated sum hi + lo of two doubles, |lo| <= ulp(hi)/2.
 
@@ -269,68 +336,21 @@ class ExtReal:
 
     @classmethod
     def from_value(cls, v) -> "ExtReal":
-        if isinstance(v, ExtReal):
-            return v
-        if isinstance(v, (int, float)):
-            return cls(float(v), 0.0)
-        raise InvalidArgument(f"cannot promote {type(v).__name__} to ExtReal")
+        return _real(*_promoted(_pair, v, "ExtReal"))
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic (+ and * commute: their reflected forms are the same) ----
 
-    def __add__(self, other):
-        b = _pair(other)
-        if b is not None:
-            return _real(*dd_add(self.hi, self.lo, *b))
-        if isinstance(other, (complex, ExtComplex)):
-            return _complex(cdd_add(_quad(self), _quad(other)))
-        return NotImplemented
-
-    __radd__ = __add__
+    __add__ = __radd__ = _operator(cdd_add, dd_add)
+    __sub__ = _operator(cdd_sub, dd_sub)
+    __rsub__ = _operator(cdd_sub, dd_sub, reflected=True)
+    __mul__ = __rmul__ = _operator(cdd_mul, dd_mul)
+    __truediv__ = _operator(cdd_div, dd_div)
+    __rtruediv__ = _operator(cdd_div, dd_div, reflected=True)
+    __eq__ = _equal
+    __hash__ = _hash
 
     def __neg__(self):
         return _real(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        b = _pair(other)
-        if b is not None:
-            return _real(*dd_add(self.hi, self.lo, -b[0], -b[1]))
-        if isinstance(other, (complex, ExtComplex)):
-            return _complex(cdd_sub(_quad(self), _quad(other)))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        a = _pair(other)
-        if a is not None:
-            return _real(*dd_add(*a, -self.hi, -self.lo))
-        if isinstance(other, (complex, ExtComplex)):
-            return _complex(cdd_sub(_quad(other), _quad(self)))
-        return NotImplemented
-
-    def __mul__(self, other):
-        b = _pair(other)
-        if b is not None:
-            return _real(*dd_mul(self.hi, self.lo, *b))
-        if isinstance(other, (complex, ExtComplex)):
-            return _complex(cdd_mul(_quad(self), _quad(other)))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = _pair(other)
-        if b is not None:
-            return _real(*dd_div(self.hi, self.lo, *b))
-        if isinstance(other, (complex, ExtComplex)):
-            return _complex(cdd_div(_quad(self), _quad(other)))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        a = _pair(other)
-        if a is not None:
-            return _real(*dd_div(*a, self.hi, self.lo))
-        if isinstance(other, (complex, ExtComplex)):
-            return _complex(cdd_div(_quad(other), _quad(self)))
-        return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -343,15 +363,6 @@ class ExtReal:
 
     def sqrt(self) -> "ExtReal":
         return _real(*dd_sqrt(self.hi, self.lo))
-
-    def __eq__(self, other):
-        o = _pair(other)
-        if o is None:
-            return NotImplemented
-        return self.hi == o[0] and self.lo == o[1]
-
-    def __hash__(self):
-        return hash((self.hi, self.lo))
 
     # -- conversions ----------------------------------------------------------
 
@@ -372,62 +383,25 @@ class ExtComplex:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0.0, im=0.0):
-        self.re = re if isinstance(re, ExtReal) else ExtReal.from_value(re)
-        self.im = im if isinstance(im, ExtReal) else ExtReal.from_value(im)
+        self.re = ExtReal.from_value(re)
+        self.im = ExtReal.from_value(im)
 
     @classmethod
     def from_value(cls, v) -> "ExtComplex":
-        if isinstance(v, ExtComplex):
-            return v
-        if isinstance(v, complex):
-            return cls(ExtReal(v.real), ExtReal(v.imag))
-        if isinstance(v, (int, float, ExtReal)):
-            return cls(ExtReal.from_value(v), ExtReal())
-        raise InvalidArgument(f"cannot promote {type(v).__name__} to ExtComplex")
+        return _complex(_promoted(_quad, v, "ExtComplex"))
 
-    def __add__(self, other):
-        b = _quad(other)
-        if b is None:
-            return NotImplemented
-        return _complex(cdd_add(_quad(self), b))
-
-    __radd__ = __add__
+    __add__ = __radd__ = _operator(cdd_add)
+    __sub__ = _operator(cdd_sub)
+    __rsub__ = _operator(cdd_sub, reflected=True)
+    __mul__ = __rmul__ = _operator(cdd_mul)
+    __truediv__ = _operator(cdd_div)
+    __rtruediv__ = _operator(cdd_div, reflected=True)
+    __eq__ = _equal
+    __hash__ = _hash
 
     def __neg__(self):
         re, im = self.re, self.im
         return _complex((-re.hi, -re.lo, -im.hi, -im.lo))
-
-    def __sub__(self, other):
-        b = _quad(other)
-        if b is None:
-            return NotImplemented
-        return _complex(cdd_sub(_quad(self), b))
-
-    def __rsub__(self, other):
-        a = _quad(other)
-        if a is None:
-            return NotImplemented
-        return _complex(cdd_sub(a, _quad(self)))
-
-    def __mul__(self, other):
-        b = _quad(other)
-        if b is None:
-            return NotImplemented
-        return _complex(cdd_mul(_quad(self), b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = _quad(other)
-        if b is None:
-            return NotImplemented
-        return _complex(cdd_div(_quad(self), b))
-
-    def __rtruediv__(self, other):
-        a = _quad(other)
-        if a is None:
-            return NotImplemented
-        return _complex(cdd_div(a, _quad(self)))
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -446,17 +420,6 @@ class ExtComplex:
     def conjugate(self) -> "ExtComplex":
         return ExtComplex(self.re, -self.im)
 
-    def __eq__(self, other):
-        b = _quad(other)
-        if b is None:
-            return NotImplemented
-        re, im = self.re, self.im
-        return (re.hi == b[0] and re.lo == b[1]
-                and im.hi == b[2] and im.lo == b[3])
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -472,28 +435,17 @@ _TWO_PI = ExtReal(6.283185307179586, 2.4492935982947064e-16)
 _PI_HALF = ExtReal(1.5707963267948966, 6.123233995736766e-17)
 
 
-def _dd_sin_taylor(x: ExtReal) -> ExtReal:
-    # |x| <= pi/4; terms fall below the lane noise floor after ~14 rounds
+def _dd_taylor(x: ExtReal, term: ExtReal, j: int) -> ExtReal:
+    """The Taylor loop of sin x (term = x, j = 1) and cos x (term = 1,
+    j = 0): each next term is the last times -x^2 / ((j + 1)(j + 2)), j
+    stepping by 2. For |x| <= pi/4 the terms fall below the lane noise
+    floor after ~14 rounds."""
     sq = x * x
-    term = x
-    total = x
-    k = 1
+    total = term
     while abs(term.hi) > 1e-35:
-        term = term * sq / -float((2 * k) * (2 * k + 1))
+        term = term * sq / -float((j + 1) * (j + 2))
         total = total + term
-        k += 1
-    return total
-
-
-def _dd_cos_taylor(x: ExtReal) -> ExtReal:
-    sq = x * x
-    term = ExtReal(1.0)
-    total = ExtReal(1.0)
-    k = 1
-    while abs(term.hi) > 1e-35:
-        term = term * sq / -float((2 * k - 1) * (2 * k))
-        total = total + term
-        k += 1
+        j += 2
     return total
 
 
@@ -501,8 +453,8 @@ def _dd_sincos(angle: ExtReal):
     """sin/cos of angle in [0, 2*pi) via quadrant reduction."""
     q = int(round(float(angle / _PI_HALF)))
     r = angle - _PI_HALF * ExtReal(float(q))
-    s = _dd_sin_taylor(r)
-    c = _dd_cos_taylor(r)
+    s = _dd_taylor(r, r, 1)
+    c = _dd_taylor(r, ExtReal(1.0), 0)
     q &= 3
     if q == 0:
         return s, c

@@ -466,6 +466,26 @@ def test_overflowing_extended_start_exits_two(argv):
     assert out == ""
 
 
+# x^-1 - 1 + t/2: the start x = 0 is a pole of the homotopy
+POLE_AT_ZERO = {"form": "explicit_t", "dim": 1, "equations": [[
+    {"t_coeffs": [[1.0, 0.0]], "exp": [-1]},
+    {"t_coeffs": [[-1.0, 0.0], [0.5, 0.0]], "exp": [0]}]]}
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("command", ["radius", "track"])
+def test_start_on_a_pole_exits_two(tmp_path, command, precision):
+    # the homotopy cannot be evaluated at the start: an argument error, as
+    # an overflowing start is, not a numerical failure (exit 1)
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(POLE_AT_ZERO))
+    code, out, err = run_cli([command, "--file", str(path), "--start", "0",
+                              "--precision", precision])
+    assert (code, out, err) == (2, "", "error: start point at a pole of the "
+                                "homotopy: negative exponent at zero "
+                                "coordinate\n")
+
+
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
 def test_track_target_that_is_not_finite_exits_two(target):
     # no step budget spent, no rows printed: an argument error

@@ -689,6 +689,27 @@ def test_step_is_checked_before_the_circle_is_walked(precision, monkeypatch):
     assert len(seen) >= 8
 
 
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+def test_count_is_checked_before_the_circle_is_walked(precision, monkeypatch):
+    # inverse_dft needs a power of two: a count that is not one is rejected
+    # before any Newton correction, by the transform's own length check
+    seen = []
+
+    def record(h, t, x, tol, history=None):
+        seen.append(t)
+        return _corrected(h, t, x, tol, history)
+
+    monkeypatch.setattr(fourier, "_corrected", record)
+    monkeypatch.setattr(tracker, "_corrected", record)
+    h = fixture("sqrt")
+    base = PathState.from_point(h, 0.5, [promote(0.5 ** 0.5, precision)])
+    for n in (24, 0):
+        with pytest.raises(InvalidArgument,
+                           match="^length must be a power of two$"):
+            taylor_coefficients(h, base, None, n)
+    assert seen == []
+
+
 def test_unsubdivided_hops_take_the_scalar_route_parameters(monkeypatch):
     # the walk reads each hop's t from the batched twiddle product; every
     # one must carry the bits of t0 + step * w^k formed one at a time

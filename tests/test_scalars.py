@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from singradar.errors import DivisionByZero, InvalidArgument
+from singradar import scalars
 from singradar.scalars import (
     DOUBLE,
     EXTENDED,
@@ -129,6 +130,27 @@ def test_division_by_exact_zero():
         ExtReal(1.0) / ExtReal(0.0)
     with pytest.raises(DivisionByZero):
         ExtComplex(1.0) / ExtComplex(0.0, 0.0)
+
+
+def test_equal_values_hash_equal():
+    # equality and hashing compare quads: an extended value equals, and
+    # hashes as, the float or complex of the same value
+    assert ExtReal(1.0) in {1.0}
+    assert len({ExtComplex(1.0), 1.0}) == 1
+    assert ExtReal(1.0) == 1 + 0j and 1 + 0j == ExtReal(1.0)
+    for value in (0.0, -0.0, 1.0, -2.5, 3, True, 1e300, 5e-324, 1.5 - 2j,
+                  -0.25j, complex(-0.0, 0.0)):
+        ext = ExtComplex.from_value(value)
+        assert ext == value and hash(ext) == hash(value), value
+        if not isinstance(value, complex):
+            real = ExtReal.from_value(value)
+            assert real == value == ext and hash(real) == hash(value), value
+    # a nonzero lo part equals no native; its two types still agree
+    x = ExtReal(1.0, 2.0 ** -60)
+    assert x != 1.0 and x == ExtComplex(x) and hash(x) == hash(ExtComplex(x))
+    assert len({x, ExtComplex(x), ExtComplex(x, -0.0)}) == 1
+    assert ExtComplex(1.0, 2.0) != ExtComplex(1.0, -2.0)
+    assert ExtReal(1.0) != "1.0" and ExtComplex(1.0) != "1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +275,50 @@ def test_conjugate_pair_products():
             worst = max(worst, abs(float(q.re) - 1.0), abs(float(q.im)))
     assert worst <= 8 * math.ulp(1.0)
     assert worst <= 8 * scalar_eps(EXTENDED)
+
+
+# Normwise relative error bounds of the ExtComplex operators, in u^2 with u =
+# 2^-53. dd_add is AccurateDWPlusDW and dd_mul DWTimesDW1 of Joldes, Muller
+# & Popescu (ACM TOMS 44, 2017), within 3u^2/(1 - 4u) and 7u^2 of their
+# exact results. cdd_add / cdd_sub add part by part: 3u^2 (to first order).
+# Each part of cdd_mul is a dd_add of two dd_mul products, within
+# (7 + 3)u^2 of |a_re b_re| + |a_im b_im| (or |a_re b_im| + |a_im b_re|), so
+# within sqrt(2) * 10u^2 of |ab|. cdd_div, Smith's formula over dd_div,
+# has no bound there: 6u^2 is twice the largest error measured, 2.87u^2
+# over 20,000 divisions per operand type and order.
+_U2 = mp.mpf(2) ** -106
+_COMPLEX_BOUNDS = {operator.add: 3.0, operator.sub: 3.0,
+                   operator.mul: 10.0 * math.sqrt(2.0), operator.truediv: 6.0}
+
+
+def _to_mpc_any(v):
+    if isinstance(v, ExtComplex):
+        return to_mpc(v)
+    if isinstance(v, ExtReal):
+        return mp.mpc(to_mp(v))
+    return mp.mpc(v)
+
+
+@pytest.mark.parametrize("kind", ["ExtComplex", "ExtReal", "complex",
+                                  "float"])
+def test_complex_oracle_relative_error(kind):
+    rng = random.Random(20261021)
+    worst = dict.fromkeys(_COMPLEX_BOUNDS, 0.0)
+    for _ in range(1500):
+        a = ExtComplex(rand_ext(rng), rand_ext(rng))
+        b = {"ExtComplex": lambda: ExtComplex(rand_ext(rng), rand_ext(rng)),
+             "ExtReal": lambda: rand_ext(rng),
+             "complex": lambda: complex(rand_ext(rng).hi, rand_ext(rng).hi),
+             "float": lambda: rand_ext(rng).hi}[kind]()
+        for left, right in ((a, b), (b, a)):
+            for op in _COMPLEX_BOUNDS:
+                got = op(left, right)
+                assert isinstance(got, ExtComplex)
+                exact = op(_to_mpc_any(left), _to_mpc_any(right))
+                error = abs(to_mpc(got) - exact) / abs(exact) / _U2
+                worst[op] = max(worst[op], float(error))
+    for op, bound in _COMPLEX_BOUNDS.items():
+        assert worst[op] <= bound, (op.__name__, worst[op])
 
 
 # ---------------------------------------------------------------------------
@@ -648,3 +714,58 @@ def test_kernel_guard_covers_the_special_branches():
         == ("raised", "DivisionByZero", "extended complex division by exact zero")
     assert _outcome(operator.truediv, 1.0, ExtReal(-0.0, 0.0)) \
         == ("raised", "DivisionByZero", "extended real division by exact zero")
+
+
+
+# ---------------------------------------------------------------------------
+# the Taylor loop of sin and cos against the parent's two loops
+# ---------------------------------------------------------------------------
+
+def _frozen_sin_taylor(x):
+    sq = x * x
+    term = x
+    total = x
+    k = 1
+    while abs(term.hi) > 1e-35:
+        term = term * sq / -float((2 * k) * (2 * k + 1))
+        total = total + term
+        k += 1
+    return total
+
+
+def _frozen_cos_taylor(x):
+    sq = x * x
+    term = ExtReal(1.0)
+    total = ExtReal(1.0)
+    k = 1
+    while abs(term.hi) > 1e-35:
+        term = term * sq / -float((2 * k - 1) * (2 * k))
+        total = total + term
+        k += 1
+    return total
+
+
+def test_taylor_loop_bit_identical_to_the_two_loops(monkeypatch):
+    # every argument that root_of_unity reduces and passes to the loop, for
+    # every k at n = 1..64, 128, 256 and 1024 and at 200 seeded (n, k), gives
+    # the bits of the sin and cos loops the one loop replaced
+    calls = []
+    taylor = scalars._dd_taylor
+
+    def record(x, term, j):
+        calls.append((x, j, taylor(x, term, j)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(scalars, "_dd_taylor", record)
+    rng = random.Random(2025)
+    pairs = [(n, k) for n in [*range(1, 65), 128, 256, 1024] for k in range(n)]
+    for _ in range(200):
+        n = rng.randint(1, 8192)
+        pairs.append((n, rng.randrange(n)))
+    for n, k in pairs:
+        scalars._root_of_unity(n, k)
+    quarters = sum((4 * k) % n == 0 for n, k in pairs)
+    assert len(calls) == 2 * (len(pairs) - quarters)
+    for x, j, got in calls:
+        want = _frozen_sin_taylor(x) if j == 1 else _frozen_cos_taylor(x)
+        assert _ext_bits(got) == _ext_bits(want), (x, j)
