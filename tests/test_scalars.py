@@ -9,8 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from singradar.errors import DivisionByZero, InvalidArgument
 from singradar import scalars
+from singradar.errors import DivisionByZero, InvalidArgument
 from singradar.scalars import (
     DOUBLE,
     EXTENDED,
@@ -291,6 +291,16 @@ _COMPLEX_BOUNDS = {operator.add: 3.0, operator.sub: 3.0,
                    operator.mul: 10.0 * math.sqrt(2.0), operator.truediv: 6.0}
 
 
+def _operand(rng, kind):
+    if kind == "ExtComplex":
+        return ExtComplex(rand_ext(rng), rand_ext(rng))
+    if kind == "ExtReal":
+        return rand_ext(rng)
+    if kind == "complex":
+        return complex(rand_ext(rng).hi, rand_ext(rng).hi)
+    return rand_ext(rng).hi
+
+
 def _to_mpc_any(v):
     if isinstance(v, ExtComplex):
         return to_mpc(v)
@@ -302,14 +312,11 @@ def _to_mpc_any(v):
 @pytest.mark.parametrize("kind", ["ExtComplex", "ExtReal", "complex",
                                   "float"])
 def test_complex_oracle_relative_error(kind):
+    # ExtComplex with each operand type, in both orders, against 64 digits
     rng = random.Random(20261021)
     worst = dict.fromkeys(_COMPLEX_BOUNDS, 0.0)
     for _ in range(1500):
-        a = ExtComplex(rand_ext(rng), rand_ext(rng))
-        b = {"ExtComplex": lambda: ExtComplex(rand_ext(rng), rand_ext(rng)),
-             "ExtReal": lambda: rand_ext(rng),
-             "complex": lambda: complex(rand_ext(rng).hi, rand_ext(rng).hi),
-             "float": lambda: rand_ext(rng).hi}[kind]()
+        a, b = _operand(rng, "ExtComplex"), _operand(rng, kind)
         for left, right in ((a, b), (b, a)):
             for op in _COMPLEX_BOUNDS:
                 got = op(left, right)
@@ -716,9 +723,9 @@ def test_kernel_guard_covers_the_special_branches():
         == ("raised", "DivisionByZero", "extended real division by exact zero")
 
 
-
 # ---------------------------------------------------------------------------
-# the Taylor loop of sin and cos against the parent's two loops
+# the one Taylor loop against frozen copies of the sin and cos loops it
+# replaced
 # ---------------------------------------------------------------------------
 
 def _frozen_sin_taylor(x):
