@@ -30,8 +30,10 @@ arrays (re.hi, re.lo, im.hi, im.lo): an iterative radix-2 kernel (bit-reversal
 permutation, then log2(n) vectorised butterfly stages) for power-of-two
 lengths, and a direct kernel that loops over samples and vectorises over
 coefficients for any length. Twiddles come from ``scalars.roots_of_unity``,
-one table per size, built on first use from ``root_of_unity``; the radix-2
-permutation and stage twiddles are likewise built once per size. The kernels
+one table per size, built on first use; a subdivided hop reads its single
+root from the table of its finer circle (``root_of_unity``). The radix-2
+permutation and stage twiddles, in double-double and rounded to complex128,
+are likewise built once per size (``_radix2_plan``). The kernels
 are the ``scalars`` ones the ExtComplex operators call, so every element
 matches what the operators would give, bit for bit. A circle's samples
 stay (dim, n) arrays from the walk to the coefficients, transformed in one
@@ -120,22 +122,19 @@ def _divide(parts, n: int) -> tuple:
 @functools.lru_cache(maxsize=16)  # as many sizes as roots_of_unity keeps
 def _radix2_plan(n: int) -> tuple:
     """The bit-reversal permutation of n and each stage's (half, twiddles
-    w^{-j*n/(2*half)}, j < half) from roots_of_unity(n), all read-only."""
+    w^{-j*n/(2*half)}, j < half): the twiddles as roots_of_unity(n)'s four
+    parts and, fifth, their hi parts as complex128; all read-only."""
     order = np.zeros(1, dtype=np.intp)
     while len(order) < n:
         order = np.concatenate((2 * order, 2 * order + 1))
-    stages = tuple((half, tuple(t[(-(n // (2 * half)) * np.arange(half)) % n]
-                                for t in roots_of_unity(n)))
-                   for half in (2 ** s for s in range(n.bit_length() - 1)))
+    stages = []
+    for half in (2 ** s for s in range(n.bit_length() - 1)):
+        twiddle = tuple(t[(-(n // (2 * half)) * np.arange(half)) % n]
+                        for t in roots_of_unity(n))
+        stages.append((half, twiddle + (twiddle[0] + 1j * twiddle[2],)))
     for a in (order, *(p for _, twiddle in stages for p in twiddle)):
         a.flags.writeable = False
-    return order, stages
-
-
-@functools.lru_cache(maxsize=16)
-def _double_twiddles(n: int) -> tuple:
-    """Each stage's twiddles of _radix2_plan(n) as complex hi + i*hi."""
-    return tuple(t[0] + 1j * t[2] for _, t in _radix2_plan(n)[1])
+    return order, tuple(stages)
 
 
 def _radix2(parts) -> tuple:
@@ -149,7 +148,7 @@ def _radix2(parts) -> tuple:
         size = 2 * half
         blocks = tuple(p.reshape(*lead, -1, size) for p in x)
         even = tuple(b[..., :half] for b in blocks)
-        term = cdd_mul(twiddle, tuple(b[..., half:] for b in blocks))
+        term = cdd_mul(twiddle[:4], tuple(b[..., half:] for b in blocks))
         x = tuple(np.concatenate((top, bottom), axis=-1).reshape(*lead, n)
                   for top, bottom in zip(cdd_add(even, term),
                                          cdd_sub(even, term)))
@@ -162,10 +161,10 @@ def _radix2_double(x):
     *lead, n = x.shape
     order, stages = _radix2_plan(n)
     x = x[..., order]
-    for (half, _), twiddle in zip(stages, _double_twiddles(n)):
+    for half, twiddle in stages:
         blocks = x.reshape(*lead, -1, 2 * half)
         even = blocks[..., :half]
-        term = twiddle * blocks[..., half:]
+        term = twiddle[4] * blocks[..., half:]
         x = np.concatenate((even + term, even - term),
                            axis=-1).reshape(*lead, n)
     return x
@@ -277,9 +276,9 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     hop at n//2 + 1 must lie within _WRAP_TOL of the conjugate of sample
     n - n//2 - 1, as a full walk's last hop must of sample 0."""
     _check_count(n)
-    cfg = walk_config(cfg)
     _check_step(step)
     *_, seed, tol = _entry(h, cfg, base.t, base.x)
+    cfg = walk_config(cfg)
     t0_ext = promote(base.t, EXTENDED)
     step_ext = ExtReal.from_value(float(step))
     t0_c = complex(base.t)

@@ -29,7 +29,8 @@ from .fourier import _RADIUS_FRACTION, _check_step, taylor_coefficients
 from .polysys import Homotopy
 from .scalars import EXTENDED, float_magnitude, lane, promote, scalar_eps
 from .series import TruncatedSeries
-from .tracker import PathState, TrackerConfig, demoted, track_to, walk_config
+from .tracker import (PathState, TrackerConfig, _entry, demoted, track_to,
+                      walk_config)
 
 CONVERGED = "Converged"
 INCONCLUSIVE = "Inconclusive"
@@ -211,8 +212,10 @@ def detect_last_pole(h: Homotopy, start: PathState,
     Returns (rho, t_star, t0): the dominating complex pole (None when the
     endpoint is the only singularity in sight), the parameter where the pole
     and the endpoint are equidistant, and the recommended base point.
-    Both lanes sweep alike, in double from the demoted start (walk_config).
+    Both lanes sweep alike, in double from the demoted start (walk_config);
+    a cfg below the start's lane floor is an InvalidArgument.
     """
+    _entry(h, cfg, start.t, start.x)
     cfg = walk_config(cfg)
     state = demoted(start)
     candidates = []
@@ -289,7 +292,8 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     down or up to a power of two (order 126 gives 64, order 127 gives 128).
     Pass t0 in [0, 1) to skip pole detection and recondition at a known
     base point, and step to override the sampling radius in s units.
-    The lane is read once, from the start's t and coordinates: an extended
+    The lane is read once, from the start's t and coordinates, and a cfg
+    below its floor is an InvalidArgument (tracker._entry): an extended
     start only carries it to taylor_coefficients. The sweep and the track
     run from the demoted start, and the base point is the track's double
     end point, promoted exactly in the extended lane.
@@ -301,11 +305,11 @@ def locate_singularity(h: Homotopy, start: PathState, order: int,
     if step is not None:
         _check_step(step)
     t_begin = time.perf_counter()
-    extended = lane(start.t, *start.x) == EXTENDED
+    extended = _entry(h, cfg, start.t, start.x)[0]
     start = demoted(start)
     rho = t_star = None
     if t0 is None:
-        rho, t_star, t0 = detect_last_pole(h, start, cfg)
+        rho, t_star, t0 = detect_last_pole(h, start, walk_config(cfg))
     t_detect = time.perf_counter()
     end = track_to(h, start, t0, walk_config(cfg))
     if extended:  # the lane rides on x, unlifted

@@ -16,8 +16,12 @@ im.hi, im.lo) quads), and so does each rule of the scalar types:
   pair kernel, giving an ExtReal, and any complex one through the quad
   kernel, giving an ExtComplex;
 - equality and hashing (``_equal``, ``_hash``) compare quads, so an
-  extended value equals, and hashes as, a float or complex of its value;
-- one Taylor loop (``_dd_taylor``) gives sin and cos for the roots of unity.
+  extended value equals, and hashes as, a float or complex of its value.
+
+The roots of unity, the only trigonometry, come from ``roots_of_unity(n)``:
+its angles, quadrant reduction and sin / cos Taylor loop run on the kernels
+over all n entries at once, each entry with the bits of its own scalar
+operations; ``root_of_unity(n, k)`` reads entry k mod n of that table.
 
 An ExtComplex whose four parts are equal-shape float64 arrays holds one
 value per element; the operators act on it element by element with the
@@ -428,80 +432,65 @@ class ExtComplex:
 
 
 # ---------------------------------------------------------------------------
-# double-double trigonometry (enough for roots of unity)
+# roots of unity
 # ---------------------------------------------------------------------------
 
-_TWO_PI = ExtReal(6.283185307179586, 2.4492935982947064e-16)
-_PI_HALF = ExtReal(1.5707963267948966, 6.123233995736766e-17)
+_TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
+_PI_HALF = (1.5707963267948966, 6.123233995736766e-17)
+# x + _ROUND - _ROUND rounds 0 <= x < 2^51 to an integer, half to even
+_ROUND = 6755399441055744.0  # 1.5 * 2^52
 
 
-def _dd_taylor(x: ExtReal, term: ExtReal, j: int) -> ExtReal:
+def _dd_taylor(x, term, j: int):
     """The Taylor loop of sin x (term = x, j = 1) and cos x (term = 1,
-    j = 0): each next term is the last times -x^2 / ((j + 1)(j + 2)), j
-    stepping by 2. For |x| <= pi/4 the terms fall below the lane noise
-    floor after ~14 rounds."""
-    sq = x * x
+    j = 0) over (hi, lo) arrays: each next term is the last times
+    -x^2 / ((j + 1)(j + 2)), j stepping by 2; each element stops at its own
+    first term with |hi| <= 1e-35, for |x| <= pi/4 after ~14 rounds."""
+    sq = dd_mul(*x, *x)
     total = term
-    while abs(term.hi) > 1e-35:
-        term = term * sq / -float((j + 1) * (j + 2))
-        total = total + term
+    live = abs(term[0]) > 1e-35
+    while live.any():
+        term = dd_div(*dd_mul(*term, *sq), -float((j + 1) * (j + 2)), 0.0)
+        total = tuple(np.where(live, a, b)
+                      for a, b in zip(dd_add(*total, *term), total))
+        live &= abs(term[0]) > 1e-35
         j += 2
     return total
 
 
-def _dd_sincos(angle: ExtReal):
-    """sin/cos of angle in [0, 2*pi) via quadrant reduction."""
-    q = int(round(float(angle / _PI_HALF)))
-    r = angle - _PI_HALF * ExtReal(float(q))
-    s = _dd_taylor(r, r, 1)
-    c = _dd_taylor(r, ExtReal(1.0), 0)
-    q &= 3
-    if q == 0:
-        return s, c
-    if q == 1:
-        return c, -s
-    if q == 2:
-        return -s, -c
-    return -c, s
-
-
-def _root_of_unity(n: int, k: int) -> ExtComplex:
-    """exp(2*pi*i*k/n) to extended accuracy; k is reduced mod n first."""
-    if n < 1:
-        raise InvalidArgument("root_of_unity needs n >= 1")
-    k = k % n
-    if (4 * k) % n == 0:
-        quarter = (4 * k) // n
-        if quarter == 0:
-            return ExtComplex(1.0, 0.0)
-        if quarter == 1:
-            return ExtComplex(0.0, 1.0)
-        if quarter == 2:
-            return ExtComplex(-1.0, 0.0)
-        return ExtComplex(0.0, -1.0)
-    angle = _TWO_PI * (ExtReal(float(k)) / ExtReal(float(n)))
-    s, c = _dd_sincos(angle)
-    return ExtComplex(c, s)
-
-
-# The circle walk asks for the same angles on every circle it samples;
-# callers share the cached objects, which are never mutated. The bound keeps
-# a long-lived caller that tries many sizes from growing without limit.
-root_of_unity = functools.lru_cache(maxsize=4096)(_root_of_unity)
-
-
-# 16 sizes cover every transform length one run uses; the bound keeps a
-# long-lived caller that tries many lengths from growing without limit
+# 16 sizes cover the transform lengths and subdivided circles of one run;
+# the bound keeps a long-lived caller that tries many from growing unbounded
 @functools.lru_cache(maxsize=16)
 def roots_of_unity(n: int) -> tuple:
-    """Twiddle table of root_of_unity(n, k), k = 0..n-1, as read-only
-    float64 arrays (re.hi, re.lo, im.hi, im.lo); built on first use, past
-    the cache of single roots, which the table would flood."""
-    table = np.empty((4, n))
-    for k in range(n):
-        table[:, k] = _quad(_root_of_unity(n, k))
+    """exp(2*pi*i*k/n) to extended accuracy, k = 0..n-1, as read-only
+    float64 arrays (re.hi, re.lo, im.hi, im.lo); exact where 4k/n is an
+    integer, else cos + i sin of the angle 2*pi * (k/n) less q quarter
+    turns (q: the angle over pi/2, rounded half to even), times i^q."""
+    if n < 1:
+        raise InvalidArgument("root_of_unity needs n >= 1")
+    angle = dd_mul(*_TWO_PI, *dd_div(np.arange(float(n)), 0.0, float(n), 0.0))
+    ratio = dd_div(*angle, *_PI_HALF)
+    q = ratio[0] + ratio[1] + _ROUND - _ROUND
+    r = dd_sub(*angle, *dd_mul(*_PI_HALF, q, 0.0))
+    re, im = _dd_taylor(r, (np.ones(n), np.zeros(n)), 0), _dd_taylor(r, r, 1)
+    for turn in range(1, 5):  # times i per quarter turn: q = 4 is 0
+        at = q >= turn
+        re, im = ([np.where(at, -b, a) for a, b in zip(re, im)],
+                  [np.where(at, a, b) for a, b in zip(re, im)])
+    table = np.array(re + im)
+    for j in range(4):
+        if j * n % 4 == 0:  # k = j*n/4: exactly i^j
+            table[:, j * n // 4] = (1, 0, -1, 0)[j], 0, (0, 1, 0, -1)[j], 0
     table.flags.writeable = False
     return tuple(table)
+
+
+def root_of_unity(n: int, k: int) -> ExtComplex:
+    """exp(2*pi*i*k/n) to extended accuracy: entry k mod n of
+    roots_of_unity(n)."""
+    table = roots_of_unity(n)
+    k %= n
+    return _complex([p.item(k) for p in table])
 
 
 # ---------------------------------------------------------------------------

@@ -175,12 +175,13 @@ def _refine(h: Homotopy, t: ExtComplex, walked, cfg: TrackerConfig):
              for p, v in zip(polished, x)], np.where(keep, after, norms))
 
 
-def _entry(h: Homotopy, cfg: TrackerConfig, t, x) -> tuple:
+def _entry(h: Homotopy, cfg: TrackerConfig | None, t, x) -> tuple:
     """What a public call reads once: whether t or x is extended (the lane),
-    t and x rounded to double, and walk_config(cfg)'s tolerance. cfg must
-    not be below the lane's floor, and x must have h's dimension."""
+    t and x rounded to double, and walk_config(cfg)'s tolerance. A given
+    cfg must not be below the lane's floor, and x must have h's dimension;
+    every public entry checks both before its first hop."""
     precision = lane(t, *x)
-    if cfg.newton_tol < scalar_eps(precision):
+    if cfg is not None and cfg.newton_tol < scalar_eps(precision):
         raise InvalidArgument("newton_tol below the active precision floor")
     if len(x) != h.dim:
         raise InvalidArgument("point dimension mismatch")

@@ -2,6 +2,7 @@
 CLI command, with rows for singradar's functions and generated programs."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,17 @@ def test_main_prints_the_table_and_the_minimum_wall_time(capsys):
     assert lines[-1].startswith("minimum wall time over 1 rounds: ")
     with pytest.raises(SystemExit):
         profile_jobs.main(["--workload", "sweep", "--command", "track"])
+
+
+def test_main_prints_the_first_run_time(capsys):
+    # the command's first run, timed before the profiled rounds, closes the
+    # last line after the minimum
+    assert profile_jobs.main(["--command", "radius --fixture sqrt --n 8",
+                              "--rounds", "1"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    first = re.fullmatch(r"minimum wall time over 1 rounds: [0-9.]+ ms; "
+                         r"first run: ([0-9.]+) ms", last)
+    assert first and float(first[1]) > 0.0
 
 
 def test_generated_rows_sum_over_shapes_and_sizes():

@@ -724,8 +724,9 @@ def test_kernel_guard_covers_the_special_branches():
 
 
 # ---------------------------------------------------------------------------
-# the one Taylor loop against frozen copies of the sin and cos loops it
-# replaced
+# the roots-of-unity table against a frozen copy of the scalar route it
+# replaced: the sin and cos Taylor loops, the quadrant reduction and the
+# exact quarter turns
 # ---------------------------------------------------------------------------
 
 def _frozen_sin_taylor(x):
@@ -752,27 +753,39 @@ def _frozen_cos_taylor(x):
     return total
 
 
-def test_taylor_loop_bit_identical_to_the_two_loops(monkeypatch):
-    # every argument that root_of_unity reduces and passes to the loop, for
-    # every k at n = 1..64, 128, 256 and 1024 and at 200 seeded (n, k), gives
-    # the bits of the sin and cos loops the one loop replaced
-    calls = []
-    taylor = scalars._dd_taylor
+_FROZEN_TWO_PI = ExtReal(6.283185307179586, 2.4492935982947064e-16)
+_FROZEN_PI_HALF = ExtReal(1.5707963267948966, 6.123233995736766e-17)
 
-    def record(x, term, j):
-        calls.append((x, j, taylor(x, term, j)))
-        return calls[-1][2]
 
-    monkeypatch.setattr(scalars, "_dd_taylor", record)
+def _frozen_root_of_unity(n, k):
+    k = k % n
+    if (4 * k) % n == 0:
+        return (ExtComplex(1.0, 0.0), ExtComplex(0.0, 1.0),
+                ExtComplex(-1.0, 0.0), ExtComplex(0.0, -1.0))[(4 * k) // n]
+    angle = _FROZEN_TWO_PI * (ExtReal(float(k)) / ExtReal(float(n)))
+    q = int(round(float(angle / _FROZEN_PI_HALF)))
+    r = angle - _FROZEN_PI_HALF * ExtReal(float(q))
+    s, c = _frozen_sin_taylor(r), _frozen_cos_taylor(r)
+    return (ExtComplex(c, s), ExtComplex(-s, c), ExtComplex(-c, -s),
+            ExtComplex(s, -c))[q & 3]
+
+
+def test_taylor_loop_bit_identical_to_the_two_loops():
+    # every entry of roots_of_unity(n) at n = 1..65, 128, 256, 1024 and
+    # every power of two up to 8192, and 200 seeded (n, k), gives the bits
+    # of the scalar route; root_of_unity(n, k) reads entry k mod n
     rng = random.Random(2025)
-    pairs = [(n, k) for n in [*range(1, 65), 128, 256, 1024] for k in range(n)]
+    sizes = sorted({*range(1, 66), 128, 256, 1024, *(2 ** e for e in range(14))})
+    pairs = [(n, range(n)) for n in sizes]
     for _ in range(200):
         n = rng.randint(1, 8192)
-        pairs.append((n, rng.randrange(n)))
-    for n, k in pairs:
-        scalars._root_of_unity(n, k)
-    quarters = sum((4 * k) % n == 0 for n, k in pairs)
-    assert len(calls) == 2 * (len(pairs) - quarters)
-    for x, j, got in calls:
-        want = _frozen_sin_taylor(x) if j == 1 else _frozen_cos_taylor(x)
-        assert _ext_bits(got) == _ext_bits(want), (x, j)
+        pairs.append((n, [rng.randrange(n)]))
+    for n, ks in pairs:
+        table = scalars.roots_of_unity(n)
+        for k in ks:
+            want = _ext_bits(_frozen_root_of_unity(n, k))
+            assert _ext_bits(_complex([float(p[k]) for p in table])) == want, (
+                n, k)
+            if len(ks) == 1:
+                for shift in (-2 * n, -n, n, 3 * n):
+                    assert _ext_bits(root_of_unity(n, k + shift)) == want

@@ -28,7 +28,7 @@ from singradar.polysys import (
     make_gamma_homotopy,
     term_values,
 )
-from singradar.radar import locate_singularity, recondition
+from singradar.radar import detect_last_pole, locate_singularity, recondition
 from singradar.scalars import (DOUBLE, EXTENDED, ExtReal, _complex, _quad,
                                float_magnitude, is_extended, lane, promote,
                                scalar_eps)
@@ -767,6 +767,43 @@ def test_every_entry_rejects_a_point_of_the_wrong_dimension(entry, x):
             h, PathState(0.3 + 0.01j, x, 0.0, 0), 0.1, 8)}
     with pytest.raises(InvalidArgument, match="^point dimension mismatch$"):
         calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["newton_correct", "track_to",
+                                   "sample_circle", "taylor_coefficients",
+                                   "detect_last_pole", "locate_singularity"])
+def test_every_entry_checks_the_tolerance_floor_of_its_lane(entry,
+                                                            monkeypatch):
+    # a tolerance below the double floor is an argument error on a double
+    # start, raised before any hop, at every public entry; on an extended
+    # start it is above the lane's floor and the call runs
+    hops = []
+    corrected = tracker._corrected
+
+    def record(h, t, x, tol, history=None):
+        hops.append(t)
+        return corrected(h, t, x, tol, history)
+
+    monkeypatch.setattr(fourier, "_corrected", record)
+    monkeypatch.setattr(tracker, "_corrected", record)
+    h = fixture("sqrt")
+    cfg = TrackerConfig(1e-20)
+    calls = {
+        "newton_correct": lambda s: newton_correct(h, s.t, s.x, cfg),
+        "track_to": lambda s: track_to(h, s, 0.7, cfg),
+        "sample_circle": lambda s: fourier.sample_circle(h, s, 0.2, 8, cfg),
+        "taylor_coefficients": lambda s: fourier.taylor_coefficients(
+            h, s, None, 8, cfg),
+        "detect_last_pole": lambda s: detect_last_pole(h, s, cfg),
+        "locate_singularity": lambda s: locate_singularity(h, s, 8, cfg,
+                                                           t0=0.6)}
+    double = PathState.from_point(h, 0.5, [0.5 ** 0.5])
+    with pytest.raises(InvalidArgument, match="^newton_tol below the "
+                       "active precision floor$"):
+        calls[entry](double)
+    assert hops == []
+    calls[entry](PathState.from_point(h, 0.5, [promote(0.5 ** 0.5, EXTENDED)]))
+    assert hops
 
 
 def test_track_trace_rows():

@@ -6,10 +6,13 @@
 
 --workload builds the workload's job list from perfbench/jobs.py against
 this checkout's src/, runs it --rounds times in job-list order under
-cProfile and checks every outcome. --command runs the singradar arguments
-in process (output discarded) --rounds times under cProfile; a command
-that exits 2, an argument error, stops the tool. It then runs them
---rounds times more without the profiler and prints the minimum wall time.
+cProfile and checks every outcome. --command first times one run of the
+singradar arguments in process (output discarded) without the profiler:
+the first run in the tool's fresh interpreter, which pays for what a CLI
+process builds on first use (twiddle tables, generated programs). It then
+runs them --rounds times under cProfile; a command that exits 2, an
+argument error, stops the tool. It then runs them --rounds times more
+without the profiler and prints the minimum wall time and the first run's.
 
 Either way the tool prints for each function below its call count and its
 cumulative time as a share of all run time (a function that calls another
@@ -109,6 +112,15 @@ def shares(name: str, rounds: int) -> list:
     return _shares(_run, jobs.build(name, 1, ROOT / "src"), rounds)
 
 
+def first_run(argv) -> float:
+    """Wall time in seconds of one run of the CLI arguments argv without
+    the profiler; cold when nothing in this process has run singradar."""
+    main = jobs.import_singradar(ROOT / "src").cli.main
+    begin = time.perf_counter()
+    _run_command(main, argv, 1)
+    return time.perf_counter() - begin
+
+
 def command_shares(argv, rounds: int) -> tuple:
     """_shares of the CLI arguments argv, run rounds times, and the
     minimum wall time in seconds of rounds more runs without the
@@ -136,12 +148,13 @@ def main(argv=None) -> int:
     if args.command is None:
         rows = shares(args.workload, args.rounds)
     else:
+        first = first_run(shlex.split(args.command))
         rows, best = command_shares(shlex.split(args.command), args.rounds)
     for name, calls, share in rows:
         print("%-28s %8d calls %6.1f%%" % (name, calls, 100.0 * share))
     if args.command is not None:
-        print("minimum wall time over %d rounds: %.2f ms"
-              % (args.rounds, 1e3 * best))
+        print("minimum wall time over %d rounds: %.2f ms; first run: %.2f ms"
+              % (args.rounds, 1e3 * best, 1e3 * first))
     return 0
 
 
