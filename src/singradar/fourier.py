@@ -267,9 +267,10 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
     17 and 65 samples all walk here.
 
     Both lanes walk in double from the base point rounded to double, at
-    walk_config(cfg), read once (tracker._entry); with lift, the walked
-    samples are then lifted at once to double-double (_refine, at the
-    extended default tolerance), else the parts hold the walk's doubles.
+    walk_config(cfg), read once (tracker._entry: a cfg below the base's lane
+    floor is an InvalidArgument); with lift, the walked samples are then
+    lifted at once to double-double (_refine, at the extended default
+    tolerance), else the parts hold the walk's doubles.
 
     A real circle (module docstring) walks k = 1..n//2 + 1 and lifts
     samples 0..n//2; sample n/2 of an even n keeps its real part, and the

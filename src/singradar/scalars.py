@@ -473,7 +473,7 @@ def roots_of_unity(n: int) -> tuple:
     q = ratio[0] + ratio[1] + _ROUND - _ROUND
     r = dd_sub(*angle, *dd_mul(*_PI_HALF, q, 0.0))
     re, im = _dd_taylor(r, (np.ones(n), np.zeros(n)), 0), _dd_taylor(r, r, 1)
-    for turn in range(1, 5):  # times i per quarter turn: q = 4 is 0
+    for turn in range(1, 5):  # times i per quarter turn; i^4 = 1 for q = 4
         at = q >= turn
         re, im = ([np.where(at, -b, a) for a, b in zip(re, im)],
                   [np.where(at, a, b) for a, b in zip(re, im)])

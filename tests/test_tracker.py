@@ -802,7 +802,8 @@ def test_every_entry_checks_the_tolerance_floor_of_its_lane(entry,
                        "active precision floor$"):
         calls[entry](double)
     assert hops == []
-    calls[entry](PathState.from_point(h, 0.5, [promote(0.5 ** 0.5, EXTENDED)]))
+    calls[entry](PathState.from_point(h, 0.5,
+                                      [promote(0.5 ** 0.5, EXTENDED)]))
     assert hops
 
 

@@ -112,10 +112,8 @@ def shares(name: str, rounds: int) -> list:
     return _shares(_run, jobs.build(name, 1, ROOT / "src"), rounds)
 
 
-def first_run(argv) -> float:
-    """Wall time in seconds of one run of the CLI arguments argv without
-    the profiler; cold when nothing in this process has run singradar."""
-    main = jobs.import_singradar(ROOT / "src").cli.main
+def _wall_time(main, argv) -> float:
+    """Seconds one run of the CLI arguments argv takes, unprofiled."""
     begin = time.perf_counter()
     _run_command(main, argv, 1)
     return time.perf_counter() - begin
@@ -127,12 +125,7 @@ def command_shares(argv, rounds: int) -> tuple:
     profiler."""
     main = jobs.import_singradar(ROOT / "src").cli.main
     rows = _shares(_run_command, main, argv, rounds)
-    best = float("inf")
-    for _ in range(rounds):
-        begin = time.perf_counter()
-        _run_command(main, argv, 1)
-        best = min(best, time.perf_counter() - begin)
-    return rows, best
+    return rows, min(_wall_time(main, argv) for _ in range(rounds))
 
 
 def main(argv=None) -> int:
@@ -148,8 +141,11 @@ def main(argv=None) -> int:
     if args.command is None:
         rows = shares(args.workload, args.rounds)
     else:
-        first = first_run(shlex.split(args.command))
-        rows, best = command_shares(shlex.split(args.command), args.rounds)
+        command = shlex.split(args.command)
+        # cold: nothing in this fresh interpreter has run singradar yet
+        cli = jobs.import_singradar(ROOT / "src").cli
+        first = _wall_time(cli.main, command)
+        rows, best = command_shares(command, args.rounds)
     for name, calls, share in rows:
         print("%-28s %8d calls %6.1f%%" % (name, calls, 100.0 * share))
     if args.command is not None:
