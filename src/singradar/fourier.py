@@ -38,6 +38,11 @@ are the ``scalars`` ones the ExtComplex operators call, so every element
 matches what the operators would give, bit for bit. A circle's samples
 stay (dim, n) arrays from the walk to the coefficients, transformed in one
 pass; a list of complex / ExtComplex values is converted at the edges.
+
+The powers r^k of a radius in double-double come from one shared routine,
+``_step_powers``, each power the previous one times r: taylor_coefficients
+divides the transform's coefficients by the step's powers, and
+``radar.scale_to_unit`` multiplies an extended series by those of |z|.
 """
 
 from __future__ import annotations
@@ -180,9 +185,9 @@ def _check_length(n: int):
         raise InvalidArgument("length must be a power of two")
 
 
-def _check_step(step):
+def _check_step(step, name: str = "step"):
     if not 0.0 < step < math.inf:
-        raise InvalidArgument("step must be positive and finite")
+        raise InvalidArgument(f"{name} must be positive and finite")
 
 
 def inverse_dft(values):
@@ -319,22 +324,32 @@ def sample_circle(h: Homotopy, base: PathState, step: float, n: int,
                          lifted=lift)
 
 
-def _step_powers(step: float, n: int) -> tuple:
-    """step^k in double-double, k = 0..n-1, as hi and lo arrays: each power
-    the previous one times step, as ExtReal multiplication rounds it. A
-    power that underflows to zero makes the step too small for n samples,
-    an argument error."""
-    hi = np.empty(n)
-    lo = np.empty(n)
-    power = (1.0, 0.0)
-    for k in range(n):
-        hi[k], lo[k] = power
-        power = dd_mul(*power, step, 0.0)
-    if not hi.all():
-        k = int(np.flatnonzero(hi == 0.0)[0])
-        raise InvalidArgument(f"step {step!r} is too small for {n} samples: "
-                              f"step**{k} underflows to zero")
-    return hi, lo
+def _step_powers(hi: float, lo: float, n: int, name: str = "step",
+                 unit: str = "samples") -> tuple:
+    """r^k in double-double for r = hi + lo, k = 0..n-1 (n >= 1), as hi and
+    lo arrays: r^0 = 1, r^1 = r and each next power the previous one times
+    r through dd_mul, as ExtReal multiplication rounds it. A power that
+    underflows to zero is an argument error (_too_small) in the caller's
+    name and unit: taylor_coefficients' step and samples (lo = 0), or
+    radar.scale_to_unit's radius and coefficients."""
+    p_hi = np.empty(n)
+    p_lo = np.empty(n)
+    p_hi[0], p_lo[0] = 1.0, 0.0
+    power = (hi, lo)
+    for k in range(1, n):
+        p_hi[k], p_lo[k] = power
+        power = dd_mul(*power, hi, lo)
+    if not p_hi.all():
+        _too_small(name, hi + lo, n, unit,
+                   int(np.flatnonzero(p_hi == 0.0)[0]))
+    return p_hi, p_lo
+
+
+def _too_small(name: str, value: float, n: int, unit: str, k: int):
+    """Raise the underflow error: value's power k, the first to round to
+    zero, leaves it too small for n samples or coefficients."""
+    raise InvalidArgument(f"{name} {value!r} is too small for {n} {unit}: "
+                          f"{name}**{k} underflows to zero")
 
 
 def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
@@ -350,7 +365,7 @@ def taylor_coefficients(h: Homotopy, base: PathState, step: float | None,
         step = default_step(base.t)
     _check_length(n)
     _check_step(step)
-    p_hi, p_lo = _step_powers(float(step), n)
+    p_hi, p_lo = _step_powers(float(step), 0.0, n)
     re_hi, re_lo, im_hi, im_lo = inverse_dft(
         sample_circle(h, base, step, n, cfg, lift))
     scaled = (_dd_quotient(re_hi, re_lo, p_hi, p_lo)

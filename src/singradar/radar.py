@@ -25,12 +25,19 @@ from .errors import (
     SingularJacobian,
     StepUnderflow,
 )
-from .fourier import _RADIUS_FRACTION, _check_step, taylor_coefficients
+from .fourier import (_RADIUS_FRACTION, _check_step, _from_arrays,
+                      _step_powers, _to_arrays, _too_small,
+                      taylor_coefficients)
 from .polysys import Homotopy
-from .scalars import EXTENDED, float_magnitude, lane, promote, scalar_eps
+from .scalars import (EXTENDED, ExtComplex, ExtReal, cdd_mul,
+                      float_magnitude, lane, promote, scalar_eps)
 from .series import TruncatedSeries
 from .tracker import (PathState, TrackerConfig, _entry, demoted, track_to,
                       walk_config)
+
+# imported after the package's own modules, as in fourier: numpy imported
+# first leaves the process's resident set about 0.6 MB larger
+import numpy as np
 
 CONVERGED = "Converged"
 INCONCLUSIVE = "Inconclusive"
@@ -147,15 +154,42 @@ def fabry_estimate(series: TruncatedSeries) -> RadiusEstimate:
 
 
 def scale_to_unit(series: TruncatedSeries, z) -> TruncatedSeries:
-    """Coefficients of the series in t = |z| s, unit convergence radius."""
+    """Coefficients of the series in t = |z| s, unit convergence radius:
+    c_0 as it is and c_k times |z|^k, each power the previous one times |z|,
+    with the type and bits of the scalar product c_k * |z|^k.
+
+    An extended |z| (z ExtReal or ExtComplex) over ExtComplex coefficients,
+    the extended lane's series, takes one array pass: fourier._step_powers
+    and one cdd_mul over float64 parts, under np.errstate (an overflowing
+    part gives inf or NaN, as the scalar product does, and no warning). Any
+    other series or |z| takes the scalar loop: a float |z|'s powers are
+    float products, which a double-double chain would round otherwise.
+
+    A |z| that is zero, NaN or infinite, or whose power |z|^N underflows to
+    zero, is an InvalidArgument: the coefficients would read NaN or vanish."""
+    coeffs = series.coeffs
+    n = len(coeffs)
     radius = abs(z)
-    if float(radius) == 0.0:
-        raise InvalidArgument("cannot rescale by a zero radius")
-    out = [series.coeffs[0]]
-    power = radius
-    for c in series.coeffs[1:]:
+    _check_step(float(radius), "radius")
+    if (isinstance(radius, ExtReal) and n > 1
+            and all(type(c) is ExtComplex for c in coeffs[1:])):
+        p_hi, p_lo = _step_powers(radius.hi, radius.lo, n, "radius",
+                                  "coefficients")
+        with np.errstate(all="ignore"):
+            parts = cdd_mul(_to_arrays(coeffs[1:]),
+                            (p_hi[1:], p_lo[1:], 0.0, 0.0))
+        return TruncatedSeries([coeffs[0], *_from_arrays(parts, True)],
+                               order=series.order)
+    out = [coeffs[0]]
+    power = last = radius
+    for c in coeffs[1:]:
         out.append(c * power)
-        power = power * radius
+        last, power = power, power * radius
+    if float(last) == 0.0:  # |z|^N vanished: find the first power that did
+        k, power = 1, radius
+        while float(power) != 0.0:
+            k, power = k + 1, power * radius
+        _too_small("radius", float(radius), n, "coefficients", k)
     return TruncatedSeries(out, order=series.order)
 
 

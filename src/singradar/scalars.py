@@ -292,8 +292,9 @@ def _operator(cdd, dd=None, reflected: bool = False):
 
     A method made here, not a named one calling a shared helper, keeps
     each operation one frame above its kernel (the helper's extra call
-    would slow radar.scale_to_unit's ExtComplex products); the kernel keeps
-    its own profile row and traceback line."""
+    would slow every operation still made one value at a time, such as
+    the extended lane's Fabry ratios and richardson's table); the kernel
+    keeps its own profile row and traceback line."""
 
     def op(self, other):
         if dd is not None:

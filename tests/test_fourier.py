@@ -28,6 +28,7 @@ from singradar.scalars import (
     EXTENDED,
     ExtComplex,
     ExtReal,
+    dd_mul,
     is_extended,
     promote,
     root_of_unity,
@@ -650,6 +651,30 @@ def test_one_pass_transform_matches_the_per_coordinate_route(name,
                 assert [[bits(c) for c in s.coeffs] for s in got] == [
                     [bits(c) for c in coord] for coord in want], (
                         n, lift, precision)
+
+
+def test_step_powers_keep_the_bits_of_the_frozen_loop():
+    # the one power routine at lo = 0, as taylor_coefficients calls it,
+    # against its former loop from 1.0, with the same underflow message
+    rng = random.Random(27)
+    for _ in range(120):
+        step = 10.0 ** rng.uniform(-2.5, 2.5)
+        n = rng.choice([1, 2, 32, 128, 1024])
+        want_hi, want_lo = np.empty(n), np.empty(n)
+        power = (1.0, 0.0)
+        for k in range(n):
+            want_hi[k], want_lo[k] = power
+            power = dd_mul(*power, step, 0.0)
+        if not want_hi.all():
+            k = int(np.flatnonzero(want_hi == 0.0)[0])
+            with pytest.raises(InvalidArgument, match=(
+                    f"^step {step!r} is too small for {n} samples: "
+                    f"step\\*\\*{k} underflows to zero$")):
+                fourier._step_powers(step, 0.0, n)
+            continue
+        got_hi, got_lo = fourier._step_powers(step, 0.0, n)
+        assert got_hi.tobytes() == want_hi.tobytes()
+        assert got_lo.tobytes() == want_lo.tobytes()
 
 
 @pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])

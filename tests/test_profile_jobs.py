@@ -1,5 +1,6 @@
-"""tools/profile_jobs.py on one pass of the pinned_ext workload and on one
-CLI command, with rows for singradar's functions and generated programs."""
+"""tools/profile_jobs.py on one pass of the pinned_ext and coefficients
+workloads and on one CLI command, with rows for singradar's functions and
+generated programs."""
 
 import importlib.util
 import re
@@ -34,6 +35,19 @@ def test_shares_name_every_hot_spot_with_its_calls():
         "tracker._refine"][1]
     # the elimination's rows sum over n and count the corrector's solves
     assert by_name["<solve n>.solve"][0] > by_name["tracker._solve_linear"][0]
+
+
+def test_coefficients_round_counts_one_rescale_per_planted_series():
+    rows = profile_jobs.shares("coefficients", 1)
+    by_name = {name: (calls, share) for name, calls, share in rows}
+    # four planted series (n = 128 and 1024, both lanes): one transform and
+    # one rescale each; table4 walks one 17-sample circle, transformed
+    # directly, and nothing sweeps or tracks to a pole
+    assert by_name["radar.scale_to_unit"][0] == 4
+    assert by_name["fourier.inverse_dft"][0] == 4
+    assert by_name["fourier.sample_circle"][0] == 1
+    assert by_name["radar.detect_last_pole"] == (0, 0.0)
+    assert 0.0 < by_name["radar.scale_to_unit"][1] < 1.0
 
 
 SQRT_EXTENDED = ["track", "--fixture", "sqrt", "--precision", "extended"]

@@ -29,6 +29,8 @@ from singradar.radar import (
 from singradar.scalars import (
     DOUBLE,
     EXTENDED,
+    ExtComplex,
+    ExtReal,
     float_magnitude,
     is_extended,
     promote,
@@ -307,6 +309,136 @@ def test_scale_extended_lane_preserved():
     scaled = scale_to_unit(s, 2.0)
     assert scaled.order == 11
     assert all(is_extended(c) for c in scaled.coeffs)
+
+
+def _frozen_scale_to_unit(series, z):
+    """scale_to_unit's scalar loop as it was before the array pass, verbatim
+    but for the zero check, and the last power it multiplied by."""
+    radius = abs(z)
+    out = [series.coeffs[0]]
+    power = last = radius
+    for c in series.coeffs[1:]:
+        out.append(c * power)
+        last, power = power, power * radius
+    return out, last
+
+
+def _bits(v):
+    """The type and every part's repr: the sign of zero and NaN included."""
+    if isinstance(v, ExtComplex):
+        parts = (v.re.hi, v.re.lo, v.im.hi, v.im.lo)
+    elif isinstance(v, ExtReal):
+        parts = (v.hi, v.lo)
+    elif isinstance(v, complex):
+        parts = (v.real, v.imag)
+    else:
+        parts = (v,)
+    return type(v).__name__, tuple(map(repr, parts))
+
+
+# parts that round to zero, sit below the normal range, or overflow once
+# multiplied by a radius above 1
+_SPECIAL_PARTS = (0.0, -0.0, 5e-324, -2.5e-320, 1e-310, 1.7e308, -1e308,
+                  math.inf, math.nan)
+_SERIES_KINDS = {
+    "ExtComplex": lambda p: ExtComplex(ExtReal(p[0], p[1]),
+                                       ExtReal(p[2], p[3])),
+    "ExtReal": lambda p: ExtReal(p[0], p[1]),
+    "complex": lambda p: complex(p[0], p[2]),
+    "float": lambda p: p[0],
+}
+_Z_KINDS = {
+    "float": lambda r, rng: -r if rng.random() < 0.5 else r,
+    "complex": lambda r, rng: r * complex(math.cos(1.0), math.sin(1.0)),
+    # lo at most half an ulp of hi, or (outside ExtReal's invariant) more
+    "ExtReal": lambda r, rng: ExtReal(r, r * rng.choice(
+        [rng.uniform(-1e-17, 1e-17), 0.25])),
+    "ExtComplex": lambda r, rng: ExtComplex(ExtReal(0.6 * r, 1e-18 * r),
+                                            ExtReal(-0.8 * r)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z_kind", sorted(_Z_KINDS))
+@pytest.mark.parametrize("kind", sorted(_SERIES_KINDS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scale_to_unit_gives_the_bits_of_the_frozen_loop(kind, z_kind, data):
+    # every lane: the extended array pass (ExtComplex series, extended
+    # |z|) and the scalar loop (any other series or |z|); a |z| whose last
+    # power underflows is an argument error where the loop gave zeros
+    n = data.draw(st.sampled_from([1, 2, 32, 128, 1024]), "n")
+    radius = data.draw(st.one_of(
+        st.floats(0.1, 3.0),
+        st.sampled_from([2.0, 1.0 / 0.985, 1e-12, 1e-5, 1e10, 2e300])),
+        "radius")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), "seed"))
+    special = data.draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, 3),
+        st.sampled_from(_SPECIAL_PARTS)), min_size=1, max_size=12),
+        "special")
+    parts = [[rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-3, 3)
+              for _ in range(4)] for _ in range(n)]
+    for p in parts:
+        p[1] *= 2.0 ** -54  # lo parts below half an ulp of a typical hi
+        p[3] *= 2.0 ** -54
+    for k, j, v in special:
+        parts[k][j] = v
+    series = TruncatedSeries([_SERIES_KINDS[kind](p) for p in parts],
+                             order=n - 1)
+    z = _Z_KINDS[z_kind](radius, rng)
+    want, last = _frozen_scale_to_unit(series, z)
+    if not 0.0 < float(abs(z)) < math.inf:  # |ExtComplex| overflows to NaN
+        with pytest.raises(InvalidArgument, match="positive and finite"):
+            scale_to_unit(series, z)
+        return
+    if float(last) == 0.0:
+        with pytest.raises(InvalidArgument, match="underflows to zero"):
+            scale_to_unit(series, z)
+        return
+    got = scale_to_unit(series, z)
+    assert got.order == n - 1
+    assert [_bits(v) for v in got.coeffs] == [_bits(v) for v in want]
+
+
+_BAD_RADII = {
+    "nan": math.nan,
+    "inf": -math.inf,
+    "complex-nan": complex(math.nan, math.nan),
+    "complex-inf": complex(1.0, math.inf),
+    "ExtReal-nan": ExtReal(math.nan),
+    "ExtReal-inf": ExtReal(math.inf),
+    "ExtComplex-inf": ExtComplex(1.0, math.inf),
+    "ExtReal-zero": ExtReal(-0.0),
+}
+
+
+def _lane_series(precision, order):
+    return TruncatedSeries([promote(float(exact_sqrt_coeff(k)), precision)
+                            for k in range(order + 1)], order=order)
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+@pytest.mark.parametrize("z", list(_BAD_RADII.values()), ids=list(_BAD_RADII))
+def test_scale_rejects_a_radius_that_is_not_finite(z, precision):
+    # the loop returned NaN or infinite coefficients, which fabry_estimate
+    # read as Inconclusive at z = nan+nanj
+    with pytest.raises(InvalidArgument,
+                       match="^radius must be positive and finite$"):
+        scale_to_unit(_lane_series(precision, 8), z)
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
+def test_scale_rejects_a_radius_whose_power_underflows(precision):
+    # 1e-12^27 rounds to zero: the loop's coefficients from c_27 on were
+    # zeros, which fabry_estimate read as a false CoefficientsVanish
+    z = 1e-12 if precision == DOUBLE else ExtReal(1e-12)
+    with pytest.raises(InvalidArgument, match=(
+            r"^radius 1e-12 is too small for 33 coefficients: "
+            r"radius\*\*27 underflows to zero$")):
+        scale_to_unit(_lane_series(precision, 32), z)
+    # 1e-12^26 does not: 27 coefficients scale
+    assert scale_to_unit(_lane_series(precision, 26), z).coeffs[26] != 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Profile a perfbench workload or a CLI command; print hot-spot shares.
 
     python3 tools/profile_jobs.py --workload sweep --rounds 5
+    python3 tools/profile_jobs.py --workload coefficients --rounds 20
     python3 tools/profile_jobs.py --command "track --fixture ojika1 \
         --precision extended" --rounds 3
 
 --workload builds the workload's job list from perfbench/jobs.py against
 this checkout's src/, runs it --rounds times in job-list order under
-cProfile and checks every outcome. --command first times one run of the
+cProfile and checks every outcome. coefficients draws its planted
+singularities from seed 7 (_SEED); sweep and pinned_ext draw nothing. --command first times one run of the
 singradar arguments in process (output discarded) without the profiler:
 the first run in the tool's fresh interpreter, which pays for what a CLI
 process builds on first use (twiddle tables, generated programs). It then
@@ -58,7 +60,10 @@ HOT_SPOTS = (
     ("<solve n>", "solve"),
     ("tracker", "track_to"),
     ("fourier", "inverse_dft"),
+    ("radar", "scale_to_unit"),
 )
+# the seed of the coefficients workload's planted singularities
+_SEED = 7
 
 
 def _run(workload, rounds: int):
@@ -108,8 +113,7 @@ def _shares(run, *args) -> list:
 
 def shares(name: str, rounds: int) -> list:
     """_shares of a workload's job list, run rounds times."""
-    # these two workloads draw no seeded inputs, so any seed builds them
-    return _shares(_run, jobs.build(name, 1, ROOT / "src"), rounds)
+    return _shares(_run, jobs.build(name, _SEED, ROOT / "src"), rounds)
 
 
 def _wall_time(main, argv) -> float:
@@ -131,7 +135,8 @@ def command_shares(argv, rounds: int) -> tuple:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--workload", choices=("sweep", "pinned_ext"))
+    source.add_argument("--workload",
+                        choices=("sweep", "pinned_ext", "coefficients"))
     source.add_argument("--command", help="singradar arguments, quoted: "
                         '"track --fixture sqrt --precision extended"')
     p.add_argument("--rounds", type=int, default=5)
