@@ -181,15 +181,16 @@ def scale_to_unit(series: TruncatedSeries, z) -> TruncatedSeries:
         return TruncatedSeries([coeffs[0], *_from_arrays(parts, True)],
                                order=series.order)
     out = [coeffs[0]]
-    power = last = radius
+    power = radius
     for c in coeffs[1:]:
         out.append(c * power)
-        last, power = power, power * radius
-    if float(last) == 0.0:  # |z|^N vanished: find the first power that did
+        power = power * radius
+    if float(power) == 0.0:  # |z|^(N+1) is zero: is a power up to |z|^N?
         k, power = 1, radius
         while float(power) != 0.0:
             k, power = k + 1, power * radius
-        _too_small("radius", float(radius), n, "coefficients", k)
+        if k < n:
+            _too_small("radius", float(radius), n, "coefficients", k)
     return TruncatedSeries(out, order=series.order)
 
 

@@ -8,10 +8,11 @@
 --workload builds the workload's job list from perfbench/jobs.py against
 this checkout's src/, runs it --rounds times in job-list order under
 cProfile and checks every outcome. coefficients draws its planted
-singularities from seed 7 (_SEED); sweep and pinned_ext draw nothing. --command first times one run of the
-singradar arguments in process (output discarded) without the profiler:
-the first run in the tool's fresh interpreter, which pays for what a CLI
-process builds on first use (twiddle tables, generated programs). It then
+singularities from seed 7 (_SEED); sweep and pinned_ext draw nothing.
+--command first times one run of the singradar arguments in process
+(output discarded) without the profiler: the first run in the tool's
+fresh interpreter, which pays for what a CLI process builds on first use
+(twiddle tables, generated programs). It then
 runs them --rounds times under cProfile; a command that exits 2, an
 argument error, stops the tool. It then runs them --rounds times more
 without the profiler and prints the minimum wall time and the first run's.
@@ -62,7 +63,6 @@ HOT_SPOTS = (
     ("fourier", "inverse_dft"),
     ("radar", "scale_to_unit"),
 )
-# the seed of the coefficients workload's planted singularities
 _SEED = 7
 
 
