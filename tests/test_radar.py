@@ -420,9 +420,9 @@ def _lane_series(precision, order):
 
 @pytest.mark.parametrize("precision", [DOUBLE, EXTENDED])
 @pytest.mark.parametrize("z", list(_BAD_RADII.values()), ids=list(_BAD_RADII))
-def test_scale_rejects_a_radius_that_is_not_finite(z, precision):
+def test_scale_rejects_a_radius_that_is_not_positive_and_finite(z, precision):
     # the loop returned NaN or infinite coefficients, which fabry_estimate
-    # read as Inconclusive at z = nan+nanj
+    # read as Inconclusive at z = nan+nanj (a zero radius raised before too)
     with pytest.raises(InvalidArgument,
                        match="^radius must be positive and finite$"):
         scale_to_unit(_lane_series(precision, 8), z)
